@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
+from operator import mul
 
 from . import exact, lattices
 from .golay import INFINITY, steiner_system
@@ -44,9 +45,7 @@ class Isometry:
     name: str = ""
 
     def apply(self, vec) -> tuple:
-        return tuple(
-            sum(vec[i] * self.matrix[i][j] for i in range(16)) for j in range(16)
-        )
+        return tuple(sum(map(mul, vec, col)) for col in zip(*self.matrix))
 
     def then(self, other: "Isometry", name: str = "") -> "Isometry":
         m = exact.mat_mul([list(r) for r in self.matrix], [list(r) for r in other.matrix])
@@ -274,6 +273,13 @@ class WallRoot:
     key: tuple
 
 
+def wall_root_gram(root: LorentzVector) -> list[list[int]]:
+    """Gram matrix of the ten base roots of R followed by a wall root."""
+    roots = picard().roots
+    vecs = [roots[k] for k in BASE_ROOT_ORDER] + [root]
+    return [[bilinear(a, b) for b in vecs] for a in vecs]
+
+
 def classify_wall_root(root: LorentzVector) -> WallRoot:
     """Case tag, root-lattice type and checked projection of a wall root."""
     ctx = picard()
@@ -297,9 +303,8 @@ def classify_wall_root(root: LorentzVector) -> WallRoot:
     else:
         raise ValueError(f"no case matches pairing pattern {sorted(ones)}")
 
-    extended = lattices.span([roots[k] for k in BASE_ROOT_ORDER] + [root])
-    assert extended.rank == 11
-    assert lattices.root_type(extended.gram) == CASE_ROOT_TYPES[case]
+    # root_type rejects a singular Gram matrix, so the eleven roots have rank 11
+    assert lattices.root_type(wall_root_gram(root)) == CASE_ROOT_TYPES[case]
 
     r1 = ctx.project_to_sh(root)
     assert ctx.inner(r1, r1) == CASE_NORMS[case]
@@ -316,11 +321,11 @@ def classify_wall_root(root: LorentzVector) -> WallRoot:
             if case in ("3a", "3b"):
                 (xi,) = ones & {"x1", "x2", "x3", "x4", "x5"}
                 raw = [a + Fraction(b, 2) for a, b in zip(raw, roots[xi].raw())]
-        r1_raw = exact.vec_mat(
-            exact.vec_mat(list(r1), [list(r) for r in ctx.basis_coords]),
-            lattices.ambient().rows,
+        nums, den = exact.clear_denominators(r1)
+        r1_raw = exact.vec_mat(exact.vec_mat(nums, ctx.basis_coords), lattices.ambient().rows)
+        assert [Fraction(x, den) for x in r1_raw] == raw, (
+            f"closed-form projection mismatch in case {case}"
         )
-        assert r1_raw == raw, f"closed-form projection mismatch in case {case}"
     else:
         assert root in ctx.curve_roots.values()
     return WallRoot(case, root, r1, _wall_key(case, root))
@@ -453,6 +458,10 @@ class AutContext:
         assert compose(self.f, self.f).same_matrix(identity_isometry())
         assert compose(self.g, self.g).same_matrix(identity_isometry())
 
+        # discriminant-group generators as integer rows over a common denominator
+        _, disc_gens = lattices.discriminant_form_from_gram(ctx.gram)
+        self._disc_gens, self._disc_den = exact.clear_row_denominators(disc_gens)
+
         self.walls = enumerate_wall_roots()
         self.wall_generators: dict[str, list[tuple[WallRoot, Isometry]]] = {}
 
@@ -547,10 +556,9 @@ class AutContext:
 
     @staticmethod
     def _apply_q(iso: Isometry, vec) -> tuple:
-        return tuple(
-            sum(Fraction(vec[i]) * iso.matrix[i][j] for i in range(16))
-            for j in range(16)
-        )
+        """Image of a rational class vector, as a tuple of Fractions."""
+        nums, den = exact.clear_denominators(vec)
+        return tuple(Fraction(x, den) for x in iso.apply(nums))
 
     def reflection_phi(self, alpha) -> Isometry:
         """Reflection in a primitive (-6)-vector, checked integral."""
@@ -578,13 +586,13 @@ class AutContext:
         return iso
 
     def discriminant_action(self, iso: Isometry) -> str:
-        _, gens = lattices.discriminant_form_from_gram(self.ctx.gram)
+        den = self._disc_den
         plus = minus = True
-        for gvec in gens:
-            image = self._apply_q(iso, gvec)
-            if any((a - b).denominator != 1 for a, b in zip(image, gvec)):
+        for gvec in self._disc_gens:
+            image = iso.apply(gvec)
+            if any((a - b) % den for a, b in zip(image, gvec)):
                 plus = False
-            if any((a + b).denominator != 1 for a, b in zip(image, gvec)):
+            if any((a + b) % den for a, b in zip(image, gvec)):
                 minus = False
         if plus:
             return "+1"

@@ -571,7 +571,11 @@ def _cmd_reduce(args) -> int:
         return 2
     gamma = compose(*gens)
     trace = [a.height(gamma.apply(a.omega))]
-    word, residual = a.reduce_height(gamma)
+    try:
+        word, residual = a.reduce_height(gamma)
+    except RuntimeError as e:  # the descent hit its step cap
+        print(f"reduce failed: {e}", file=sys.stderr)
+        return 1
     v = gamma.apply(a.omega)
     for n in word:
         v = a.registry[n].apply(v)

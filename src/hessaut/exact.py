@@ -7,7 +7,9 @@ public functions never mutate their arguments.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import mul
 
 
 def identity_matrix(n: int) -> list[list[int]]:
@@ -19,22 +21,34 @@ def transpose(m):
 
 
 def mat_mul(a, b):
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def vec_mat(v, m):
     """Row vector times matrix."""
-    cols = len(m[0]) if m else 0
-    return [sum(v[i] * m[i][j] for i in range(len(m))) for j in range(cols)]
+    return [sum(map(mul, v, col)) for col in zip(*m)]
 
 
 def mat_vec(m, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in m]
+    return [sum(map(mul, row, v)) for row in m]
 
 
 def dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
+
+
+def clear_denominators(v) -> tuple[list[int], int]:
+    """(n, d) with v = n / d: integer numerators over the least common
+    denominator of a vector of ints and Fractions."""
+    d = math.lcm(*(x.denominator for x in v))
+    return [x.numerator * (d // x.denominator) for x in v], d
+
+
+def clear_row_denominators(m) -> tuple[list[list[int]], int]:
+    """(n, d) with m = n / d, as `clear_denominators` for a matrix."""
+    d = math.lcm(*(x.denominator for row in m for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in m], d
 
 
 def vec_add(u, v):

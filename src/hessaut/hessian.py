@@ -13,6 +13,7 @@ identity over a Z-basis chosen among the curves themselves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -184,6 +185,12 @@ class Picard:
             tuple(incidence(a, b) for b in self.basis_names) for a in self.basis_names
         )
         assert abs(int(exact.det_rational(self.gram))) == 48
+        self._gram_rows = [list(r) for r in self.gram]
+        # inverse Gram matrix as adj / den, and the L pairings of the basis
+        self._gram_adj, self._gram_den = exact.clear_row_denominators(
+            exact.invert_rational(self.gram)
+        )
+        self._basis_pairing = exact.mat_mul(self.basis_coords, amb.gram)
 
         # pentahedral dictionary from the pinned Weber hexad
         line_faces, node_faces = weber.pentahedral_dictionary()
@@ -256,7 +263,13 @@ class Picard:
         return self._tau[name]
 
     def inner(self, u, v) -> Fraction:
-        return exact.dot(exact.vec_mat(list(u), [list(r) for r in self.gram]), list(v))
+        """Intersection number; an int when both vectors are integer-typed."""
+        nu, du = exact.clear_denominators(u)
+        nv, dv = exact.clear_denominators(v)
+        s = exact.dot(exact.vec_mat(nu, self._gram_rows), nv)
+        if all(type(x) is int for x in u) and all(type(x) is int for x in v):
+            return s
+        return Fraction(s, du * dv)
 
     def lines_through(self, node: str) -> list[str]:
         return [l for l in LINE_NAMES if incidence(node, l) == 1]
@@ -288,11 +301,10 @@ class Picard:
 
     def resolve(self, expr: dict) -> ClassVec:
         """Evaluate a formal sum over curve names, etaH/etaS, NN/TT, Cxx, Rxx."""
-        out = [Fraction(0)] * 16
+        terms = []
         for key, coeff in expr.items():
-            coeff = Fraction(coeff)
             if key in self.curve_coord:
-                vec = self.curve(key)
+                vec = self.curve_coord[key]
             elif key == "etaH":
                 vec = self.eta_h
             elif key == "etaS":
@@ -302,27 +314,32 @@ class Picard:
             elif key == "TT":
                 vec = self.TT
             elif key == "omega":
-                vec = tuple(Fraction(x) for x in self.omega_prime)
+                vec = self.omega_prime
             elif key.startswith("C") and "T" + key[1:] in self.curve_coord:
                 vec = self.conic("T" + key[1:])
             elif key.startswith("R") and "N" + key[1:] in self.curve_coord:
                 vec = self.cubic("N" + key[1:])
             else:
                 raise ValueError(f"unresolvable class name {key!r}")
-            out = [a + coeff * b for a, b in zip(out, vec)]
-        return tuple(out)
+            nums, den = exact.clear_denominators(vec)
+            terms.append((Fraction(coeff) / den, nums))
+        # sum in integers over the common denominator of the coefficients
+        den = math.lcm(*(c.denominator for c, _ in terms))
+        out = [0] * 16
+        for c, nums in terms:
+            k = c.numerator * (den // c.denominator)
+            out = [a + k * b for a, b in zip(out, nums)]
+        return tuple(Fraction(x, den) for x in out)
 
     def verify_relation(self, lhs: dict, rhs: dict) -> bool:
         return self.resolve(lhs) == self.resolve(rhs)
 
     def project_to_sh(self, v: LorentzVector) -> ClassVec:
         """Orthogonal projection onto the Picard lattice, rationally."""
-        amb = lattices.ambient()
-        target = list(amb.coords(v))
-        pairings = [amb.pair(row, target) for row in self.basis_coords]
-        sol = exact.solve_rational([list(r) for r in self.gram], pairings)
-        assert sol is not None
-        return tuple(sol)
+        target = lattices.ambient().coords(v)
+        pairings = exact.mat_vec(self._basis_pairing, target)
+        den = self._gram_den
+        return tuple(Fraction(x, den) for x in exact.mat_vec(self._gram_adj, pairings))
 
     # --- elliptic pencils -------------------------------------------------
 

@@ -4,9 +4,19 @@ A fixed Z-basis of L (24 Hermite-reduced Leech generators plus f, g) turns
 every lattice question into integer row arithmetic in Z^26: spans and
 orthogonal complements come from Hermite forms and integer kernels,
 saturations from double kernels, discriminant groups from Smith forms of
-Gram matrices. Root sublattices are recognized by enumerating their norm
--2 vectors and decomposing the pairing graph, which avoids any dependence
+Gram matrices. Root sublattices are recognized from their full set of norm
+-2 vectors, decomposed by the pairing graph, so the result does not depend
 on a choice of basis.
+
+When the basis vectors are themselves roots (every diagonal entry of the
+Gram matrix is -2, as for the ten base roots plus a wall root), the root
+set is their closure R' under their own reflections s_a(v) = v + (v.a)a.
+This is exact, not a heuristic: in a negative definite lattice R' is
+finite, so it is a simply-laced root system, and ZR' is the whole lattice
+because R' contains the basis. The lattice is then the ADE root lattice of
+R', whose norm -2 vectors are exactly R' (Conway-Sloane, SPLAG ch. 4).
+Other Gram matrices go through a Fincke-Pohst search for the norm -2
+vectors, which tests also run on root Gram matrices as a cross-check.
 """
 
 from __future__ import annotations
@@ -45,17 +55,18 @@ class Ambient:
         self.rows = [v.raw() for v in vectors]
         self.gram = [[bilinear(a, b) for b in vectors] for a in vectors]
         assert exact.det_rational(self.gram) == -1  # even unimodular, signature (1,25)
-        self._inv = exact.invert_rational(self.rows)
+        # inverse of the basis rows as adj / den, with adj an integer matrix
+        self._adj, self._den = exact.clear_row_denominators(exact.invert_rational(self.rows))
 
     def coords(self, v: LorentzVector) -> tuple[int, ...]:
         """Integer coordinates over the L basis; fails off the lattice."""
-        c = exact.vec_mat(v.raw(), self._inv)
-        if any(x.denominator != 1 for x in c):
+        c = exact.vec_mat(v.raw(), self._adj)
+        if any(x % self._den for x in c):
             raise ValueError("vector does not lie in L")
-        return tuple(int(x) for x in c)
+        return tuple(x // self._den for x in c)
 
     def in_lattice(self, v: LorentzVector) -> bool:
-        return all(x.denominator == 1 for x in exact.vec_mat(v.raw(), self._inv))
+        return not any(x % self._den for x in exact.vec_mat(v.raw(), self._adj))
 
     def vector(self, coords: Sequence[int]) -> LorentzVector:
         raw = exact.vec_mat(list(coords), self.rows)
@@ -385,9 +396,74 @@ def root_count(gram) -> int:
     return len(short_vectors(gram, -2))
 
 
+def _negative_definite(gram) -> bool:
+    """Sylvester's criterion: every leading minor of -gram is positive.
+
+    Fraction-free Bareiss elimination, whose k-th pivot is the k-th
+    leading minor.
+    """
+    a = [[-x for x in row] for row in gram]
+    n = len(a)
+    prev = 1
+    for k in range(n):
+        piv = a[k][k]
+        if piv <= 0:
+            return False
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * piv - a[i][k] * a[k][j]) // prev
+        prev = piv
+    return True
+
+
+def reflection_closure(gram) -> list[tuple[int, ...]]:
+    """All roots of a negative definite lattice whose basis vectors are roots.
+
+    The roots are the orbit of the basis vectors under the reflections in
+    them; see the module docstring for why no root is missed. Reflecting
+    in the i-th basis vector only changes the i-th coordinate. The order
+    matches `short_vectors`.
+    """
+    n = len(gram)
+    if any(gram[i][i] != -2 for i in range(n)):
+        raise ValueError("reflection closure needs basis vectors of norm -2")
+    if not _negative_definite(gram):
+        raise ValueError("reflection closure expects a negative definite form")
+    basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    seen = set(basis)
+    frontier = basis
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for i, p in enumerate(exact.vec_mat(v, gram)):
+                if p:
+                    w = list(v)
+                    w[i] += p
+                    w = tuple(w)
+                    if w not in seen:
+                        seen.add(w)
+                        nxt.append(w)
+        frontier = nxt
+    return sorted(seen, key=lambda v: v[::-1])
+
+
+def root_vectors(gram) -> list[tuple[int, ...]]:
+    """All norm -2 vectors of a negative definite Gram matrix."""
+    if all(gram[i][i] == -2 for i in range(len(gram))):
+        return reflection_closure(gram)
+    return short_vectors(gram, -2)
+
+
 def root_components(gram) -> list[tuple[str, int, int]]:
-    """Irreducible components as (type, rank, root count) triples."""
-    roots = short_vectors(gram, -2)
+    """Irreducible components as (type, rank, root count) triples.
+
+    The roots come from `root_vectors`: by Fincke-Pohst in general, and by
+    reflection closure when every basis vector is a root. The closure R'
+    is then a finite simply-laced root system with ZR' equal to the
+    lattice, so the norm -2 vectors are exactly R' (Conway-Sloane, SPLAG
+    ch. 4). Either way they are split into components by the pairing graph.
+    """
+    roots = root_vectors(gram)
     if not roots:
         return []
     glist = [list(r) for r in gram]

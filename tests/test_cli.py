@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hessaut import cli
+from hessaut import autgroup, cli
 
 
 def test_unknown_suite_gives_usage_error(capsys):
@@ -60,3 +60,14 @@ def test_failing_check_exits_one(monkeypatch, capsys):
     monkeypatch.setitem(cli.SUITES, "golay", broken)
     assert cli.main(["verify", "golay"]) == 1
     assert "[FAIL] fake.broken" in capsys.readouterr().out
+
+
+def test_reduce_cap_exits_one_with_message(monkeypatch, capsys):
+    def capped(self, gamma, cap=10000):
+        raise RuntimeError("height descent failed to terminate")
+
+    monkeypatch.setattr(autgroup.AutContext, "reduce_height", capped)
+    assert cli.main(["reduce", "--word", "p16"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "reduce failed: height descent failed to terminate\n"
+    assert captured.out == ""
