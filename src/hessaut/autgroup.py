@@ -13,15 +13,24 @@ projection by 15, 4 and 12 times the wall vector. A greedy descent on the
 pairing with the Weyl projection certifies that the generators cut the
 symmetry group down to the 240-element group generated by tau and the
 pentahedral permutations.
+
+Products of isometries run on columns. Each isometry caches its sparse
+columns, the nonzero (row, coefficient) pairs of every column (49 of 256
+entries on average; the S5 elements and tau are permutation matrices),
+and a running product is a tuple of dense columns: column j of M*L is
+the sum, over the terms (i, c) of column j of L, of c times column i of
+M. `compose`, `Isometry.then`, `Isometry.inverse` and the descent in
+`AutContext.reduce_height` all go through `column_product`; the dense
+`exact.mat_mul` remains for Gram checks and as the reference in the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from itertools import permutations
-from operator import mul
+from functools import cache, cached_property
+from itertools import permutations, repeat
+from operator import add, mul, neg
 
 from . import exact, lattices
 from .golay import INFINITY, steiner_system
@@ -39,22 +48,83 @@ from .lorentz import LorentzVector, bilinear, leech_root
 oo = INFINITY
 
 
+@cache
+def _term(i: int, c: int) -> tuple[int, int]:
+    """One interned (row, coefficient) pair, shared by every sparse column."""
+    return (i, c)
+
+
+def sparse_columns(rows) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each column j of a matrix, the pairs (i, c) with rows[i][j] == c != 0."""
+    return tuple(
+        tuple(_term(i, c) for i, c in enumerate(col) if c) for col in zip(*rows)
+    )
+
+
+def column_product(cols, sparse) -> tuple[tuple[int, ...], ...]:
+    """Columns of A*B, from the columns of A and the sparse columns of B.
+
+    Column j of A*B sums c times column i of A over the terms (i, c) of
+    column j of B, as one lazy chain of `map`s evaluated by `tuple`. A
+    column that is a single column of A is reused, not copied; an empty
+    one gives a zero column.
+    """
+    zero = (0,) * len(cols[0]) if cols else ()
+    out = []
+    for terms in sparse:
+        if not terms:
+            out.append(zero)
+            continue
+        acc = None
+        for i, c in terms:
+            col = cols[i]
+            if c == -1:
+                col = map(neg, col)
+            elif c != 1:
+                col = map(mul, col, repeat(c))
+            acc = col if acc is None else map(add, acc, col)
+        out.append(tuple(acc))  # a lone column of A comes back as itself
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class Isometry:
     matrix: tuple[tuple[int, ...], ...]
     name: str = ""
 
+    @cached_property
+    def sparse_columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        return sparse_columns(self.matrix)
+
     def apply(self, vec) -> tuple:
         return tuple(sum(map(mul, vec, col)) for col in zip(*self.matrix))
 
     def then(self, other: "Isometry", name: str = "") -> "Isometry":
-        m = exact.mat_mul([list(r) for r in self.matrix], [list(r) for r in other.matrix])
-        return Isometry(tuple(tuple(r) for r in m), name or f"{other.name}*{self.name}")
+        cols = column_product(tuple(zip(*self.matrix)), other.sparse_columns)
+        return Isometry(tuple(zip(*cols)), name or f"{other.name}*{self.name}")
 
     def inverse(self, name: str = "") -> "Isometry":
-        inv = exact.invert_rational([list(r) for r in self.matrix])
-        assert all(x.denominator == 1 for row in inv for x in row)
-        return Isometry(tuple(tuple(int(x) for x in row) for row in inv), name or f"{self.name}^-1")
+        """M^-1 = G M^T G^-1 over the integers, since M G M^T = G.
+
+        With G^-1 = adj / den, the rows of M^-1 are the columns of
+        adj M G divided by den (adj and G are symmetric). Raises
+        ValueError when an entry is not divisible or M M^-1 is not I.
+        """
+        ctx = picard()
+        den = ctx._gram_den
+        cols = column_product(
+            column_product(tuple(map(tuple, ctx._gram_adj)), self.sparse_columns),
+            sparse_columns(ctx.gram),
+        )
+        if any(x % den for col in cols for x in col):
+            raise ValueError(f"{self.name}: not an isometry of the Picard lattice")
+        inv = Isometry(
+            tuple(tuple(x // den for x in col) for col in cols), name or f"{self.name}^-1"
+        )
+        ident = identity_isometry().matrix
+        if column_product(tuple(zip(*self.matrix)), inv.sparse_columns) != ident:
+            raise ValueError(f"{self.name}: not an isometry of the Picard lattice")
+        return inv
 
     def same_matrix(self, other: "Isometry") -> bool:
         return self.matrix == other.matrix
@@ -66,10 +136,12 @@ def identity_isometry() -> Isometry:
 
 def compose(*isos: Isometry) -> Isometry:
     """Apply left to right: compose(a, b)(x) = b(a(x))."""
-    out = identity_isometry()
-    for iso in isos:
-        out = out.then(iso)
-    return Isometry(out.matrix, "*".join(i.name for i in isos))
+    if not isos:
+        return Isometry(identity_isometry().matrix, "")
+    cols = tuple(zip(*isos[0].matrix))
+    for iso in isos[1:]:
+        cols = column_product(cols, iso.sparse_columns)
+    return Isometry(tuple(zip(*cols)), "*".join(i.name for i in isos))
 
 
 def conjugate(g: Isometry, s: Isometry, name: str = "") -> Isometry:
@@ -608,7 +680,7 @@ class AutContext:
         raise ValueError("not a wall of the restricted chamber")
 
     def height(self, vec) -> int:
-        return exact.dot(list(vec), self.gram_omega)
+        return exact.dot(vec, self.gram_omega)
 
     def reduce_height(self, gamma: Isometry, cap: int = 10000):
         """Greedy descent to the chamber of the Weyl projection.
@@ -619,20 +691,20 @@ class AutContext:
         """
         v = gamma.apply(self.omega)
         word: list[str] = []
-        matrices = [list(r) for r in gamma.matrix]
+        cols = tuple(zip(*gamma.matrix))
         while True:
             h = self.height(v)
             for name, iso, wvec in self.descent:
-                if exact.dot(list(v), wvec) < h:
+                if exact.dot(v, wvec) < h:
                     v = iso.apply(v)
                     word.append(name)
-                    matrices = exact.mat_mul(matrices, [list(r) for r in iso.matrix])
+                    cols = column_product(cols, iso.sparse_columns)
                     break
             else:
                 break
             if len(word) > cap:
                 raise RuntimeError("height descent failed to terminate")
-        residual = Isometry(tuple(tuple(r) for r in matrices), "residual")
+        residual = Isometry(tuple(zip(*cols)), "residual")
         return word, residual
 
     def classify_symmetry(self, iso: Isometry) -> str | None:
@@ -644,25 +716,7 @@ def autctx() -> AutContext:
     return AutContext()
 
 
-def project_to_SH(v: LorentzVector) -> ClassVec:
-    return picard().project_to_sh(v)
-
-
 # --- module-level conveniences -------------------------------------------------
-
-
-def enriques_tau() -> Isometry:
-    return autctx().tau
-
-
-def projection_p(node: str) -> Isometry:
-    """Projection involution from a node, e.g. projection_p('N16')."""
-    return autctx().projections[node if node.startswith("N") else "N" + node]
-
-
-def pentahedral_symmetry(perm) -> Isometry:
-    """The isometry of a face permutation, given as a tuple image of 1..5."""
-    return autctx().s5[tuple(perm)]
 
 
 def inversion_f(index: int = 1) -> Isometry:
@@ -677,12 +731,6 @@ def inversion_f(index: int = 1) -> Isometry:
     iso = conjugate(a.f, sigma, name=f"f{index}")
     assert compose(iso, iso).same_matrix(identity_isometry())
     return iso
-
-
-def g_map(index: int = 1) -> Isometry:
-    """The symmetrized inversion attached to the i-th cone-pencil wall."""
-    a = autctx()
-    return a.registry[f"g{index}"]
 
 
 def reflection_phi(alpha) -> Isometry:

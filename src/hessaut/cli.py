@@ -16,6 +16,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from . import lattices, leech, weber
@@ -47,6 +48,7 @@ from .autgroup import (
     WALL_3A_KS_FIRST,
     WALL_3B_OCTADS_FIRST,
     SKEW_LINE_TABLE,
+    Isometry,
     autctx,
     compose,
     identity_isometry,
@@ -494,7 +496,7 @@ def reduce_suite(seed: int) -> list:
     heights_ok = all(
         a.height(iso.apply(a.omega)) > 20 for _, iso, _ in a.descent
     ) and all(
-        a.height(__import__("hessaut.autgroup", fromlist=["Isometry"]).Isometry(m).apply(a.omega)) == 20
+        a.height(Isometry(m).apply(a.omega)) == 20
         for m in a.symmetries
     )
     _check(checks, "reduce.height-floor", True, heights_ok,
@@ -570,13 +572,13 @@ def _cmd_reduce(args) -> int:
         print(f"unknown generator {e.args[0]!r}", file=sys.stderr)
         return 2
     gamma = compose(*gens)
-    trace = [a.height(gamma.apply(a.omega))]
+    v = gamma.apply(a.omega)
+    trace = [a.height(v)]
     try:
         word, residual = a.reduce_height(gamma)
     except RuntimeError as e:  # the descent hit its step cap
         print(f"reduce failed: {e}", file=sys.stderr)
         return 1
-    v = gamma.apply(a.omega)
     for n in word:
         v = a.registry[n].apply(v)
         trace.append(a.height(v))
@@ -597,7 +599,8 @@ def _cmd_reduce(args) -> int:
     return 0 if label is not None else 1
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hessaut",
         description="exact verification suites for the Hessian-quartic lattice toolkit",
@@ -608,14 +611,16 @@ def main(argv=None) -> int:
     v.add_argument("--suite", dest="suite_opt", help="suite name (alternative spelling)")
     v.add_argument("--json", action="store_true", help="machine-readable report")
     v.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    v.set_defaults(func=_cmd_verify)
     r = sub.add_parser("reduce", help="height-reduce a word of generators")
     r.add_argument("--word", required=True,
                    help="comma-separated generators, e.g. tau,p16,g1,phi2,s21345")
     r.add_argument("--json", action="store_true")
-    r.set_defaults(func=_cmd_reduce)
-    args = parser.parse_args(argv)
-    return args.func(args)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    return (_cmd_verify if args.command == "verify" else _cmd_reduce)(args)
 
 
 if __name__ == "__main__":

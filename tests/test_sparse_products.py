@@ -1,0 +1,142 @@
+"""The sparse column product against the dense products it replaced.
+
+`column_product` composes words and runs the height descent; the dense
+`exact.mat_mul` and the old dense descent loop stay here as the
+reference, and must give the same matrices, words and residuals.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hessaut import exact
+from hessaut.autgroup import (
+    Isometry,
+    autctx,
+    column_product,
+    compose,
+    identity_isometry,
+    sparse_columns,
+)
+
+BIG = 2**400
+
+entries = st.one_of(
+    st.just(0),
+    st.sampled_from((1, -1)),
+    st.integers(-9, 9),
+    st.integers(-BIG, BIG),
+)
+
+
+@st.composite
+def matrix_pair(draw):
+    n, k, m = (draw(st.integers(1, 6)) for _ in range(3))
+    a = [[draw(entries) for _ in range(k)] for _ in range(n)]
+    b = [[draw(entries) for _ in range(m)] for _ in range(k)]
+    for j in draw(st.sets(st.integers(0, m - 1))):
+        for row in b:
+            row[j] = 0
+    return a, b
+
+
+def _columns(rows):
+    return tuple(zip(*rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix_pair())
+def test_column_product_matches_mat_mul(pair):
+    a, b = pair
+    got = column_product(_columns(a), sparse_columns(b))
+    assert got == _columns(exact.mat_mul(a, b))
+    assert all(type(x) is int for col in got for x in col)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix_pair())
+def test_sparse_columns_rebuild_the_matrix(pair):
+    _, b = pair
+    dense = [[0] * len(b[0]) for _ in b]
+    for j, terms in enumerate(sparse_columns(b)):
+        for i, c in terms:
+            assert c != 0
+            dense[i][j] = c
+    assert dense == b
+
+
+def test_zero_column_and_column_reuse():
+    cols = ((1, 2), (3, 4), (5, 6))
+    b = [[0, 0, 0], [0, 0, 1], [0, 1, 0]]  # column 0 empty, then two unit columns
+    out = column_product(cols, sparse_columns(b))
+    assert out == ((0, 0), (5, 6), (3, 4))
+    assert out[1] is cols[2] and out[2] is cols[1]
+
+
+# --- isometries ------------------------------------------------------------------
+
+
+def test_integer_inverse_matches_rational_inverse_on_the_registry():
+    a = autctx()
+    ident = identity_isometry()
+    for name, iso in a.registry.items():
+        inv = iso.inverse()
+        want = exact.invert_rational([list(r) for r in iso.matrix])
+        assert inv.matrix == tuple(tuple(int(x) for x in row) for row in want), name
+        assert all(type(x) is int for row in inv.matrix for x in row)
+        assert compose(iso, inv).same_matrix(ident)
+        assert inv.name == f"{name}^-1"
+
+
+@pytest.mark.parametrize("rows", [
+    [[2 * int(i == j) for j in range(16)] for i in range(16)],
+    [[int(i == j) + int((i, j) == (0, 1)) for j in range(16)] for i in range(16)],
+])
+def test_inverse_rejects_non_isometries(rows):
+    with pytest.raises(ValueError):
+        Isometry(tuple(map(tuple, rows)), "bad").inverse()
+
+
+def _dense_compose(isos):
+    m = exact.identity_matrix(16)
+    for iso in isos:
+        m = exact.mat_mul(m, [list(r) for r in iso.matrix])
+    return tuple(tuple(r) for r in m)
+
+
+def _dense_reduce_height(a, gamma, cap=10000):
+    """The descent loop as it ran on dense products."""
+    v = gamma.apply(a.omega)
+    word = []
+    matrices = [list(r) for r in gamma.matrix]
+    while True:
+        h = a.height(v)
+        for name, iso, wvec in a.descent:
+            if exact.dot(list(v), wvec) < h:
+                v = iso.apply(v)
+                word.append(name)
+                matrices = exact.mat_mul(matrices, [list(r) for r in iso.matrix])
+                break
+        else:
+            break
+        if len(word) > cap:
+            raise RuntimeError("height descent failed to terminate")
+    return word, tuple(tuple(r) for r in matrices)
+
+
+@pytest.mark.parametrize("length", [1, 2, 7, 12, 45, 80, 230, 600])
+def test_sparse_words_and_descent_match_dense(length):
+    a = autctx()
+    names = sorted(a.registry)
+    rng = random.Random(f"sparse-{length}")
+    isos = [a.registry[rng.choice(names)] for _ in range(length)]
+    gamma = compose(*isos)
+    assert gamma.matrix == _dense_compose(isos)
+    assert gamma.name == "*".join(i.name for i in isos)
+    assert isos[0].then(isos[-1]).matrix == _dense_compose([isos[0], isos[-1]])
+    word, residual = a.reduce_height(gamma)
+    assert (word, residual.matrix) == _dense_reduce_height(a, gamma)
+    assert residual.name == "residual"
+    assert a.classify_symmetry(residual) is not None
