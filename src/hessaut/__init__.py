@@ -1,16 +1,14 @@
 """Exact lattice computations around the Leech lattice and the Picard
 lattice of a quartic Hessian surface, with a batch verification CLI."""
 
-from .golay import build_steiner, is_octad
-from .hessian import build_SH, incidence, picard
+from .golay import is_octad
+from .hessian import incidence, picard
 from .autgroup import autctx, reduce_height
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "build_steiner",
     "is_octad",
-    "build_SH",
     "incidence",
     "picard",
     "autctx",

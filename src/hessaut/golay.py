@@ -32,10 +32,6 @@ def index_point(i: int) -> int:
     return i - 1
 
 
-def format_point(p: int) -> str:
-    return "oo" if p == INFINITY else str(p)
-
-
 def _translation() -> dict[int, int]:
     g = {k: (k + 1) % 23 for k in range(23)}
     g[INFINITY] = INFINITY
@@ -96,10 +92,6 @@ def steiner_system() -> SteinerSystem:
         frontier = nxt
     octads = tuple(sorted(seen, key=lambda k: tuple(sorted(k))))
     return SteinerSystem(octads)
-
-
-def build_steiner() -> SteinerSystem:
-    return steiner_system()
 
 
 def is_octad(s: Iterable[int]) -> bool:

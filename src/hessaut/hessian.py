@@ -20,9 +20,10 @@ from functools import cache
 from itertools import combinations
 
 from . import exact, lattices, leech, weber
+from .checks import CertificationError, certify
 from .golay import INFINITY
 from .leech import NU_OMEGA, nu, two_nu, vadd, vscale
-from .lorentz import LorentzVector, bilinear, leech_root, weyl_vector
+from .lorentz import LorentzVector, leech_root
 
 oo = INFINITY
 
@@ -114,19 +115,17 @@ def expected_base_gram() -> list[list[int]]:
 
 
 def _half(v: LorentzVector) -> LorentzVector:
-    assert all(c % 2 == 0 for c in v.lam) and v.m % 2 == 0 and v.n % 2 == 0
+    if any(c % 2 for c in v.raw()):
+        raise ValueError("vector is not divisible by two")
     return LorentzVector(tuple(c // 2 for c in v.lam), v.m // 2, v.n // 2)
 
 
 class Picard:
-    """The fully built and cross-checked Picard lattice context."""
+    """The Picard lattice context, certifying the facts its build relies on."""
 
     def __init__(self):
         amb = lattices.ambient()
         roots = base_roots()
-        gram = [[bilinear(roots[a], roots[b]) for b in BASE_ROOT_ORDER] for a in BASE_ROOT_ORDER]
-        if gram != expected_base_gram():
-            raise AssertionError("base root diagram does not match")
         self.roots = roots
 
         total = roots["x"] + roots["y"]
@@ -138,36 +137,21 @@ class Picard:
         self.lattice_R0 = lattices.span([roots[k] for k in BASE_ROOT_ORDER if k != "r0"])
         self.lattice_R = lattices.span(roots.values())
         self.lattice_T = lattices.span(list(roots.values()) + [self.theta])
-        assert self.lattice_R.rank == 10
-        assert self.lattice_T.rank == 10
-        assert self.lattice_R.disc_order() == 4 * self.lattice_T.disc_order()
-
+        certify(self.lattice_T.rank == 10, "T must have rank 10")
+        certify(self.lattice_R.disc_order() == 4 * self.lattice_T.disc_order(),
+                "the glue vector must have index two over R")
         self.lattice_SH = lattices.orthogonal_complement(self.lattice_T)
-        assert self.lattice_SH.rank == 16
 
         self.curve_roots = {
             name: leech_root(two_nu(octad)) for name, octad in CURVE_OCTADS.items()
         }
-        tvecs = list(roots.values()) + [self.theta]
-        for name, r in self.curve_roots.items():
-            if any(bilinear(r, t) != 0 for t in tvecs):
-                raise AssertionError(f"curve root {name} is not orthogonal to T")
-        curve_span = lattices.span(self.curve_roots.values())
-        if curve_span.rows != self.lattice_SH.rows:
-            raise AssertionError("curve roots do not span the full complement")
-
-        # check the Leech pairings against the combinatorial incidence rule
-        for a, b in combinations(CURVE_NAMES, 2):
-            got = bilinear(self.curve_roots[a], self.curve_roots[b])
-            if got != incidence(a, b):
-                raise AssertionError(f"incidence mismatch at {a},{b}: {got}")
-
         sh_rows = [list(r) for r in self.lattice_SH.rows]
         sh_cols = exact.transpose(sh_rows)
         raw_coords = {}
         for name in CURVE_NAMES:
             c = exact.solve_rational(sh_cols, list(amb.coords(self.curve_roots[name])))
-            assert c is not None and all(x.denominator == 1 for x in c)
+            if c is None or any(x.denominator != 1 for x in c):
+                raise ValueError(f"curve {name} does not lie in the Picard lattice")
             raw_coords[name] = [int(x) for x in c]
 
         self.basis_names = self._pick_unimodular_basis(raw_coords)
@@ -179,12 +163,13 @@ class Picard:
         self.curve_coord = {}
         for name in CURVE_NAMES:
             c = exact.solve_rational(basis_cols, raw_coords[name])
-            assert c is not None and all(x.denominator == 1 for x in c)
+            if c is None or any(x.denominator != 1 for x in c):
+                raise ValueError(f"curve {name} is not integral over the curve basis")
             self.curve_coord[name] = tuple(int(x) for x in c)
         self.gram = tuple(
             tuple(incidence(a, b) for b in self.basis_names) for a in self.basis_names
         )
-        assert abs(int(exact.det_rational(self.gram))) == 48
+        certify(abs(exact.det_rational(self.gram)) == 48, "the Picard lattice must have det 48")
         self._gram_rows = [list(r) for r in self.gram]
         # inverse Gram matrix as adj / den, and the L pairings of the basis
         self._gram_adj, self._gram_den = exact.clear_row_denominators(
@@ -196,13 +181,8 @@ class Picard:
         line_faces, node_faces = weber.pentahedral_dictionary()
         self.line_faces = {"T" + weber.label_name(k): v for k, v in line_faces.items()}
         self.node_faces = {"N" + weber.label_name(k): v for k, v in node_faces.items()}
-        assert set(self.line_faces) == set(LINE_NAMES)
-        assert set(self.node_faces) == set(NODE_NAMES)
-        for n in NODE_NAMES:
-            for l in LINE_NAMES:
-                transported = int(self.line_faces[l] <= self.node_faces[n])
-                if transported != incidence(n, l):
-                    raise AssertionError(f"dictionary incidence mismatch at {n},{l}")
+        certify(set(self.line_faces) | set(self.node_faces) == set(CURVE_NAMES),
+                "the pentahedral dictionary must name every curve")
 
         self._tau = {}
         for n in NODE_NAMES:
@@ -217,24 +197,17 @@ class Picard:
         self.TT = self.resolve({l: 1 for l in LINE_NAMES})
         eta_h = tuple((3 * a + 2 * b) / 5 for a, b in zip(self.NN, self.TT))
         eta_s = tuple((2 * a + 3 * b) / 5 for a, b in zip(self.NN, self.TT))
-        if any(x.denominator != 1 for x in eta_h + eta_s):
-            raise AssertionError("hyperplane classes are not integral")
+        certify(all(x.denominator == 1 for x in eta_h + eta_s),
+                "the hyperplane classes must be integral")
         self.eta_h, self.eta_s = eta_h, eta_s
-        assert self.inner(eta_h, eta_h) == 4
-        assert self.inner(eta_s, eta_s) == 4
-        assert self.inner(eta_h, eta_s) == 6
-        for n in NODE_NAMES:
-            assert self.inner(eta_h, self.curve_coord[n]) == 0
-            assert self.inner(eta_s, self.curve_coord[n]) == 1
-        for l in LINE_NAMES:
-            assert self.inner(eta_h, self.curve_coord[l]) == 1
-            assert self.inner(eta_s, self.curve_coord[l]) == 0
+        squares = (self.inner(eta_h, eta_h), self.inner(eta_s, eta_s), self.inner(eta_h, eta_s))
+        certify(squares == (4, 4, 6), f"hyperplane class intersections {squares}, not (4, 4, 6)")
+        for c in CURVE_NAMES:
+            want = (0, 1) if c in NODE_NAMES else (1, 0)
+            got = (self.inner(eta_h, self.curve_coord[c]), self.inner(eta_s, self.curve_coord[c]))
+            certify(got == want, f"hyperplane classes meet {c} in {got}, not {want}")
 
         self.omega_prime = tuple(a + b for a, b in zip(self.NN, self.TT))
-        assert self.inner(self.omega_prime, self.omega_prime) == 20
-        assert self.project_to_sh(weyl_vector()) == tuple(
-            Fraction(x) for x in self.omega_prime
-        )
 
     @staticmethod
     def _pick_unimodular_basis(raw_coords) -> tuple[str, ...]:
@@ -252,7 +225,7 @@ class Picard:
             m = [raw_coords[n] for n in combo]
             if abs(exact.det_rational(m)) == 1:
                 return tuple(combo)
-        raise AssertionError("no 16 curves form a unimodular basis")
+        raise CertificationError("no 16 curves form a unimodular basis")
 
     # --- basic queries --------------------------------------------------
 
@@ -345,9 +318,9 @@ class Picard:
 
     def hexagon_fiber(self, line: str, face: int) -> dict[str, int]:
         """The six-component cycle cut on a face containing the line."""
-        assert face in self.line_faces[line]
+        if face not in self.line_faces[line]:
+            raise ValueError(f"face {face} does not contain {line}")
         others = [l for l in self.face_lines(face) if l != line]
-        assert len(others) == 3
         comps = {l: 1 for l in others}
         for l1, l2 in combinations(others, 2):
             triple = self.line_faces[l1] | self.line_faces[l2]
@@ -369,7 +342,8 @@ class Picard:
     def type2_class(self, node: str, line: str) -> ClassVec:
         """Pencil of quartic curves from the cone at a node tangent along
         one of its lines."""
-        assert incidence(node, line) == 1
+        if incidence(node, line) != 1:
+            raise ValueError(f"{node} does not lie on {line}")
         expr = {"etaH": 2, line: -2, node: -2}
         for l in self.lines_through(node):
             if l != line:
@@ -383,7 +357,8 @@ class Picard:
 
     def type3_pencil(self, l1: str, l2: str) -> "Pencil":
         shared = [n for n in NODE_NAMES if incidence(n, l1) == 1 and incidence(n, l2) == 1]
-        assert len(shared) == 1
+        if len(shared) != 1:
+            raise ValueError(f"{l1} and {l2} do not meet at one node")
         fiber = self.resolve({"C" + l1[1:]: 1, "C" + l2[1:]: 1})
         return Pencil(self, f"type3[{l1},{l2}]", fiber, [("I2", {"C" + l1[1:]: 1, "C" + l2[1:]: 1})], [], [])
 
@@ -400,27 +375,19 @@ class Pencil:
     bisections: list[str]
 
     def __post_init__(self):
-        if self.ctx.inner(self.fiber, self.fiber) != 0:
-            raise AssertionError(f"{self.name}: fiber class has nonzero square")
+        ctx, name, fiber = self.ctx, self.name, self.fiber
+        certify(ctx.inner(fiber, fiber) == 0, f"{name}: fiber class has nonzero square")
         for tag, comps in self.reducible:
-            if self.ctx.resolve(comps) != self.fiber:
-                raise AssertionError(f"{self.name}: {tag} fiber does not sum to the class")
+            certify(ctx.resolve(comps) == fiber, f"{name}: {tag} fiber does not sum to the class")
         for s in self.sections:
-            if self.ctx.inner(self.ctx.resolve({s: 1}), self.fiber) != 1:
-                raise AssertionError(f"{self.name}: {s} is not a section")
+            certify(ctx.inner(ctx.resolve({s: 1}), fiber) == 1, f"{name}: {s} is not a section")
         for b in self.bisections:
-            if self.ctx.inner(self.ctx.resolve({b: 1}), self.fiber) != 2:
-                raise AssertionError(f"{self.name}: {b} is not a bisection")
+            certify(ctx.inner(ctx.resolve({b: 1}), fiber) == 2, f"{name}: {b} is not a bisection")
 
 
 @cache
 def picard() -> Picard:
     return Picard()
-
-
-def build_SH() -> Picard:
-    """Construct (and cache) the verified Picard lattice context."""
-    return picard()
 
 
 # --- fixture identities for the displayed pencil computations ----------------
@@ -508,26 +475,28 @@ def pencil_catalog() -> list[Pencil]:
         fa = ctx.type1_pencil(a).fiber
         fb = ctx.type1_pencil(b).fiber
         if not (ctx.line_faces[a] & ctx.line_faces[b]):
-            assert ctx.inner(fa, fb) == 2, f"skew pencils {a},{b}"
+            certify(ctx.inner(fa, fb) == 2, f"skew pencils {a},{b} must meet twice")
 
     # type 2: thirty flags pair up into fifteen pencils under tau
     flags = [(n, l) for n in NODE_NAMES for l in LINE_NAMES if incidence(n, l) == 1]
-    assert len(flags) == 30
+    certify(len(flags) == 30, "there must be thirty node-line flags")
     classes = {}
     for n, l in flags:
         f = ctx.type2_class(n, l)
-        assert ctx.inner(f, f) == 0
+        certify(ctx.inner(f, f) == 0, f"type 2 class of {n},{l} has nonzero square")
         partner = (ctx.tau_partner(l), ctx.tau_partner(n))
-        assert ctx.type2_class(*partner) == f
+        certify(ctx.type2_class(*partner) == f, f"flag {n},{l} and its tau partner differ")
         classes[frozenset(((n, l), partner))] = f
-    assert len(classes) == 15
+    certify(len(classes) == 15, "the flags must pair into fifteen type 2 pencils")
 
     for data in (TYPE2_EXAMPLE, TYPE2_SECOND_EXAMPLE):
         node, line = data["flag"]
         f = ctx.type2_class(node, line)
-        assert ctx.type2_class(*data["partner_flag"]) == f
+        certify(ctx.type2_class(*data["partner_flag"]) == f,
+                f"the partner flag of {node},{line} gives another class")
         if "class_display" in data:
-            assert ctx.resolve(data["class_display"]) == f
+            certify(ctx.resolve(data["class_display"]) == f,
+                    f"the displayed class of {node},{line} differs")
         fibers = [("I8", data["fiber_I8"])] + [("I4", c) for c in data["fibers_I4"]]
         pencils.append(
             Pencil(ctx, f"type2[{node},{line}]", f, fibers,
@@ -540,12 +509,12 @@ def pencil_catalog() -> list[Pencil]:
         if sum(1 for n in NODE_NAMES if incidence(n, a) == 1 and incidence(n, b) == 1):
             pencils.append(ctx.type3_pencil(a, b))
             count3 += 1
-    assert count3 == 30
+    certify(count3 == 30, "there must be thirty type 3 pencils")
 
     data = TYPE3_EXAMPLE
     l1, l2 = data["lines"]
     f = ctx.resolve({"C" + l1[1:]: 1, "C" + l2[1:]: 1})
-    assert ctx.resolve(data["class_display"]) == f
+    certify(ctx.resolve(data["class_display"]) == f, f"displayed class of {l1},{l2} differs")
     fibers = [
         ("I0*", data["fiber_I0star"]),
         ("I2*", data["fiber_I2star"]),
@@ -557,8 +526,8 @@ def pencil_catalog() -> list[Pencil]:
     )
     for n in data["extra_I2_nodes"]:
         residual = tuple(x - y for x, y in zip(f, ctx.curve(n)))
-        assert ctx.inner(residual, residual) == -2
-        assert ctx.inner(residual, f) == 0
+        certify((ctx.inner(residual, residual), ctx.inner(residual, f)) == (-2, 0),
+                f"the residual of {n} must be a (-2)-class in a fiber")
 
     return pencils
 
@@ -640,9 +609,10 @@ def relation_checks() -> list[tuple[str, bool]]:
     return checks
 
 
-def petersen_graph_data() -> tuple[int, int, int]:
+def petersen_graph_data() -> tuple[int | None, int, int]:
     """(regularity, edge count, girth) of the meet graph of the node/line
-    pairs on the Enriques quotient."""
+    pairs on the Enriques quotient; the regularity is None when vertex
+    degrees differ."""
     ctx = picard()
     pairs = {}
     for line in LINE_NAMES:
@@ -655,15 +625,14 @@ def petersen_graph_data() -> tuple[int, int, int]:
     for a, b in combinations(labels, 2):
         m = ctx.inner(pairs[a], pairs[b])
         expected = 2 if not (ctx.line_faces[a] & ctx.line_faces[b]) else 0
-        assert m == expected, f"meet number {m} at {a},{b}"
+        certify(m == expected, f"meet number {m} at {a},{b}, not {expected}")
         if m == 2:
             adj[a].add(b)
             adj[b].add(a)
     degrees = {len(v) for v in adj.values()}
-    assert degrees == {3}
+    regularity = degrees.pop() if len(degrees) == 1 else None
     edges = sum(len(v) for v in adj.values()) // 2
-    girth = _girth(labels, adj)
-    return 3, edges, girth
+    return regularity, edges, _girth(labels, adj)
 
 
 def _girth(labels, adj) -> int:
@@ -683,18 +652,3 @@ def _girth(labels, adj) -> int:
                     best = min(best, dist[u] + dist[w] + 1)
         # even cycles through start are caught from other roots
     return best
-
-
-def hyperplane_classes() -> tuple[ClassVec, ClassVec]:
-    """The pulled-back hyperplane class and its swap image."""
-    ctx = picard()
-    return ctx.eta_h, ctx.eta_s
-
-
-def named_class(name: str) -> ClassVec:
-    """Resolve a conic 'C16' or residual cubic 'R16' by its index."""
-    return picard().resolve({name: 1})
-
-
-def verify_relation(lhs: dict, rhs: dict) -> bool:
-    return picard().verify_relation(lhs, rhs)

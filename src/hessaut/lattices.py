@@ -31,6 +31,7 @@ from itertools import product
 from typing import Iterable, Sequence
 
 from . import exact, leech
+from .checks import certify
 from .golay import steiner_system
 from .lorentz import LorentzVector, bilinear
 
@@ -46,15 +47,14 @@ class Ambient:
         for octad in steiner_system().octads:
             span.add(list(leech.two_nu(octad)))
         lam_rows = span.basis()
-        assert len(lam_rows) == 24
+        certify(len(lam_rows) == 24, "the Leech generators must have rank 24")
+        certify(all(leech.contains(r) for r in lam_rows), "Leech basis rows must be members")
         vectors = [LorentzVector(tuple(r), 0, 0) for r in lam_rows]
         vectors += [LorentzVector(leech.ZERO, 1, 0), LorentzVector(leech.ZERO, 0, 1)]
-        for v in vectors[:24]:
-            assert leech.contains(v.lam)
         self.vectors = tuple(vectors)
         self.rows = [v.raw() for v in vectors]
         self.gram = [[bilinear(a, b) for b in vectors] for a in vectors]
-        assert exact.det_rational(self.gram) == -1  # even unimodular, signature (1,25)
+        certify(exact.det_rational(self.gram) == -1, "L must be unimodular with det -1")
         # inverse of the basis rows as adj / den, with adj an integer matrix
         self._adj, self._den = exact.clear_row_denominators(exact.invert_rational(self.rows))
 
@@ -104,7 +104,8 @@ class EmbeddedLattice:
 
     def disc_order(self) -> int:
         d = exact.det_rational(self.gram)
-        assert d.denominator == 1
+        if d.denominator != 1:
+            raise ValueError("Gram determinant is not integral")
         return abs(int(d))
 
 
@@ -339,7 +340,8 @@ def standard_gram(name: str) -> list[list[int]]:
 
 
 def _fraction_sqrt_upper(f: Fraction) -> Fraction:
-    assert f >= 0
+    if f < 0:
+        raise ValueError("square root of a negative number")
     return Fraction(math.isqrt(f.numerator * f.denominator) + 1, f.denominator)
 
 

@@ -71,7 +71,8 @@ def inner(v: Sequence[int], w: Sequence[int]) -> int:
     if not (contains(v) and contains(w)):
         raise ValueError("inner product is only defined on lattice members")
     d = raw_dot(v, w)
-    assert d % 8 == 0
+    if d % 8:
+        raise ValueError("members must pair integrally")
     return -d // 8
 
 

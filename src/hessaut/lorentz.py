@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import leech
+from .checks import certify
 from .leech import LeechVector
 
 
@@ -46,7 +47,8 @@ G = LorentzVector(leech.ZERO, 0, 1)
 def bilinear(a: LorentzVector, b: LorentzVector) -> int:
     """<lam_a, lam_b> + m_a n_b + n_a m_b."""
     d = leech.raw_dot(a.lam, b.lam)
-    assert d % 8 == 0, "Leech parts must pair integrally"
+    if d % 8:
+        raise ValueError("Leech parts must pair integrally")
     return -d // 8 + a.m * b.n + a.n * b.m
 
 
@@ -55,7 +57,7 @@ def leech_root(lam: LeechVector) -> LorentzVector:
     if not leech.contains(lam):
         raise ValueError("Leech roots require a Leech lattice member")
     r = LorentzVector(tuple(lam), 1, -1 + leech.norm(lam) // 2)
-    assert bilinear(r, r) == -2
+    certify(bilinear(r, r) == -2, "a Leech root must have norm -2")
     return r
 
 
@@ -84,8 +86,5 @@ def root_pairing(r: LorentzVector, rp: LorentzVector) -> int:
     diff = leech.vsub(r.lam, rp.lam)
     cls = leech.shape_class(diff)
     rule = {"zero": -2, "norm4": 0, "norm6": 1}.get(cls)
-    if rule is not None and rule != value:
-        raise AssertionError(
-            f"pairing {value} disagrees with the norm rule {rule} for class {cls}"
-        )
+    certify(rule in (None, value), f"pairing {value} disagrees with the norm rule {rule}")
     return value

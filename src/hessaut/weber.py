@@ -14,6 +14,8 @@ from functools import cache
 from itertools import combinations, product
 from typing import FrozenSet, Iterable, Sequence
 
+from .checks import certify
+
 Label = FrozenSet[int]
 
 EMPTY: Label = frozenset()
@@ -90,7 +92,7 @@ def psi_table() -> dict[Label, int]:
                 point = add(point, lab)
                 image ^= bits
         table[point] = image
-    assert len(set(table.values())) == 16
+    certify(len(set(table.values())) == 16, "psi must be a bijection")
     return table
 
 
@@ -237,7 +239,8 @@ def hexad_profile(h: frozenset[Label]) -> tuple[tuple[Label, ...], tuple[tuple[L
     if len(packets) != 5:
         raise ValueError("expected exactly five double-cover packets")
     if h == PINNED_HEXAD:
-        assert {frozenset(p) for p in PINNED_PACKETS} == set(packets)
+        certify({frozenset(p) for p in PINNED_PACKETS} == set(packets),
+                "the pinned packets must be the double-cover packets of the pinned hexad")
         ordered = PINNED_PACKETS
     else:
         ordered = tuple(
@@ -283,8 +286,10 @@ def pentahedral_dictionary(
             raise ValueError(f"inconsistent face triple at node {label_name(alpha)}")
         node_faces[alpha] = frozenset(counts)
     for face in range(1, 6):
-        assert sum(1 for fs in line_faces.values() if face in fs) == 4
-        assert sum(1 for fs in node_faces.values() if face not in fs) == 4
+        certify(sum(1 for fs in line_faces.values() if face in fs) == 4,
+                f"face {face} must carry four lines")
+        certify(sum(1 for fs in node_faces.values() if face not in fs) == 4,
+                f"face {face} must miss four nodes")
     return line_faces, node_faces
 
 
@@ -308,7 +313,7 @@ def affine_symplectic_group() -> tuple[tuple[int, ...], ...]:
                 break
         if ok:
             linear.append(cols)
-    assert len(linear) == 720
+    certify(len(linear) == 720, "Sp(4,2) has order 720")
     perms = []
     for cols in linear:
         images = []
@@ -320,7 +325,7 @@ def affine_symplectic_group() -> tuple[tuple[int, ...], ...]:
             images.append(img)
         for t in range(16):
             perms.append(tuple(img ^ t for img in images))
-    assert len(set(perms)) == 11520
+    certify(len(set(perms)) == 11520, "the affine symplectic group has order 11520")
     return tuple(perms)
 
 
@@ -335,11 +340,3 @@ def hexad_orbit_and_stabilizer(h: frozenset[Label]) -> tuple[int, int]:
         if image == target:
             stab += 1
     return len(orbit), stab
-
-
-def enumerate_tetrads():
-    return tetrads()
-
-
-def enumerate_weber_hexads():
-    return weber_hexads()
