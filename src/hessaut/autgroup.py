@@ -132,6 +132,7 @@ class Isometry:
         return self.matrix == other.matrix
 
 
+@cache
 def identity_isometry() -> Isometry:
     return Isometry(tuple(tuple(int(i == j) for j in range(16)) for i in range(16)), "id")
 
@@ -469,8 +470,10 @@ class AutContext:
         self._gram = [list(r) for r in ctx.gram]
         self.gram_omega = exact.mat_vec(self._gram, list(self.omega))
 
-        self.tau = table_isometry(
-            {a: {b: 1} for pair in TAU_PAIRS for a, b in (pair, pair[::-1])}, "tau"
+        # tau and the S5 tables send curves to curves: read images off curve_coord
+        self.tau = isometry_from_images(
+            {a: ctx.curve_coord[b] for pair in TAU_PAIRS for a, b in (pair, pair[::-1])},
+            "tau",
         )
         certify(all(ctx.tau_partner(a) == b for a, b in TAU_PAIRS),
                 "the tau table must pair each node with its tau partner")
@@ -479,14 +482,12 @@ class AutContext:
         for perm in permutations(range(1, 6)):
             sigma = dict(zip(range(1, 6), perm))
             images = {}
-            for n in NODE_NAMES:
-                faces = frozenset(sigma[i] for i in ctx.node_faces[n])
-                images[n] = {next(m for m in NODE_NAMES if ctx.node_faces[m] == faces): 1}
-            for l in LINE_NAMES:
-                faces = frozenset(sigma[i] for i in ctx.line_faces[l])
-                images[l] = {next(m for m in LINE_NAMES if ctx.line_faces[m] == faces): 1}
+            for names, faces_of in ((NODE_NAMES, ctx.node_faces), (LINE_NAMES, ctx.line_faces)):
+                for c in names:
+                    faces = frozenset(sigma[i] for i in faces_of[c])
+                    images[c] = ctx.curve_coord[next(m for m in names if faces_of[m] == faces)]
             name = "s" + "".join(str(sigma[i]) for i in range(1, 6))
-            self.s5[perm] = table_isometry(images, name)
+            self.s5[perm] = isometry_from_images(images, name)
 
         # the symmetry group of the restricted chamber: order 240, fixes omega
         self.symmetries: dict[tuple, str] = {}
@@ -614,29 +615,29 @@ class AutContext:
         return tuple(Fraction(x, den) for x in iso.apply(nums))
 
     def reflection_phi(self, alpha) -> Isometry:
-        """Reflection in a primitive (-6)-vector, checked integral."""
-        ctx = self.ctx
-        alpha = tuple(Fraction(x) for x in alpha)
-        if any(x.denominator != 1 for x in alpha):
+        """Reflection in a primitive (-6)-vector, checked integral.
+
+        Row i is e_i + (G alpha)_i alpha / 3; alpha is primitive, so the
+        row is integral exactly when 3 divides (G alpha)_i.
+        """
+        ints, den = exact.clear_denominators(alpha)
+        if den != 1:
             raise ValueError("reflection vector must be integral")
-        ints = [int(x) for x in alpha]
         if gcd(*ints) != 1:
             raise ValueError("reflection vector must be primitive")
-        if ctx.inner(alpha, alpha) != -6:
+        pairings = exact.mat_vec(self._gram, ints)
+        if exact.dot(pairings, ints) != -6:
             raise ValueError("reflection vector must have square -6")
+        if any(p % 3 for p in pairings):
+            raise ValueError("reflection does not preserve the lattice")
         rows = []
-        for i in range(16):
-            e = [Fraction(0)] * 16
-            e[i] = Fraction(1)
-            pairing = ctx.inner(e, alpha)
-            img = [e[j] + pairing * alpha[j] / 3 for j in range(16)]
-            if any(x.denominator != 1 for x in img):
-                raise ValueError("reflection does not preserve the lattice")
-            rows.append(tuple(int(x) for x in img))
+        for i, p in enumerate(pairings):
+            img = [p // 3 * x for x in ints]
+            img[i] += 1
+            rows.append(tuple(img))
         iso = Isometry(tuple(rows), "phi")
-        g = [list(r) for r in ctx.gram]
-        m = [list(r) for r in iso.matrix]
-        certify(exact.mat_mul(exact.mat_mul(m, g), exact.transpose(m)) == g,
+        g = self._gram
+        certify(exact.mat_mul(exact.mat_mul(rows, g), exact.transpose(rows)) == g,
                 "a reflection must preserve the intersection form")
         certify(iso.apply(ints) == tuple(-x for x in ints), "a reflection must negate its vector")
         return iso

@@ -92,6 +92,20 @@ def _check(checks: list, cid: str, expected, actual, ref: str):
 # --- suites -------------------------------------------------------------------
 
 
+@cache
+def _disc_form_T() -> lattices.FiniteQuadraticForm:
+    return lattices.discriminant_form(picard().lattice_T)
+
+
+@cache
+def _model_form() -> lattices.FiniteQuadraticForm:
+    """The A2(-2)+U(2) form that q(T) is checked against."""
+    return lattices.direct_sum(
+        lattices.discriminant_form_from_gram(lattices.standard_gram("A2(-2)"))[0],
+        lattices.discriminant_form_from_gram(lattices.standard_gram("U(2)"))[0],
+    )
+
+
 def golay_suite(seed: int) -> list:
     checks: list = []
     system = steiner_system()
@@ -175,12 +189,8 @@ def embedding_suite(seed: int) -> list:
            "glue vector halves the discriminant twice")
     _check(checks, "embedding.T-primitive", True, lattices.is_primitive(ctx.lattice_T),
            "T is primitively embedded")
-    q_t = lattices.discriminant_form(ctx.lattice_T)
-    model = lattices.direct_sum(
-        lattices.discriminant_form_from_gram(lattices.standard_gram("A2(-2)"))[0],
-        lattices.discriminant_form_from_gram(lattices.standard_gram("U(2)"))[0],
-    )
-    _check(checks, "embedding.T-disc-form", True, lattices.fqf_isomorphic(q_t, model),
+    _check(checks, "embedding.T-disc-form", True,
+           lattices.fqf_isomorphic(_disc_form_T(), _model_form()),
            "disc form of T matches A2(-2)+U(2)")
     return checks
 
@@ -223,16 +233,11 @@ def picard_suite(seed: int) -> list:
     _check(checks, "picard.primitive", True, lattices.is_primitive(ctx.lattice_SH),
            "orthogonal complements are primitive")
     q_sh = lattices.discriminant_form(ctx.lattice_SH)
-    q_t = lattices.discriminant_form(ctx.lattice_T)
     _check(checks, "picard.duality", True,
-           lattices.fqf_isomorphic(q_sh, lattices.negated(q_t)),
+           lattices.fqf_isomorphic(q_sh, lattices.negated(_disc_form_T())),
            "q(SH) is the negative of q(T)")
-    model = lattices.direct_sum(
-        lattices.discriminant_form_from_gram(lattices.standard_gram("A2(-2)"))[0],
-        lattices.discriminant_form_from_gram(lattices.standard_gram("U(2)"))[0],
-    )
     _check(checks, "picard.disc-form-model", True,
-           lattices.fqf_isomorphic(q_sh, lattices.negated(model)),
+           lattices.fqf_isomorphic(q_sh, lattices.negated(_model_form())),
            "q(SH) matches the negated A2(-2)+U(2) form")
     _check(checks, "picard.eta-squares", (4, 4, 6),
            (int(ctx.inner(ctx.eta_h, ctx.eta_h)), int(ctx.inner(ctx.eta_s, ctx.eta_s)),

@@ -1,8 +1,12 @@
-"""Exact integer and rational linear algebra on small dense matrices.
+"""Exact integer linear algebra on small dense matrices.
 
-Everything runs over arbitrary-precision ints and ``fractions.Fraction``;
-no floating point is used anywhere. Matrices are lists of row lists and
-public functions never mutate their arguments.
+Everything runs over arbitrary-precision ints; no floating point is used
+anywhere. Hermite and Smith forms use unimodular row and column
+operations. Determinants, inverses, linear solves and definiteness all go
+through one fraction-free elimination, `eliminate`; ``fractions.Fraction``
+appears only at the boundary, in the results of `det_rational`,
+`invert_rational` and `solve_rational`. Matrices are lists of row lists
+and public functions never mutate their arguments.
 """
 
 from __future__ import annotations
@@ -49,18 +53,6 @@ def clear_row_denominators(m) -> tuple[list[list[int]], int]:
     """(n, d) with m = n / d, as `clear_denominators` for a matrix."""
     d = math.lcm(*(x.denominator for row in m for x in row))
     return [[x.numerator * (d // x.denominator) for x in row] for row in m], d
-
-
-def vec_add(u, v):
-    return [x + y for x, y in zip(u, v)]
-
-
-def vec_sub(u, v):
-    return [x - y for x, y in zip(u, v)]
-
-
-def vec_scale(c, v):
-    return [c * x for x in v]
 
 
 def hermite_normal_form(m: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
@@ -200,77 +192,90 @@ def smith_normal_form(
     return d, u, v
 
 
+def eliminate(m) -> tuple[list[list[int]], list[int], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix.
+
+    Returns (rows, cols, minors, swaps): the pivot columns, each the first
+    column independent of those before it; 1 followed by the successive
+    pivots, pivot k being the minor of m on the first k pivot rows and
+    columns (a leading minor when no row was swapped); and the number of
+    row swaps. In `rows` each pivot column is d = minors[-1] times a unit
+    column, so rows / d is the reduced echelon form. A step sets every
+    other row to (p*x - f*y) / prev, an exact division because every entry
+    stays a minor of m (Bareiss 1968, Math. Comp. 22; Cohen, GTM 138, 2.2).
+    """
+    a = [list(row) for row in m]
+    cols: list[int] = []
+    minors = [1]
+    swaps = 0
+    for c in range(len(a[0]) if a else 0):
+        r = len(cols)
+        if r == len(a):
+            break
+        pr = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if pr is None:
+            continue
+        if pr != r:
+            a[r], a[pr] = a[pr], a[r]
+            swaps += 1
+        prow, prev = a[r], minors[-1]
+        p = prow[c]
+        for i, row in enumerate(a):
+            f = row[c]
+            if i != r and (f or p != prev):
+                a[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
+        cols.append(c)
+        minors.append(p)
+    return a, cols, minors, swaps
+
+
 def solve_rational(a, b) -> list[Fraction] | None:
     """One exact solution x of a*x = b, or None when inconsistent.
 
-    Free variables, if any, are set to zero, which makes the result
-    deterministic.
+    Entries may be ints or Fractions: each equation is first scaled to
+    integers. Free variables, if any, are set to zero, which makes the
+    result deterministic.
     """
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b)]
-    pivots = []
-    r = 0
-    for c in range(nc):
-        pr = next((i for i in range(r, nr) if aug[i][c]), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(nr):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    if any(aug[i][nc] for i in range(r, nr)):
+    nc = len(a[0]) if a else 0
+    rows, cols, minors, _ = eliminate(
+        [clear_denominators(list(row) + [y])[0] for row, y in zip(a, b)]
+    )
+    if nc in cols:
         return None
     x = [Fraction(0)] * nc
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][nc]
+    for row, c in zip(rows, cols):
+        x[c] = Fraction(row[nc], minors[-1])
     return x
 
 
+def invert_integer(a) -> tuple[list[list[int]], int]:
+    """(n, d) with a^-1 = n / d for a square integer matrix, d > 0 least.
+
+    Raises ValueError when the matrix is singular.
+    """
+    size = len(a)
+    rows, cols, minors, _ = eliminate(
+        [list(row) + [int(i == j) for j in range(size)] for i, row in enumerate(a)]
+    )
+    if cols != list(range(size)):
+        raise ValueError("matrix is singular")
+    n = [row[size:] for row in rows]
+    g = math.gcd(*(x for row in n for x in row), minors[-1])
+    if minors[-1] < 0:
+        g = -g
+    return [[x // g for x in row] for row in n], minors[-1] // g
+
+
 def invert_rational(a) -> list[list[Fraction]]:
-    """Exact inverse of a square matrix over the rationals."""
-    n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
-    for c in range(n):
-        pr = next((i for i in range(c, n) if aug[i][c]), None)
-        if pr is None:
-            raise ValueError("matrix is singular")
-        aug[c], aug[pr] = aug[pr], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
+    """Exact inverse of a square integer matrix over the rationals."""
+    n, d = invert_integer(a)
+    return [[Fraction(x, d) for x in row] for row in n]
 
 
 def det_rational(a) -> Fraction:
-    """Exact determinant via fraction Gaussian elimination."""
-    n = len(a)
-    w = [[Fraction(x) for x in row] for row in a]
-    det = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if w[i][c]), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            w[c], w[pr] = w[pr], w[c]
-            det = -det
-        det *= w[c][c]
-        inv = 1 / w[c][c]
-        for i in range(c + 1, n):
-            if w[i][c]:
-                f = w[i][c] * inv
-                w[i] = [x - f * y for x, y in zip(w[i], w[c])]
-    return det
+    """Exact determinant of a square integer matrix."""
+    _, cols, minors, swaps = eliminate(a)
+    return Fraction((-1) ** swaps * minors[-1] if len(cols) == len(a) else 0)
 
 
 def is_unimodular(u) -> bool:

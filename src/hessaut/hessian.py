@@ -155,26 +155,21 @@ class Picard:
             raw_coords[name] = [int(x) for x in c]
 
         self.basis_names = self._pick_unimodular_basis(raw_coords)
-        basis_raw = [raw_coords[n] for n in self.basis_names]
-        basis_cols = exact.transpose(basis_raw)
         self.basis_coords = [
             exact.vec_mat(raw_coords[n], sh_rows) for n in self.basis_names
         ]
-        self.curve_coord = {}
-        for name in CURVE_NAMES:
-            c = exact.solve_rational(basis_cols, raw_coords[name])
-            if c is None or any(x.denominator != 1 for x in c):
-                raise ValueError(f"curve {name} is not integral over the curve basis")
-            self.curve_coord[name] = tuple(int(x) for x in c)
+        # the curve basis is unimodular, so its inverse is an integer matrix
+        basis_inv, _ = exact.invert_integer([raw_coords[n] for n in self.basis_names])
+        self.curve_coord = {
+            name: tuple(exact.vec_mat(raw_coords[name], basis_inv)) for name in CURVE_NAMES
+        }
         self.gram = tuple(
             tuple(incidence(a, b) for b in self.basis_names) for a in self.basis_names
         )
         certify(abs(exact.det_rational(self.gram)) == 48, "the Picard lattice must have det 48")
         self._gram_rows = [list(r) for r in self.gram]
         # inverse Gram matrix as adj / den, and the L pairings of the basis
-        self._gram_adj, self._gram_den = exact.clear_row_denominators(
-            exact.invert_rational(self.gram)
-        )
+        self._gram_adj, self._gram_den = exact.invert_integer(self.gram)
         self._basis_pairing = exact.mat_mul(self.basis_coords, amb.gram)
 
         # pentahedral dictionary from the pinned Weber hexad
@@ -467,15 +462,14 @@ def pencil_catalog() -> list[Pencil]:
     ctx = picard()
     pencils = []
 
-    for line in LINE_NAMES:
-        pencils.append(ctx.type1_pencil(line))
+    type1 = {line: ctx.type1_pencil(line) for line in LINE_NAMES}
+    pencils.extend(type1.values())
 
     # skew lines: disjoint pentahedral face pairs
     for a, b in combinations(LINE_NAMES, 2):
-        fa = ctx.type1_pencil(a).fiber
-        fb = ctx.type1_pencil(b).fiber
         if not (ctx.line_faces[a] & ctx.line_faces[b]):
-            certify(ctx.inner(fa, fb) == 2, f"skew pencils {a},{b} must meet twice")
+            certify(ctx.inner(type1[a].fiber, type1[b].fiber) == 2,
+                    f"skew pencils {a},{b} must meet twice")
 
     # type 2: thirty flags pair up into fifteen pencils under tau
     flags = [(n, l) for n in NODE_NAMES for l in LINE_NAMES if incidence(n, l) == 1]

@@ -56,7 +56,7 @@ class Ambient:
         self.gram = [[bilinear(a, b) for b in vectors] for a in vectors]
         certify(exact.det_rational(self.gram) == -1, "L must be unimodular with det -1")
         # inverse of the basis rows as adj / den, with adj an integer matrix
-        self._adj, self._den = exact.clear_row_denominators(exact.invert_rational(self.rows))
+        self._adj, self._den = exact.invert_integer(self.rows)
 
     def coords(self, v: LorentzVector) -> tuple[int, ...]:
         """Integer coordinates over the L basis; fails off the lattice."""
@@ -96,17 +96,8 @@ class EmbeddedLattice:
         amb = ambient()
         return [amb.vector(r) for r in self.rows]
 
-    def contains_coords(self, coords: Sequence[int]) -> bool:
-        span = exact.RowSpan(26)
-        for r in self.rows:
-            span.add(list(r))
-        return span.contains(list(coords))
-
     def disc_order(self) -> int:
-        d = exact.det_rational(self.gram)
-        if d.denominator != 1:
-            raise ValueError("Gram determinant is not integral")
-        return abs(int(d))
+        return abs(int(exact.det_rational(self.gram)))
 
 
 def _from_rows(rows: list[list[int]]) -> EmbeddedLattice:
@@ -176,23 +167,22 @@ def discriminant_form_from_gram(gram) -> tuple[FiniteQuadraticForm, list[list[Fr
     Also returns generators of the discriminant group as rational
     coordinate rows over the lattice basis, read off the Smith transform.
     """
-    n = len(gram)
-    if n == 0 or exact.det_rational(gram) == 0:
+    if not gram or exact.det_rational(gram) == 0:
         raise ValueError("discriminant form requires a nondegenerate Gram matrix")
     d, _, v = exact.smith_normal_form([list(r) for r in gram])
-    ginv = exact.invert_rational(gram)
-    vinv = exact.invert_rational(v)
-    orders: list[int] = []
-    gens: list[list[Fraction]] = []
-    for i in range(n):
-        if d[i][i] > 1:
-            orders.append(d[i][i])
-            gens.append(exact.vec_mat([Fraction(x) for x in vinv[i]], ginv))
-    def pair(a, b):
-        return exact.dot(exact.vec_mat(a, [list(r) for r in gram]), b)
-    qvals = tuple(_mod2(pair(g, g)) for g in gens)
-    pairings = tuple(tuple(_mod1(pair(a, b)) for b in gens) for a in gens)
-    return FiniteQuadraticForm(tuple(orders), qvals, pairings), gens
+    adj, den = exact.invert_integer(gram)
+    vinv, _ = exact.invert_integer(v)  # v is unimodular
+    keep = [i for i in range(len(gram)) if d[i][i] > 1]
+    # generator i is vinv[i] G^-1 = nums[i] / den, so its pairing with
+    # generator j is vinv[i] . nums[j] / den
+    nums = [exact.vec_mat(vinv[i], adj) for i in keep]
+    pair = [[Fraction(exact.dot(vinv[i], n), den) for n in nums] for i in keep]
+    form = FiniteQuadraticForm(
+        tuple(d[i][i] for i in keep),
+        tuple(_mod2(pair[k][k]) for k in range(len(keep))),
+        tuple(tuple(_mod1(x) for x in row) for row in pair),
+    )
+    return form, [[Fraction(x, den) for x in n] for n in nums]
 
 
 def discriminant_form(m: EmbeddedLattice) -> FiniteQuadraticForm:
@@ -401,21 +391,11 @@ def root_count(gram) -> int:
 def _negative_definite(gram) -> bool:
     """Sylvester's criterion: every leading minor of -gram is positive.
 
-    Fraction-free Bareiss elimination, whose k-th pivot is the k-th
-    leading minor.
+    `exact.eliminate` swaps rows or skips a column only when a leading
+    minor vanishes; otherwise its minors are the leading minors.
     """
-    a = [[-x for x in row] for row in gram]
-    n = len(a)
-    prev = 1
-    for k in range(n):
-        piv = a[k][k]
-        if piv <= 0:
-            return False
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * piv - a[i][k] * a[k][j]) // prev
-        prev = piv
-    return True
+    _, cols, minors, swaps = exact.eliminate([[-x for x in row] for row in gram])
+    return not swaps and len(cols) == len(gram) and all(p > 0 for p in minors)
 
 
 def reflection_closure(gram) -> list[tuple[int, ...]]:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraction_reference as ref
 from hessaut import exact, lattices
 from hessaut.autgroup import Isometry, autctx
 from hessaut.hessian import picard
@@ -32,7 +33,7 @@ ISOMETRY_NAMES = ("id", "tau", "p16", "p45", "f", "g1", "phi3", "phib7", "gb2", 
 
 @cache
 def _rational_inverse_of_frame():
-    return exact.invert_rational(lattices.ambient().rows)
+    return ref.invert(lattices.ambient().rows)
 
 
 # --- exact kernels -----------------------------------------------------------------
