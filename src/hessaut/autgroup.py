@@ -14,14 +14,20 @@ pairing with the Weyl projection certifies that the generators cut the
 symmetry group down to the 240-element group generated by tau and the
 pentahedral permutations.
 
-Products of isometries run on columns. Each isometry caches its sparse
-columns, the nonzero (row, coefficient) pairs of every column (49 of 256
-entries on average; the S5 elements and tau are permutation matrices),
-and a running product is a tuple of dense columns: column j of M*L is
-the sum, over the terms (i, c) of column j of L, of c times column i of
-M. `compose`, `Isometry.then`, `Isometry.inverse` and the descent in
-`AutContext.reduce_height` all go through `column_product`; the dense
-`exact.mat_mul` remains for Gram checks and as the reference in the tests.
+Products of isometries run on packed columns (Kronecker substitution).
+Each isometry caches its sparse columns, the nonzero (row, coefficient)
+pairs of every column (49 of 256 entries on average; the S5 elements and
+tau are permutation matrices), and the largest L1 norm of a column. A
+running product, `PackedProduct`, holds each column as one Python int of
+16 balanced w-bit slots, so column j of M*L is the sum of c times packed
+column i over the terms (i, c) of column j of L: one big-int
+multiply-add per nonzero. This is exact because packing is a ring map
+from integer columns to integers, and reading the slots back is unique
+while every |entry| < 2^(w-1). The product tracks a bound on its entries,
+and before a factor could break that condition it decodes, measures its
+actual largest entry and re-packs wider. `compose`, `Isometry.inverse`
+and the residual of `AutContext.descend` all go through it and decode
+once at the end; the dense `exact.mat_mul` remains for Gram checks.
 """
 
 from __future__ import annotations
@@ -29,9 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import permutations, repeat
+from itertools import chain, permutations
 from math import gcd
-from operator import add, mul, neg
+from operator import mul
 
 from . import exact, lattices
 from .checks import certify
@@ -58,36 +64,75 @@ def _term(i: int, c: int) -> tuple[int, int]:
 
 
 def sparse_columns(rows) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """For each column j of a matrix, the pairs (i, c) with rows[i][j] == c != 0."""
+    """For each column j of a matrix, the pairs (i, c) with rows[i][j] == c != 0.
+
+    Pairs with |c| < 256 are interned (the generators' entries are at most
+    10); entries of word products grow without bound, and interning them
+    would grow the cache with every word.
+    """
     return tuple(
-        tuple(_term(i, c) for i, c in enumerate(col) if c) for col in zip(*rows)
+        tuple(_term(i, c) if -256 < c < 256 else (i, c) for i, c in enumerate(col) if c)
+        for col in zip(*rows)
     )
 
 
-def column_product(cols, sparse) -> tuple[tuple[int, ...], ...]:
-    """Columns of A*B, from the columns of A and the sparse columns of B.
+def column_norm(sparse) -> int:
+    """Largest L1 norm of a column: no entry of M*B exceeds it times the
+    largest entry of M."""
+    return max((sum([abs(c) for _, c in terms]) for terms in sparse), default=0)
 
-    Column j of A*B sums c times column i of A over the terms (i, c) of
-    column j of B, as one lazy chain of `map`s evaluated by `tuple`. A
-    column that is a single column of A is reused, not copied; an empty
-    one gives a zero column.
+
+# spare bits per slot at a re-pack: about fifteen descent letters before the next
+SLOT_MARGIN = 64
+
+
+class PackedProduct:
+    """A running product M*B1*B2*..., each column of it one Python int.
+
+    Column j is packed as the sum of M[i][j] * 2^(w*i) over its n rows, so
+    column j of M*B is the sum of c times packed column i over the sparse
+    terms (i, c) of column j of B: one big-int multiply-add per nonzero.
+    The packing is a ring map, so the sums are exact whatever the carries;
+    reading the slots back (balanced, each in [-2^(w-1), 2^(w-1))) is
+    unique while every |entry| < 2^(w-1). `bound` caps every |entry|, and
+    multiplying by B raises it at most `column_norm(B)`-fold. Before a
+    factor would let it reach 2^(w-1), the columns are decoded, the actual
+    largest entry is measured, and the product is re-packed at the bit
+    length of that entry times the factor's norm, plus SLOT_MARGIN.
     """
-    zero = (0,) * len(cols[0]) if cols else ()
-    out = []
-    for terms in sparse:
-        if not terms:
-            out.append(zero)
-            continue
-        acc = None
-        for i, c in terms:
-            col = cols[i]
-            if c == -1:
-                col = map(neg, col)
-            elif c != 1:
-                col = map(mul, col, repeat(c))
-            acc = col if acc is None else map(add, acc, col)
-        out.append(tuple(acc))  # a lone column of A comes back as itself
-    return tuple(out)
+
+    __slots__ = ("cols", "rows", "width", "bound")
+
+    def __init__(self, cols):
+        self.rows = len(cols[0]) if cols else 0
+        self._pack(cols, 1)
+
+    def _pack(self, cols, norm: int) -> None:
+        self.bound = max(map(abs, chain.from_iterable(cols)), default=0)
+        self.width = w = (self.bound * norm).bit_length() + SLOT_MARGIN
+        shifts = range(0, w * self.rows, w)
+        self.cols = [sum([x << s for x, s in zip(col, shifts)]) for col in cols]
+
+    def times(self, sparse, norm: int) -> "PackedProduct":
+        """Multiply on the right by B, given its sparse columns and column norm."""
+        if self.bound * norm >= 1 << (self.width - 1):
+            self._pack(self.columns(), norm)
+        cols = self.cols
+        self.cols = [sum([c * cols[i] for i, c in terms]) for terms in sparse]
+        self.bound *= norm
+        return self
+
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """Decode: shift every slot up by half its range, read it, shift back."""
+        w = self.width
+        half, mask = 1 << (w - 1), (1 << w) - 1
+        shifts = range(0, w * self.rows, w)
+        offset = sum([half << s for s in shifts])
+        out = []
+        for col in self.cols:
+            col += offset
+            out.append(tuple([((col >> s) & mask) - half for s in shifts]))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -99,12 +144,26 @@ class Isometry:
     def sparse_columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         return sparse_columns(self.matrix)
 
-    def apply(self, vec) -> tuple:
-        return tuple(sum(map(mul, vec, col)) for col in zip(*self.matrix))
+    @cached_property
+    def norm(self) -> int:
+        return column_norm(self.sparse_columns)
 
-    def then(self, other: "Isometry", name: str = "") -> "Isometry":
-        cols = column_product(tuple(zip(*self.matrix)), other.sparse_columns)
-        return Isometry(tuple(zip(*cols)), name or f"{other.name}*{self.name}")
+    def packed(self) -> PackedProduct:
+        return PackedProduct(tuple(zip(*self.matrix)))
+
+    def apply(self, vec) -> tuple:
+        """The image vec*M of a row vector.
+
+        Runs on the sparse columns once a product has cached them, as it
+        has for every generator in use. A matrix without them, such as a
+        fresh word applied once, takes a dense pass: building its sparse
+        columns would cost more, and their freed tuples would stay on the
+        interpreter's free lists.
+        """
+        sparse = self.__dict__.get("sparse_columns")
+        if sparse is None:
+            return tuple(sum(map(mul, vec, col)) for col in zip(*self.matrix))
+        return tuple(sum([c * vec[i] for i, c in t]) for t in sparse)
 
     def inverse(self, name: str = "") -> "Isometry":
         """M^-1 = G M^T G^-1 over the integers, since M G M^T = G.
@@ -115,9 +174,12 @@ class Isometry:
         """
         ctx = picard()
         den = ctx._gram_den
-        cols = column_product(
-            column_product(tuple(map(tuple, ctx._gram_adj)), self.sparse_columns),
-            sparse_columns(ctx.gram),
+        gram = sparse_columns(ctx.gram)
+        cols = (
+            PackedProduct(ctx._gram_adj)
+            .times(self.sparse_columns, self.norm)
+            .times(gram, column_norm(gram))
+            .columns()
         )
         if any(x % den for col in cols for x in col):
             raise ValueError(f"{self.name}: not an isometry of the Picard lattice")
@@ -125,7 +187,7 @@ class Isometry:
             tuple(tuple(x // den for x in col) for col in cols), name or f"{self.name}^-1"
         )
         ident = identity_isometry().matrix
-        if column_product(tuple(zip(*self.matrix)), inv.sparse_columns) != ident:
+        if self.packed().times(inv.sparse_columns, inv.norm).columns() != ident:
             raise ValueError(f"{self.name}: not an isometry of the Picard lattice")
         return inv
 
@@ -142,10 +204,10 @@ def compose(*isos: Isometry) -> Isometry:
     """Apply left to right: compose(a, b)(x) = b(a(x))."""
     if not isos:
         return Isometry(identity_isometry().matrix, "")
-    cols = tuple(zip(*isos[0].matrix))
+    product = isos[0].packed()
     for iso in isos[1:]:
-        cols = column_product(cols, iso.sparse_columns)
-    return Isometry(tuple(zip(*cols)), "*".join(i.name for i in isos))
+        product.times(iso.sparse_columns, iso.norm)
+    return Isometry(tuple(zip(*product.columns())), "*".join(i.name for i in isos))
 
 
 def conjugate(g: Isometry, s: Isometry, name: str = "") -> Isometry:
@@ -665,30 +727,39 @@ class AutContext:
     def height(self, vec) -> int:
         return exact.dot(vec, self.gram_omega)
 
-    def reduce_height(self, gamma: Isometry, cap: int = 10000):
+    def descend(self, gamma: Isometry, cap: int = 10000):
         """Greedy descent to the chamber of the Weyl projection.
 
-        Returns (word, residual): applying the word after gamma fixes the
-        Weyl projection, and the residual must land in the 240-element
-        symmetry group.
+        Returns (word, residual, heights): applying the word after gamma
+        fixes the Weyl projection, the residual must land in the
+        240-element symmetry group, and heights[k] is the height after k
+        letters. A letter's pairing with v is the height of its image, as
+        its descent vector is its matrix times G omega.
         """
         v = gamma.apply(self.omega)
+        heights = [self.height(v)]
         word: list[str] = []
-        cols = tuple(zip(*gamma.matrix))
+        product = gamma.packed()
         while True:
-            h = self.height(v)
+            h = heights[-1]
             for name, iso, wvec in self.descent:
-                if exact.dot(v, wvec) < h:
+                d = exact.dot(v, wvec)
+                if d < h:
                     v = iso.apply(v)
                     word.append(name)
-                    cols = column_product(cols, iso.sparse_columns)
+                    heights.append(d)
+                    product.times(iso.sparse_columns, iso.norm)
                     break
             else:
                 break
             if len(word) > cap:
                 raise RuntimeError("height descent failed to terminate")
-        residual = Isometry(tuple(zip(*cols)), "residual")
-        return word, residual
+        residual = Isometry(tuple(zip(*product.columns())), "residual")
+        return word, residual, heights
+
+    def reduce_height(self, gamma: Isometry, cap: int = 10000):
+        """(word, residual) of `descend`."""
+        return self.descend(gamma, cap)[:2]
 
     def classify_symmetry(self, iso: Isometry) -> str | None:
         return self.symmetries.get(iso.matrix)

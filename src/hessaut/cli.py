@@ -581,17 +581,11 @@ def _cmd_reduce(args) -> int:
     except KeyError as e:
         print(f"unknown generator {e.args[0]!r}", file=sys.stderr)
         return 2
-    gamma = compose(*gens)
-    v = gamma.apply(a.omega)
-    trace = [a.height(v)]
     try:
-        word, residual = a.reduce_height(gamma)
+        word, residual, trace = a.descend(compose(*gens))
     except RuntimeError as e:  # the descent hit its step cap
         print(f"reduce failed: {e}", file=sys.stderr)
         return 1
-    for n in word:
-        v = a.registry[n].apply(v)
-        trace.append(a.height(v))
     label = a.classify_symmetry(residual)
     if args.json:
         print(json.dumps({

@@ -1,0 +1,35 @@
+"""The dense column product that `autgroup.PackedProduct` replaced.
+
+Column j of A*B is the sum, over the terms (i, c) of column j of B, of c
+times column i of A, one entry at a time. It is the reference the packed
+kernel is tested against, and is itself tested against `exact.mat_mul`.
+"""
+
+from itertools import repeat
+from operator import add, mul, neg
+
+
+def column_product(cols, sparse) -> tuple[tuple[int, ...], ...]:
+    """Columns of A*B, from the columns of A and the sparse columns of B.
+
+    Column j of A*B sums c times column i of A over the terms (i, c) of
+    column j of B, as one lazy chain of `map`s evaluated by `tuple`. A
+    column that is a single column of A is reused, not copied; an empty
+    one gives a zero column.
+    """
+    zero = (0,) * len(cols[0]) if cols else ()
+    out = []
+    for terms in sparse:
+        if not terms:
+            out.append(zero)
+            continue
+        acc = None
+        for i, c in terms:
+            col = cols[i]
+            if c == -1:
+                col = map(neg, col)
+            elif c != 1:
+                col = map(mul, col, repeat(c))
+            acc = col if acc is None else map(add, acc, col)
+        out.append(tuple(acc))  # a lone column of A comes back as itself
+    return tuple(out)

@@ -66,7 +66,7 @@ def test_reduce_cap_exits_one_with_message(monkeypatch, capsys):
     def capped(self, gamma, cap=10000):
         raise RuntimeError("height descent failed to terminate")
 
-    monkeypatch.setattr(autgroup.AutContext, "reduce_height", capped)
+    monkeypatch.setattr(autgroup.AutContext, "descend", capped)
     assert cli.main(["reduce", "--word", "p16"]) == 1
     captured = capsys.readouterr()
     assert captured.err == "reduce failed: height descent failed to terminate\n"
