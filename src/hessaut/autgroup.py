@@ -64,15 +64,9 @@ def _term(i: int, c: int) -> tuple[int, int]:
 
 
 def sparse_columns(rows) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """For each column j of a matrix, the pairs (i, c) with rows[i][j] == c != 0.
-
-    Pairs with |c| < 256 are interned (the generators' entries are at most
-    10); entries of word products grow without bound, and interning them
-    would grow the cache with every word.
-    """
+    """For each column j of a matrix, the pairs (i, c) with rows[i][j] == c != 0."""
     return tuple(
-        tuple(_term(i, c) if -256 < c < 256 else (i, c) for i, c in enumerate(col) if c)
-        for col in zip(*rows)
+        tuple(_term(i, c) for i, c in enumerate(col) if c) for col in zip(*rows)
     )
 
 
@@ -152,18 +146,7 @@ class Isometry:
         return PackedProduct(tuple(zip(*self.matrix)))
 
     def apply(self, vec) -> tuple:
-        """The image vec*M of a row vector.
-
-        Runs on the sparse columns once a product has cached them, as it
-        has for every generator in use. A matrix without them, such as a
-        fresh word applied once, takes a dense pass: building its sparse
-        columns would cost more, and their freed tuples would stay on the
-        interpreter's free lists.
-        """
-        sparse = self.__dict__.get("sparse_columns")
-        if sparse is None:
-            return tuple(sum(map(mul, vec, col)) for col in zip(*self.matrix))
-        return tuple(sum([c * vec[i] for i, c in t]) for t in sparse)
+        return tuple(sum(map(mul, vec, col)) for col in zip(*self.matrix))
 
     def inverse(self, name: str = "") -> "Isometry":
         """M^-1 = G M^T G^-1 over the integers, since M G M^T = G.
