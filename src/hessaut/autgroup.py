@@ -14,20 +14,7 @@ pairing with the Weyl projection certifies that the generators cut the
 symmetry group down to the 240-element group generated by tau and the
 pentahedral permutations.
 
-Products of isometries run on packed columns (Kronecker substitution).
-Each isometry caches its sparse columns, the nonzero (row, coefficient)
-pairs of every column (49 of 256 entries on average; the S5 elements and
-tau are permutation matrices), and the largest L1 norm of a column. A
-running product, `PackedProduct`, holds each column as one Python int of
-16 balanced w-bit slots, so column j of M*L is the sum of c times packed
-column i over the terms (i, c) of column j of L: one big-int
-multiply-add per nonzero. This is exact because packing is a ring map
-from integer columns to integers, and reading the slots back is unique
-while every |entry| < 2^(w-1). The product tracks a bound on its entries,
-and before a factor could break that condition it decodes, measures its
-actual largest entry and re-packs wider. `compose`, `Isometry.inverse`
-and the residual of `AutContext.descend` all go through it and decode
-once at the end; the dense `exact.mat_mul` remains for Gram checks.
+Products of isometries and reduce words run on the kernels of `products`.
 """
 
 from __future__ import annotations
@@ -35,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import chain, permutations
+from itertools import permutations
 from math import gcd
 from operator import mul
 
@@ -53,80 +40,18 @@ from .hessian import (
 )
 from .leech import NU_OMEGA, nu, two_nu, vadd, vscale, vsub
 from .lorentz import LorentzVector, bilinear, leech_root
+from .products import (
+    CurveAction,
+    PackedProduct,
+    column_norm,
+    curve_frame,
+    exact_quotient,
+    matrix_from_pairings,
+    preimage,
+    sparse_columns,
+)
 
 oo = INFINITY
-
-
-@cache
-def _term(i: int, c: int) -> tuple[int, int]:
-    """One interned (row, coefficient) pair, shared by every sparse column."""
-    return (i, c)
-
-
-def sparse_columns(rows) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """For each column j of a matrix, the pairs (i, c) with rows[i][j] == c != 0."""
-    return tuple(
-        tuple(_term(i, c) for i, c in enumerate(col) if c) for col in zip(*rows)
-    )
-
-
-def column_norm(sparse) -> int:
-    """Largest L1 norm of a column: no entry of M*B exceeds it times the
-    largest entry of M."""
-    return max((sum([abs(c) for _, c in terms]) for terms in sparse), default=0)
-
-
-# spare bits per slot at a re-pack: about fifteen descent letters before the next
-SLOT_MARGIN = 64
-
-
-class PackedProduct:
-    """A running product M*B1*B2*..., each column of it one Python int.
-
-    Column j is packed as the sum of M[i][j] * 2^(w*i) over its n rows, so
-    column j of M*B is the sum of c times packed column i over the sparse
-    terms (i, c) of column j of B: one big-int multiply-add per nonzero.
-    The packing is a ring map, so the sums are exact whatever the carries;
-    reading the slots back (balanced, each in [-2^(w-1), 2^(w-1))) is
-    unique while every |entry| < 2^(w-1). `bound` caps every |entry|, and
-    multiplying by B raises it at most `column_norm(B)`-fold. Before a
-    factor would let it reach 2^(w-1), the columns are decoded, the actual
-    largest entry is measured, and the product is re-packed at the bit
-    length of that entry times the factor's norm, plus SLOT_MARGIN.
-    """
-
-    __slots__ = ("cols", "rows", "width", "bound")
-
-    def __init__(self, cols):
-        self.rows = len(cols[0]) if cols else 0
-        self._pack(cols, 1)
-
-    def _pack(self, cols, norm: int) -> None:
-        self.bound = max(map(abs, chain.from_iterable(cols)), default=0)
-        self.width = w = (self.bound * norm).bit_length() + SLOT_MARGIN
-        shifts = range(0, w * self.rows, w)
-        self.cols = [sum([x << s for x, s in zip(col, shifts)]) for col in cols]
-
-    def times(self, sparse, norm: int) -> "PackedProduct":
-        """Multiply on the right by B, given its sparse columns and column norm."""
-        if self.bound * norm >= 1 << (self.width - 1):
-            self._pack(self.columns(), norm)
-        cols = self.cols
-        self.cols = [sum([c * cols[i] for i, c in terms]) for terms in sparse]
-        self.bound *= norm
-        return self
-
-    def columns(self) -> tuple[tuple[int, ...], ...]:
-        """Decode: shift every slot up by half its range, read it, shift back."""
-        w = self.width
-        half, mask = 1 << (w - 1), (1 << w) - 1
-        shifts = range(0, w * self.rows, w)
-        offset = sum([half << s for s in shifts])
-        out = []
-        for col in self.cols:
-            col += offset
-            out.append(tuple([((col >> s) & mask) - half for s in shifts]))
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -141,6 +66,11 @@ class Isometry:
     @cached_property
     def norm(self) -> int:
         return column_norm(self.sparse_columns)
+
+    @cached_property
+    def curve_action(self) -> CurveAction:
+        """This isometry on curve pairings (`CurveAction.of`), built on first use."""
+        return CurveAction.of(self.matrix, self.name)
 
     def packed(self) -> PackedProduct:
         return PackedProduct(tuple(zip(*self.matrix)))
@@ -164,10 +94,9 @@ class Isometry:
             .times(gram, column_norm(gram))
             .columns()
         )
-        if any(x % den for col in cols for x in col):
-            raise ValueError(f"{self.name}: not an isometry of the Picard lattice")
         inv = Isometry(
-            tuple(tuple(x // den for x in col) for col in cols), name or f"{self.name}^-1"
+            exact_quotient(cols, den, f"{self.name}: not an isometry of the Picard lattice"),
+            name or f"{self.name}^-1",
         )
         ident = identity_isometry().matrix
         if self.packed().times(inv.sparse_columns, inv.norm).columns() != ident:
@@ -535,8 +464,7 @@ class AutContext:
         # the symmetry group of the restricted chamber: order 240, fixes omega
         self.symmetries: dict[tuple, str] = {}
         for perm, s in self.s5.items():
-            for pre, label in ((identity_isometry(), s.name), (self.tau, f"tau*{s.name}")):
-                m = compose(pre, s)
+            for m, label in ((s, s.name), (compose(self.tau, s), f"tau*{s.name}")):
                 certify(m.apply(self.omega) == self.omega, f"{label} must fix omega")
                 self.symmetries[m.matrix] = "id" if m.same_matrix(identity_isometry()) else (
                     "tau" if m.same_matrix(self.tau) else label
@@ -635,8 +563,7 @@ class AutContext:
         def _add(name, iso):
             iso = Isometry(iso.matrix, name)
             self.registry[name] = iso
-            wvec = exact.mat_vec([list(r) for r in iso.matrix], self.gram_omega)
-            self.descent.append((name, iso, wvec))
+            self.descent.append((name, iso, self.omega_preimage(iso)))
 
         for i, (w, iso) in enumerate(sorted(gens_1a, key=lambda t: t[0].key), 1):
             _add(f"phi{i}", iso)
@@ -710,34 +637,57 @@ class AutContext:
     def height(self, vec) -> int:
         return exact.dot(vec, self.gram_omega)
 
-    def descend(self, gamma: Isometry, cap: int = 10000):
+    def omega_preimage(self, iso: Isometry) -> tuple[int, ...]:
+        """b^-1(omega), the descent vector of the letter b."""
+        return preimage(iso.matrix, self.gram_omega, iso.name)
+
+    def descend(self, gamma, cap: int = 10000):
         """Greedy descent to the chamber of the Weyl projection.
 
-        Returns (word, residual, heights): applying the word after gamma
-        fixes the Weyl projection, the residual must land in the
+        gamma is an isometry, or a sequence of isometries whose product,
+        left to right as in `compose`, is reduced without forming its
+        matrix. Returns (word, residual, heights): applying the word after
+        gamma fixes the Weyl projection, the residual must land in the
         240-element symmetry group, and heights[k] is the height after k
-        letters. A letter's pairing with v is the height of its image, as
-        its descent vector is its matrix times G omega.
+        letters.
+
+        The product runs in curve-pairing coordinates: the packed pairings
+        of gamma's matrix, or of the identity moved by the `curve_action`
+        of every letter. u holds the pairings of v, the image of the Weyl
+        projection, with the curves, and moves with the same actions. A
+        letter b's pairing is the height of b(v), <v, b^-1(omega)>: the
+        basis pairings u[:16] dotted with its `omega_preimage`.
         """
-        v = gamma.apply(self.omega)
-        heights = [self.height(v)]
+        frame = curve_frame()
+        if isinstance(gamma, Isometry):
+            letters, v = (), gamma.apply(self.omega)
+            product = gamma.packed().times(frame.pairing_columns, frame.pairing_norm)
+        else:
+            letters, v, product = gamma, self.omega, frame.identity_pairings.copy()
+        u = [sum([k * v[i] for i, k in terms]) for terms in frame.pairing_columns]
+        for b in letters:
+            action = b.curve_action
+            product.act(action)
+            u = action(u)
+        # dot stops at the shorter vector: the 16 basis pairings of u
+        heights = [exact.dot(u, self.omega)]
         word: list[str] = []
-        product = gamma.packed()
         while True:
             h = heights[-1]
-            for name, iso, wvec in self.descent:
-                d = exact.dot(v, wvec)
+            for name, iso, y in self.descent:
+                d = exact.dot(u, y)
                 if d < h:
-                    v = iso.apply(v)
+                    action = iso.curve_action
+                    product.act(action)
+                    u = action(u)
                     word.append(name)
                     heights.append(d)
-                    product.times(iso.sparse_columns, iso.norm)
                     break
             else:
                 break
             if len(word) > cap:
                 raise RuntimeError("height descent failed to terminate")
-        residual = Isometry(tuple(zip(*product.columns())), "residual")
+        residual = Isometry(matrix_from_pairings(product), "residual")
         return word, residual, heights
 
     def reduce_height(self, gamma: Isometry, cap: int = 10000):

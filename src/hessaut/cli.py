@@ -582,7 +582,7 @@ def _cmd_reduce(args) -> int:
         print(f"unknown generator {e.args[0]!r}", file=sys.stderr)
         return 2
     try:
-        word, residual, trace = a.descend(compose(*gens))
+        word, residual, trace = a.descend(gens)
     except RuntimeError as e:  # the descent hit its step cap
         print(f"reduce failed: {e}", file=sys.stderr)
         return 1

@@ -1,0 +1,258 @@
+"""Products of lattice isometries: packed columns and curve-pairing coordinates.
+
+Products of isometries run on packed columns (Kronecker substitution).
+Each `autgroup.Isometry` caches its sparse columns, the nonzero (row,
+coefficient) pairs of every column (49 of 256 entries on average), and
+the largest L1 norm of a column. A running product, `PackedProduct`, holds each column
+as one Python int of 16 balanced w-bit slots, so column j of M*L is the
+sum of c times packed column i over the terms (i, c) of column j of L:
+one big-int multiply-add per nonzero. This is exact because packing is a
+ring map from integer columns to integers, and reading the slots back is
+unique while every |entry| < 2^(w-1). The product tracks a bound on its
+entries, and before a factor could break that condition it decodes,
+measures its actual largest entry and re-packs wider. `autgroup.compose`
+and `Isometry.inverse` go through it and decode once at the end; the
+dense `exact.mat_mul` remains for Gram checks.
+
+A reduce word runs in curve-pairing coordinates instead. Tau and the 120
+pentahedral permutations are dense in the curve basis, but they permute
+the twenty node and line curves, and each wall generator sends 15-18 of
+the curves to curves. So `AutContext.descend` keeps K = M G Q^T, whose
+column c holds the pairings of the images of the basis vectors with curve
+c (Q: the curve coordinates). Appending a letter b sends column c to the
+old column of b^-1(c), a pure reindex when b^-1(c) is a curve and a short
+combination otherwise (`CurveAction`). The basis curves come first, so the
+first 16 columns are M G, and M = K_basis adj / den is recovered once, at
+the end (`matrix_from_pairings`).
+"""
+
+from __future__ import annotations
+
+from functools import cache
+from itertools import chain
+from operator import itemgetter, mul
+
+from . import exact
+from .hessian import CURVE_NAMES, picard
+
+
+@cache
+def _term(i: int, c: int) -> tuple[int, int]:
+    """One interned (row, coefficient) pair, shared by every sparse column."""
+    return (i, c)
+
+
+def sparse_columns(rows) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each column j of a matrix, the pairs (i, c) with rows[i][j] == c != 0."""
+    return tuple(
+        tuple(_term(i, c) for i, c in enumerate(col) if c) for col in zip(*rows)
+    )
+
+
+def column_norm(sparse) -> int:
+    """Largest L1 norm of a column: no entry of M*B exceeds it times the
+    largest entry of M."""
+    return max((sum([abs(c) for _, c in terms]) for terms in sparse), default=0)
+
+
+# spare bits per slot at a re-pack: about fifteen descent letters before the next
+SLOT_MARGIN = 64
+
+
+class PackedProduct:
+    """A running product M*B1*B2*..., each column of it one Python int.
+
+    Column j is packed as the sum of M[i][j] * 2^(w*i) over its n rows, so
+    column j of M*B is the sum of c times packed column i over the sparse
+    terms (i, c) of column j of B: one big-int multiply-add per nonzero.
+    The packing is a ring map, so the sums are exact whatever the carries;
+    reading the slots back (balanced, each in [-2^(w-1), 2^(w-1))) is
+    unique while every |entry| < 2^(w-1). `bound` caps every |entry|, and
+    multiplying by B raises it at most `column_norm(B)`-fold. Before a
+    factor would let it reach 2^(w-1), the columns are decoded, the actual
+    largest entry is measured, and the product is re-packed at the bit
+    length of that entry times the factor's norm, plus SLOT_MARGIN.
+    """
+
+    __slots__ = ("cols", "rows", "width", "bound")
+
+    def __init__(self, cols):
+        self.rows = len(cols[0]) if cols else 0
+        self._pack(cols, 1)
+
+    def _pack(self, cols, norm: int) -> None:
+        self.bound = max(map(abs, chain.from_iterable(cols)), default=0)
+        self.width = w = (self.bound * norm).bit_length() + SLOT_MARGIN
+        shifts = range(0, w * self.rows, w)
+        self.cols = [sum([x << s for x, s in zip(col, shifts)]) for col in cols]
+
+    def copy(self) -> "PackedProduct":
+        """An independent product; the column list is shared, as no method
+        changes it in place."""
+        out = object.__new__(PackedProduct)
+        out.cols, out.rows, out.width, out.bound = self.cols, self.rows, self.width, self.bound
+        return out
+
+    def _fit(self, norm: int) -> None:
+        """Re-pack, if needed, so that norm times any entry fits in a slot."""
+        if self.bound * norm >= 1 << (self.width - 1):
+            self._pack(self.columns(), norm)
+
+    def times(self, sparse, norm: int) -> "PackedProduct":
+        """Multiply on the right by B, given its sparse columns and column norm."""
+        self._fit(norm)
+        cols = self.cols
+        self.cols = [sum([c * cols[i] for i, c in terms]) for terms in sparse]
+        self.bound *= norm
+        return self
+
+    def act(self, action: "CurveAction") -> "PackedProduct":
+        """Apply a letter to packed curve pairings (see `CurveAction`)."""
+        self._fit(action.norm)
+        self.cols = action(self.cols)
+        self.bound *= action.norm
+        return self
+
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """Decode: shift every slot up by half its range, read it, shift back."""
+        w = self.width
+        half, mask = 1 << (w - 1), (1 << w) - 1
+        shifts = range(0, w * self.rows, w)
+        offset = sum([half << s for s in shifts])
+        out = []
+        for col in self.cols:
+            col += offset
+            out.append(tuple([((col >> s) & mask) - half for s in shifts]))
+        return tuple(out)
+
+
+def _support(vec) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The positions and the values of the nonzero entries of vec."""
+    pos = tuple(i for i, x in enumerate(vec) if x)
+    return pos, tuple(vec[i] for i in pos)
+
+
+class CurveFrame:
+    """The twenty curves, the 16 basis curves first (in basis order), and
+    what curve-pairing coordinates need of them."""
+
+    def __init__(self):
+        ctx = picard()
+        self.names = ctx.basis_names + tuple(
+            c for c in CURVE_NAMES if c not in ctx.basis_names
+        )
+        self.coords = tuple(ctx.curve_coord[c] for c in self.names)
+        self.index = {q: d for d, q in enumerate(self.coords)}
+        # G q for each curve q: column d holds the pairings of the basis
+        # vectors with curve d
+        self.pairings = tuple(tuple(exact.mat_vec(ctx.gram, q)) for q in self.coords)
+        self.pairing_columns = sparse_columns(tuple(zip(*self.pairings)))
+        self.pairing_norm = column_norm(self.pairing_columns)
+        # K of the identity, where every reduce word starts; `copy` it
+        self.identity_pairings = PackedProduct(self.pairings)
+        # each curve beyond the basis as (curve, basis curves, coefficients)
+        self.relations = tuple((c, *_support(q)) for c, q in enumerate(self.coords[16:], 16))
+        self.relation_norm = 1 + max(sum(map(abs, q)) for q in self.coords[16:])
+        self.adj, self.den = ctx._gram_adj, ctx._gram_den
+        self.adj_columns = sparse_columns(self.adj)
+        self.adj_norm = column_norm(self.adj_columns)
+
+
+@cache
+def curve_frame() -> CurveFrame:
+    return CurveFrame()
+
+
+def exact_quotient(cols, den: int, message: str) -> tuple[tuple[int, ...], ...]:
+    """Every entry divided by den; ValueError(message) unless each divides."""
+    if any([x % den for x in chain.from_iterable(cols)]):
+        raise ValueError(message)
+    return tuple([tuple([x // den for x in col]) for col in cols])
+
+
+def preimage(matrix, pairing, name: str = "") -> tuple[int, ...]:
+    """b^-1(x) for the isometry b with this matrix M, given G x.
+
+    As M G M^T = G, b^-1(x) = G^-1 M G x = adj (M G x) / den; ValueError
+    unless it is integral.
+    """
+    frame = curve_frame()
+    w = exact.mat_vec(frame.adj, exact.mat_vec(matrix, pairing))
+    return exact_quotient([w], frame.den, f"{name}: not an isometry of the Picard lattice")[0]
+
+
+class CurveAction:
+    """An isometry b acting on pairings with the curves of `curve_frame`.
+
+    Called on a sequence whose entry d is a pairing <x, curve d>, it returns
+    the pairings of b(x): entry c is <b(x), c> = <x, b^-1(c)>. `src[c]` is
+    the curve b^-1(c), or None where b^-1(c) is not a curve; for those c,
+    `combos` holds (c, curves, coefficients) with b^-1(c) the sum of the
+    coefficients times the curves. `norm` is the largest L1 norm of a
+    combination (1 for a permutation), so no output exceeds `norm` times
+    the largest input.
+    """
+
+    __slots__ = ("src", "combos", "norm", "_take")
+
+    def __init__(self, src, combos):
+        self.src = tuple(src)
+        self.combos = tuple(combos)
+        self.norm = max([sum(map(abs, coeffs)) for _, _, coeffs in self.combos], default=1)
+        self._take = itemgetter(*(0 if d is None else d for d in self.src))
+
+    @classmethod
+    def of(cls, matrix, name: str = "") -> "CurveAction":
+        """The checked action of the isometry with this matrix M.
+
+        Row i of M is the image of basis curve i, and the other four curves
+        are mapped, so every preimage that is a curve is read off without
+        an inverse; `preimage` gives the rest, exactly. A curve c read off
+        as the preimage of d must pair with the basis vectors as the rows
+        of M pair with d, which holds for an isometry; ValueError otherwise.
+        """
+        frame = curve_frame()
+        cols = tuple(zip(*matrix))
+        src = [None] * len(frame.coords)
+        for c, q in enumerate(frame.coords):
+            image = matrix[c] if c < 16 else tuple([sum(map(mul, q, col)) for col in cols])
+            d = frame.index.get(image)
+            if d is not None:
+                src[d] = c
+        combos = [
+            (d, *_support(preimage(matrix, frame.pairings[d], name)))
+            for d, c in enumerate(src) if c is None
+        ]
+        # K of M: column d pairs the rows of M with curve d
+        k = PackedProduct(cols).times(frame.pairing_columns, frame.pairing_norm).columns()
+        if any(k[d] != frame.pairings[c] for d, c in enumerate(src) if c is not None):
+            raise ValueError(f"{name}: not an isometry of the Picard lattice")
+        return cls(src, combos)
+
+    def __call__(self, vals) -> list:
+        out = list(self._take(vals))
+        get = vals.__getitem__
+        for c, curves, coeffs in self.combos:
+            out[c] = sum(map(mul, coeffs, map(get, curves)))
+        return out
+
+
+def matrix_from_pairings(product: PackedProduct) -> tuple[tuple[int, ...], ...]:
+    """Rows of the integer matrix M whose curve pairings K = M G Q^T are packed.
+
+    The curves beyond the basis are integer combinations of the basis
+    curves, so their columns of K must be the same combinations of the
+    basis columns; these are compared as packed ints, re-packed first so
+    that no slot of a difference can overflow. The basis columns are M G,
+    so M = K_basis adj / den, and every entry must divide. Raises
+    ValueError unless both hold. Consumes `product`.
+    """
+    frame = curve_frame()
+    product._fit(frame.relation_norm)
+    cols = product.cols
+    get = cols.__getitem__
+    for c, curves, coeffs in frame.relations:
+        if cols[c] != sum(map(mul, coeffs, map(get, curves))):
+            raise ValueError(f"curve pairings break the relation of {frame.names[c]}")
+    cols = product.times(frame.adj_columns, frame.adj_norm).columns()
+    return tuple(zip(*exact_quotient(cols, frame.den, "curve pairings of no integer matrix")))

@@ -12,7 +12,8 @@ from functools import reduce
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hessaut.autgroup import PackedProduct, autctx, column_norm, sparse_columns
+from hessaut.autgroup import autctx
+from hessaut.products import PackedProduct, column_norm, sparse_columns
 from product_reference import column_product
 
 BIG = 2**400

@@ -1,9 +1,9 @@
 """Word products and the height descent against the dense products.
 
-`compose` and `AutContext.descend` run on the packed product kernel; the
-dense `exact.mat_mul`, the old dense descent loop and the reference
-`column_product` stay here, and must give the same matrices, words,
-residuals and heights.
+`compose` runs on the packed product kernel and `AutContext.descend` in
+curve-pairing coordinates; the dense `exact.mat_mul`, the old dense
+descent loop and the reference `column_product` stay here, and must give
+the same matrices, words, residuals and heights.
 """
 
 import random
@@ -18,9 +18,11 @@ from hessaut.autgroup import (
     Isometry,
     autctx,
     compose,
+    conjugate,
     identity_isometry,
-    sparse_columns,
+    inversion_f,
 )
+from hessaut.products import sparse_columns
 from product_reference import column_product
 
 BIG = 2**400
@@ -115,7 +117,8 @@ def _dense_reduce_height(a, gamma, cap=10000):
     matrices = [list(r) for r in gamma.matrix]
     while True:
         h = a.height(v)
-        for name, iso, wvec in a.descent:
+        for name, iso, _ in a.descent:
+            wvec = exact.mat_vec([list(r) for r in iso.matrix], a.gram_omega)
             if exact.dot(list(v), wvec) < h:
                 v = iso.apply(v)
                 word.append(name)
@@ -149,3 +152,46 @@ def test_sparse_words_and_descent_match_dense(length):
         replay.append(a.height(v))
     assert heights == replay
     assert a.reduce_height(gamma) == (word, residual)
+
+
+def _replay_heights(a, gamma, word):
+    v = gamma.apply(a.omega)
+    heights = [a.height(v)]
+    for n in word:
+        v = a.registry[n].apply(v)
+        heights.append(a.height(v))
+    return heights
+
+
+@st.composite
+def registry_word(draw):
+    n = draw(st.integers(1, 600))
+    return draw(st.lists(st.sampled_from(sorted(autctx().registry)), min_size=n, max_size=n))
+
+
+@settings(max_examples=15, deadline=None)
+@given(registry_word())
+def test_word_descent_in_curve_pairings_matches_dense(names):
+    a = autctx()
+    isos = [a.registry[n] for n in names]
+    gamma = Isometry(_dense_compose(isos), "gamma")
+    want = _dense_reduce_height(a, gamma)
+    word, residual, heights = a.descend(isos)
+    assert (word, residual.matrix) == want
+    assert heights == _replay_heights(a, gamma, word)
+
+
+@pytest.mark.parametrize("key", ["f2", "f9", "f15", "p12*s", "phi4^g", "gb3*f"])
+def test_descent_from_non_registry_isometries_matches_dense(key):
+    a = autctx()
+    r = a.registry
+    gamma = {
+        "p12*s": lambda: compose(r["p12"], r["s34512"]),
+        "phi4^g": lambda: conjugate(r["phi4"], a.g),
+        "gb3*f": lambda: compose(r["gb3"], a.f),
+    }.get(key, lambda: inversion_f(int(key[1:])))()
+    assert gamma.matrix not in {iso.matrix for iso in a.registry.values()}
+    word, residual, heights = a.descend(gamma)
+    assert (word, residual.matrix) == _dense_reduce_height(a, gamma)
+    assert heights == _replay_heights(a, gamma, word)
+    assert a.classify_symmetry(residual) is not None
