@@ -42,6 +42,7 @@ from .leech import NU_OMEGA, nu, two_nu, vadd, vscale, vsub
 from .lorentz import LorentzVector, bilinear, leech_root
 from .products import (
     CurveAction,
+    DescentScan,
     PackedProduct,
     column_norm,
     curve_frame,
@@ -575,6 +576,7 @@ class AutContext:
             _add(f"phib{i}", iso)
         for i, (w, iso) in enumerate(sorted(gens_3b, key=lambda t: t[0].key), 1):
             _add(f"gb{i}", iso)
+        self.scan = DescentScan([y for _, _, y in self.descent])
 
     # --- helpers ---------------------------------------------------------
 
@@ -656,35 +658,37 @@ class AutContext:
         of every letter. u holds the pairings of v, the image of the Weyl
         projection, with the curves, and moves with the same actions. A
         letter b's pairing is the height of b(v), <v, b^-1(omega)>: the
-        basis pairings u[:16] dotted with its `omega_preimage`.
+        basis pairings u[:16] against its `omega_preimage`, tried sixteen
+        letters to a big-int sum by `scan` (`DescentScan`). Every letter is a certified isometry, so from the
+        identity the product's entries are capped by its height
+        (`CurveFrame.entry_cap`); a start gamma is not certified, and its
+        product runs uncapped.
         """
         frame = curve_frame()
         if isinstance(gamma, Isometry):
-            letters, v = (), gamma.apply(self.omega)
+            letters, v, entry_cap = (), gamma.apply(self.omega), _uncapped
             product = gamma.packed().times(frame.pairing_columns, frame.pairing_norm)
         else:
             letters, v, product = gamma, self.omega, frame.identity_pairings.copy()
+            entry_cap = frame.entry_cap
         u = [sum([k * v[i] for i, k in terms]) for terms in frame.pairing_columns]
+        # dot stops at the shorter vector: the 16 basis pairings of u
+        h = exact.dot(u, self.omega)
         for b in letters:
             action = b.curve_action
-            product.act(action)
             u = action(u)
-        # dot stops at the shorter vector: the 16 basis pairings of u
-        heights = [exact.dot(u, self.omega)]
+            h = exact.dot(u, self.omega)
+            product.act(action, entry_cap(h))
+        heights = [h]
         word: list[str] = []
-        while True:
-            h = heights[-1]
-            for name, iso, y in self.descent:
-                d = exact.dot(u, y)
-                if d < h:
-                    action = iso.curve_action
-                    product.act(action)
-                    u = action(u)
-                    word.append(name)
-                    heights.append(d)
-                    break
-            else:
-                break
+        while (hit := self.scan.first_hit(u, h)) is not None:
+            k, h = hit
+            name, iso, _ = self.descent[k]
+            action = iso.curve_action
+            product.act(action, entry_cap(h))
+            u = action(u)
+            word.append(name)
+            heights.append(h)
             if len(word) > cap:
                 raise RuntimeError("height descent failed to terminate")
         residual = Isometry(matrix_from_pairings(product), "residual")
@@ -696,6 +700,11 @@ class AutContext:
 
     def classify_symmetry(self, iso: Isometry) -> str | None:
         return self.symmetries.get(iso.matrix)
+
+
+def _uncapped(height: int) -> None:
+    """No entry cap: the product is not known to be an isometry."""
+    return None
 
 
 @cache

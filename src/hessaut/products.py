@@ -24,15 +24,44 @@ old column of b^-1(c), a pure reindex when b^-1(c) is a curve and a short
 combination otherwise (`CurveAction`). The basis curves come first, so the
 first 16 columns are M G, and M = K_basis adj / den is recovered once, at
 the end (`matrix_from_pairings`).
+
+A descent step costs a few big-int operations more:
+
+* The first-hit scan is packed too (`DescentScan`). Letter k lowers the
+  height h = <v, omega> when d_k = u . y_k < h, with u the 16 basis
+  pairings of v and y_k = b_k^-1(omega). For 16 letters at a time and a
+  slot width w with |d_k - h| < 2^(w-1), the int X = sum_i u_i P_i +
+  (2^(w-1) - h) ONES, where P_i packs the i-th entries of the 16 y_k and
+  ONES packs sixteen 1s, holds d_k - h + 2^(w-1) in slot k. Every slot lies
+  in [0, 2^w), so nothing carries, and bit w-1 of slot k is clear exactly
+  when d_k < h: the lowest set bit of ~X & SIGN (the top bit of every
+  slot) names the first letter that lowers the height, and its slot gives
+  d_k. The scan order and the strict < are those of the dot scan.
+* The entries of K are capped by the height (`CurveFrame.entry_cap`).
+  With n = <omega, omega> > 0 and signature (1, 15), ||x||^2 =
+  2 <x, omega>^2 / n - <x, x> is positive definite (the Euclidean
+  majorant of omega), and |<a, b>| <= ||a|| ||b||. An isometry g with
+  H = <g omega, omega> moves omega hyperbolic distance t, cosh t = |H| / n,
+  and its operator norm for this majorant is e^t <= 2 cosh t = 2 |H| / n
+  (Cartan decomposition: the stabilizer of omega is orthogonal for the
+  majorant, and a boost by t stretches by at most e^t). So every entry
+  K_ic = <g e_i, q_c> is at most (2 |H| / n) max ||e_i|| max ||q_c||,
+  that is c |H| with c = 21/100 here. Along a descent the heights fall, so
+  the product never re-packs. This holds for isometries only; every
+  letter's `CurveAction` is certified one, but an `Isometry` handed to
+  `AutContext.descend` as a start is not, and runs uncapped.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cache
 from itertools import chain
+from math import isqrt
 from operator import itemgetter, mul
 
 from . import exact
+from .checks import certify
 from .hessian import CURVE_NAMES, picard
 
 
@@ -68,10 +97,17 @@ class PackedProduct:
     The packing is a ring map, so the sums are exact whatever the carries;
     reading the slots back (balanced, each in [-2^(w-1), 2^(w-1))) is
     unique while every |entry| < 2^(w-1). `bound` caps every |entry|, and
-    multiplying by B raises it at most `column_norm(B)`-fold. Before a
-    factor would let it reach 2^(w-1), the columns are decoded, the actual
-    largest entry is measured, and the product is re-packed at the bit
-    length of that entry times the factor's norm, plus SLOT_MARGIN.
+    multiplying by B raises it at most `column_norm(B)`-fold.
+
+    `act` may also be given a cap, a bound on the entries of the product
+    it makes. On curve pairings K = M G Q^T of an isometry M with height H
+    this is `CurveFrame.entry_cap(H)`, as |K_ic| <= c |H| (see the module
+    docstring), and the bound becomes the smaller of the two. Before a
+    factor would let the bound reach 2^(w-1), the columns are decoded, the
+    actual largest entry m is measured, and the product is re-packed at
+    the bit length of min(m times the factor's norm, cap), plus SLOT_MARGIN.
+    Along a descent the heights, hence the caps, fall, so the bound falls
+    with them and no re-pack is needed.
     """
 
     __slots__ = ("cols", "rows", "width", "bound")
@@ -80,9 +116,14 @@ class PackedProduct:
         self.rows = len(cols[0]) if cols else 0
         self._pack(cols, 1)
 
-    def _pack(self, cols, norm: int) -> None:
+    def _grown(self, norm: int, cap: int | None) -> int:
+        """The bound after a factor of this norm, and of cap if given."""
+        grown = self.bound * norm
+        return grown if cap is None or grown < cap else cap
+
+    def _pack(self, cols, norm: int, cap: int | None = None) -> None:
         self.bound = max(map(abs, chain.from_iterable(cols)), default=0)
-        self.width = w = (self.bound * norm).bit_length() + SLOT_MARGIN
+        self.width = w = self._grown(norm, cap).bit_length() + SLOT_MARGIN
         shifts = range(0, w * self.rows, w)
         self.cols = [sum([x << s for x, s in zip(col, shifts)]) for col in cols]
 
@@ -93,10 +134,10 @@ class PackedProduct:
         out.cols, out.rows, out.width, out.bound = self.cols, self.rows, self.width, self.bound
         return out
 
-    def _fit(self, norm: int) -> None:
-        """Re-pack, if needed, so that norm times any entry fits in a slot."""
-        if self.bound * norm >= 1 << (self.width - 1):
-            self._pack(self.columns(), norm)
+    def _fit(self, norm: int, cap: int | None = None) -> None:
+        """Re-pack, if needed, so that the next factor's entries fit in a slot."""
+        if self._grown(norm, cap) >= 1 << (self.width - 1):
+            self._pack(self.columns(), norm, cap)
 
     def times(self, sparse, norm: int) -> "PackedProduct":
         """Multiply on the right by B, given its sparse columns and column norm."""
@@ -106,11 +147,12 @@ class PackedProduct:
         self.bound *= norm
         return self
 
-    def act(self, action: "CurveAction") -> "PackedProduct":
-        """Apply a letter to packed curve pairings (see `CurveAction`)."""
-        self._fit(action.norm)
+    def act(self, action: "CurveAction", cap: int | None = None) -> "PackedProduct":
+        """Apply a letter to packed curve pairings (see `CurveAction`); cap,
+        if given, must bound every |entry| of the result."""
+        self._fit(action.norm, cap)
         self.cols = action(self.cols)
-        self.bound *= action.norm
+        self.bound = self._grown(action.norm, cap)
         return self
 
     def columns(self) -> tuple[tuple[int, ...], ...]:
@@ -124,6 +166,17 @@ class PackedProduct:
             col += offset
             out.append(tuple([((col >> s) & mask) - half for s in shifts]))
         return tuple(out)
+
+
+def ceil_sqrt(x: Fraction) -> Fraction:
+    """The least multiple r of 1 / (2^16 den x) with r >= sqrt(x); so
+    r = sqrt(x) when x is the square of such a rational."""
+    x, scale = Fraction(x), 1 << 16
+    square = x.numerator * x.denominator * scale * scale
+    num = isqrt(square)
+    if num * num < square:
+        num += 1
+    return Fraction(num, x.denominator * scale)
 
 
 def _support(vec) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -156,6 +209,24 @@ class CurveFrame:
         self.adj, self.den = ctx._gram_adj, ctx._gram_den
         self.adj_columns = sparse_columns(self.adj)
         self.adj_norm = column_norm(self.adj_columns)
+        # the height constant c: |K_ic| <= c |<g omega, omega>| for every isometry g
+        omega = [int(x) for x in ctx.omega_prime]
+        heights = exact.mat_vec(ctx.gram, omega)
+        n = exact.dot(heights, omega)
+        certify(n > 0, "the Weyl projection must have positive square")
+        basis = max(Fraction(2 * x * x, n) - ctx.gram[i][i] for i, x in enumerate(heights))
+        curves = max(
+            Fraction(2 * exact.dot(q, heights) ** 2, n) - exact.dot(q, g)
+            for q, g in zip(self.coords, self.pairings)
+        )
+        self.height_constant = c = ceil_sqrt(4 * basis * curves) / n
+        certify(c * c * n * n >= 4 * basis * curves, "the height constant must bound the pairings")
+        self._cap_num, self._cap_den = c.numerator, c.denominator
+
+    def entry_cap(self, height: int) -> int:
+        """ceil(c |height|), a bound on every curve pairing K_ic of an
+        isometry with this height (see the module docstring)."""
+        return -(-abs(height) * self._cap_num // self._cap_den)
 
 
 @cache
@@ -207,9 +278,18 @@ class CurveAction:
 
         Row i of M is the image of basis curve i, and the other four curves
         are mapped, so every preimage that is a curve is read off without
-        an inverse; `preimage` gives the rest, exactly. A curve c read off
-        as the preimage of d must pair with the basis vectors as the rows
-        of M pair with d, which holds for an isometry; ValueError otherwise.
+        an inverse; `preimage` gives the rest, exactly. ValueError unless M
+        is an isometry, that is M G M^T = G. For each curve q_d this checks
+        a preimage x_d with
+
+          (a) x_d M = q_d and (b) M G q_d = G x_d (column vectors).
+
+        A curve c read off as the preimage of d satisfies (a) by the read-off
+        and (b) by comparing the pairings of the rows of M with d to those
+        of c; a computed preimage x_d = adj (M G q_d) / den satisfies (b) by
+        construction and is checked for (a). Then M G M^T x_d = M G q_d =
+        G x_d for all twenty d, and the x_d span, since their images q_d do,
+        so M G M^T = G. `PackedProduct.act`'s height cap rests on this.
         """
         frame = curve_frame()
         cols = tuple(zip(*matrix))
@@ -219,10 +299,13 @@ class CurveAction:
             d = frame.index.get(image)
             if d is not None:
                 src[d] = c
-        combos = [
-            (d, *_support(preimage(matrix, frame.pairings[d], name)))
-            for d, c in enumerate(src) if c is None
-        ]
+        combos = []
+        for d, c in enumerate(src):
+            if c is None:
+                x = preimage(matrix, frame.pairings[d], name)
+                if tuple([sum(map(mul, x, col)) for col in cols]) != frame.coords[d]:
+                    raise ValueError(f"{name}: not an isometry of the Picard lattice")
+                combos.append((d, *_support(x)))
         # K of M: column d pairs the rows of M with curve d
         k = PackedProduct(cols).times(frame.pairing_columns, frame.pairing_norm).columns()
         if any(k[d] != frame.pairings[c] for d, c in enumerate(src) if c is not None):
@@ -256,3 +339,69 @@ def matrix_from_pairings(product: PackedProduct) -> tuple[tuple[int, ...], ...]:
             raise ValueError(f"curve pairings break the relation of {frame.names[c]}")
     cols = product.times(frame.adj_columns, frame.adj_norm).columns()
     return tuple(zip(*exact_quotient(cols, frame.den, "curve pairings of no integer matrix")))
+
+
+# letters per group of the packed first-hit scan
+SCAN_GROUP = 16
+# scan tables up to this slot width are kept; a wider one only until the width changes
+SCAN_CACHE_WIDTH = 288
+
+
+class DescentScan:
+    """The first letter that lowers the height, from packed sign bits.
+
+    Built from the descent vectors y_k in scan order; `first_hit(u, h)` is
+    the first (k, d_k) with d_k = u . y_k < h, or None, exactly as a dot
+    product per letter would find it. Letters sit in groups of SCAN_GROUP.
+    For a slot width w, group g holds P_i = sum_k y_k[i] 2^(w k) over its
+    letters, one int per entry i; then sum_i u_i P_i + SIGN - h ONES holds
+    d_k - h + 2^(w-1) in slot k, where ONES has a 1 at the bottom of every
+    slot and SIGN = 2^(w-1) ONES at the top. w is chosen with |d_k - h| <=
+    max|u_i| max||y_k||_1 + |h| < 2^(w-1), so every slot lies in [0, 2^w)
+    and nothing carries; bit w-1 of slot k is then clear exactly when
+    d_k < h. The tables are built per width, rounded up to a multiple of
+    32 bits, and kept up to SCAN_CACHE_WIDTH.
+    """
+
+    __slots__ = ("ys", "dim", "norm", "_tables", "_wide")
+
+    def __init__(self, ys):
+        self.ys = tuple(tuple(y) for y in ys)
+        self.dim = len(self.ys[0])
+        self.norm = max(sum(map(abs, y)) for y in self.ys)
+        self._tables: dict[int, tuple] = {}
+        self._wide = None
+
+    def _groups(self, w: int) -> tuple:
+        """(base, P, ONES, SIGN) for each group of letters, at width w."""
+        groups = self._tables.get(w)
+        if groups is None:
+            groups = []
+            for base in range(0, len(self.ys), SCAN_GROUP):
+                block = self.ys[base:base + SCAN_GROUP]
+                shifts = range(0, w * len(block), w)
+                packed = tuple(
+                    sum([y[i] << s for y, s in zip(block, shifts)]) for i in range(self.dim)
+                )
+                ones = sum([1 << s for s in shifts])
+                groups.append((base, packed, ones, ones << (w - 1)))
+            groups = tuple(groups)
+            if w > SCAN_CACHE_WIDTH:
+                self._tables.pop(self._wide, None)
+                self._wide = w
+            self._tables[w] = groups
+        return groups
+
+    def first_hit(self, u, h: int) -> tuple[int, int] | None:
+        """(k, u . y_k) for the first k with u . y_k < h; None if there is
+        none. Only the first `dim` entries of u are read."""
+        u = u[:self.dim]
+        reach = max(map(abs, u)) * self.norm + abs(h)
+        w = (reach.bit_length() + 32) // 32 * 32
+        for base, packed, ones, sign in self._groups(w):
+            x = sum(map(mul, u, packed)) + sign - h * ones
+            hits = sign & ~x
+            if hits:
+                k = ((hits & -hits).bit_length() - 1) // w
+                return base + k, ((x >> (k * w)) & ((1 << w) - 1)) - (1 << (w - 1)) + h
+        return None

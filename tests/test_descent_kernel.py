@@ -1,0 +1,323 @@
+"""The descent step kernel: the packed first-hit scan and the height cap.
+
+`DescentScan` finds the first letter that lowers the height from packed
+sign bits; it must agree with one dot product per letter, at group edges
+(k = 0, 15, 16, 63), with ties (the test is a strict <) and with no hit.
+`CurveFrame.entry_cap` bounds the curve pairings K of an isometry by its
+height; the bound is checked on real words, a re-pack under it is forced,
+and an uncertified `Isometry` start must run without it. The bound rests
+on `CurveAction.of` accepting isometries only, and the 240 symmetries must
+act on the curves as a group of permutations.
+"""
+
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from itertools import product as cartesian
+from math import isqrt
+from pathlib import Path
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from hessaut import exact
+from hessaut.autgroup import Isometry, autctx, compose
+from hessaut.hessian import picard
+from hessaut.products import (
+    SCAN_CACHE_WIDTH,
+    SCAN_GROUP,
+    SLOT_MARGIN,
+    CurveAction,
+    DescentScan,
+    PackedProduct,
+    ceil_sqrt,
+    curve_frame,
+)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+import words  # noqa: E402  (perfbench/words.py)
+
+BIG = 2**600
+
+
+def _dot_scan(ys, u, h):
+    """The scan as it ran before: one dot product per letter."""
+    for k, y in enumerate(ys):
+        d = exact.dot(u, y)
+        if d < h:
+            return k, d
+    return None
+
+
+# --- the packed first-hit scan ------------------------------------------------
+
+big_entries = st.one_of(st.integers(-9, 9), st.integers(-BIG, BIG))
+
+
+@st.composite
+def scan_case(draw):
+    """64 descent vectors ordered so that the first hit is at a chosen k.
+
+    The letters are sorted by decreasing d = u . y, so h just above the
+    k-th d (mode "at") makes k the first hit; h equal to it (mode "equal")
+    makes it no hit, as the test is strict; the letters after k are
+    shuffled. k = 63 with mode "equal" leaves no hit at all.
+    """
+    u = [draw(big_entries) for _ in range(16)] + [draw(big_entries) for _ in range(4)]
+    assume(any(u[:16]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    ys = [[rng.randint(-30, 30) for _ in range(16)] for _ in range(64)]
+    ds = [exact.dot(u, y) for y in ys]
+    assume(len(set(ds)) == 64)
+    order = sorted(range(64), key=lambda k: -ds[k])
+    k = draw(st.sampled_from((0, 15, 16, 63)))
+    head, tail = order[:k + 1], order[k + 1:]
+    rng.shuffle(tail)
+    ys = [ys[j] for j in head + tail]
+    mode = draw(st.sampled_from(("at", "equal")))
+    h = ds[order[k]] + (mode == "at")
+    return ys, u, h, k, mode
+
+
+@settings(max_examples=200, deadline=None)
+@given(scan_case())
+def test_packed_scan_finds_the_first_hit_of_the_dot_scan(case):
+    ys, u, h, k, mode = case
+    want = _dot_scan(ys, u, h)
+    assert DescentScan(ys).first_hit(u, h) == want
+    if mode == "at":
+        assert want == (k, h - 1)
+    elif k == 63:
+        assert want is None
+    else:
+        assert want[0] > k
+
+
+@pytest.mark.parametrize("k", [None, 0, 15, 16, 63])
+@pytest.mark.parametrize("scale", [1, -1, 2**600, -(2**600) + 7])
+def test_packed_scan_at_group_edges(k, scale):
+    """d_j = 2 scale for every letter but k, where it is scale; h = 2 scale."""
+    ys = [[2] + [0] * 15 for _ in range(64)]
+    if k is not None:
+        ys[k][0] = 1
+    u = [scale] + [0] * 15
+    h = 2 * scale  # ties with every d_j, j != k; below d_k when scale < 0
+    want = None if k is None or scale < 0 else (k, scale)
+    assert _dot_scan(ys, u, h) == want
+    assert DescentScan(ys).first_hit(u, h) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(big_entries, min_size=20, max_size=20),
+    st.integers(0, 63),
+    st.sampled_from((-1, 0, 1)),
+)
+def test_packed_scan_on_the_descent_vectors(u, j, shift):
+    """The real scan order, with h at, just above and just below some d_j."""
+    a = autctx()
+    ys = [y for _, _, y in a.descent]
+    h = exact.dot(u, ys[j]) + shift
+    assert a.scan.first_hit(u, h) == _dot_scan(ys, u, h)
+
+
+def test_scan_tables_are_kept_per_width_up_to_the_cache_width():
+    ys = [y for _, _, y in autctx().descent]
+    scan = DescentScan(ys)
+    assert len(scan._groups(32)) == -(-len(ys) // SCAN_GROUP)
+    u = [1] * 16
+    for bits in (10, 100, 400, 700, 90):
+        h = 2**bits
+        assert scan.first_hit(u, h) == _dot_scan(ys, u, h)
+    widths = sorted(scan._tables)
+    assert all(w % 32 == 0 for w in widths)
+    # at most one table wider than SCAN_CACHE_WIDTH: the last one used
+    assert len([w for w in widths if w > SCAN_CACHE_WIDTH]) == 1
+
+
+def test_no_dot_product_in_the_descent_steps(monkeypatch):
+    a = autctx()
+    gamma = compose(*(a.registry[n] for n in ("g3", "phi2", "gb5", "p16", "g1")))
+    want = a.descend(gamma)
+    assert len(want[0]) >= 5
+    calls = []
+    real = exact.dot
+    monkeypatch.setattr(exact, "dot", lambda u, v: calls.append(1) or real(u, v))
+    assert a.descend(gamma) == want
+    assert len(calls) == 1  # the starting height
+
+
+# --- the height cap -----------------------------------------------------------
+
+
+def _majorant(x, gram, omega, n):
+    gx = exact.mat_vec(gram, list(x))
+    return Fraction(2 * exact.dot(gx, omega) ** 2, n) - exact.dot(gx, x)
+
+
+def test_height_constant_bounds_the_majorant_norms():
+    ctx, frame = picard(), curve_frame()
+    omega = [int(x) for x in ctx.omega_prime]
+    n = exact.dot(exact.mat_vec(ctx.gram, omega), omega)
+    assert n == 20
+    units = [[int(i == j) for j in range(16)] for i in range(16)]
+    basis = max(_majorant(e, ctx.gram, omega, n) for e in units)
+    curves = max(_majorant(q, ctx.gram, omega, n) for q in frame.coords)
+    c = frame.height_constant
+    assert c == Fraction(21, 100)
+    assert c * c * n * n >= 4 * basis * curves
+
+
+@pytest.mark.parametrize("x", [Fraction(441, 25), 2, 3, Fraction(1, 3), Fraction(10**40 + 1, 7), 0])
+def test_ceil_sqrt_rounds_up(x):
+    x = Fraction(x)
+    step = Fraction(1, x.denominator << 16)
+    r = ceil_sqrt(x)
+    assert r % step == 0 and r * r >= x
+    assert r == 0 or (r - step) ** 2 < x
+    if isqrt(x.numerator * x.denominator) ** 2 == x.numerator * x.denominator:
+        assert r * r == x
+
+
+@pytest.mark.parametrize("height", [0, 1, -1, 4, 20, 99, 100, -101, 10**50 + 3])
+def test_entry_cap_is_the_ceiling(height):
+    cap = curve_frame().entry_cap(height)
+    assert 100 * cap >= 21 * abs(height) > 100 * (cap - 1)
+
+
+def _replay_bounds(a, names):
+    """Run a word and its descent uncapped, decoding K after every letter
+    and step; return the (largest |K_ic|, height) pairs."""
+    frame = curve_frame()
+    product = frame.identity_pairings.copy()
+    v, seen = a.omega, []
+    isos = [a.registry[n] for n in names]
+    word, _, heights = a.descend(isos)
+    for iso in isos + [a.registry[n] for n in word]:
+        product.act(iso.curve_action)
+        v = iso.apply(v)
+        seen.append((max(map(abs, sum(product.columns(), ()))), a.height(v)))
+    assert [h for _, h in seen[len(isos) - 1:]] == heights
+    return seen
+
+
+@pytest.mark.parametrize("block", [0, 1])
+def test_curve_pairings_stay_under_the_height_cap(block):
+    a, frame = autctx(), curve_frame()
+    for w in words.pool()[block]:
+        for largest, height in _replay_bounds(a, w.split(",")):
+            assert largest <= frame.entry_cap(height), (w, height)
+
+
+def test_letters_phase_repacks_under_the_cap(monkeypatch):
+    a = autctx()
+    rng = random.Random("repack-under-cap")
+    walls = [name for name, _, _ in a.descent]
+    names = [rng.choice(walls) for _ in range(200)]
+    isos = [a.registry[n] for n in names]
+    events = []
+    real = PackedProduct._pack
+
+    def spy(self, cols, norm, cap=None):
+        real(self, cols, norm, cap)
+        events.append((self.bound * norm, cap, self.width))
+
+    monkeypatch.setattr(PackedProduct, "_pack", spy)
+    got = a.descend(isos)
+    under = [(grown, cap, w) for grown, cap, w in events if cap is not None and cap < grown]
+    assert len(under) >= 3
+    for _, cap, w in under:
+        assert w == cap.bit_length() + SLOT_MARGIN
+    monkeypatch.setattr(PackedProduct, "_pack", real)
+    assert got == a.descend(compose(*isos))
+
+
+def test_an_isometry_start_runs_uncapped():
+    """gamma = G0 (I + N) with v N = 0 for v = omega G0: the descent of G0,
+    but K = G0 W + G0 N W grows with the word W of the descent, far above
+    the height cap, so a capped product would overflow its slots."""
+    a = autctx()
+    rng = random.Random("uncapped-start")
+    walls = [name for name, _, _ in a.descent]
+    g0 = compose(*(a.registry[rng.choice(walls)] for _ in range(40)))
+    v = g0.apply(a.omega)
+    col = [v[1], -v[0]] + [0] * 14
+    assert exact.dot(v, col) == 0 and any(col)
+    row = [rng.randint(-9, 9) for _ in range(16)]
+    shear = [[int(i == j) + col[i] * row[j] for j in range(16)] for i in range(16)]
+    gamma = Isometry(tuple(map(tuple, exact.mat_mul(g0.matrix, shear))), "sheared")
+    word, _, heights = a.descend(g0)
+    assert len(word) >= 20 and max(map(abs, sum(g0.matrix, ()))) > 2**SLOT_MARGIN
+    got = a.descend(gamma)
+    assert got[0] == word and got[2] == heights
+    m = [list(r) for r in gamma.matrix]
+    for name in word:
+        m = exact.mat_mul(m, a.registry[name].matrix)
+    assert got[1].matrix == tuple(map(tuple, m))
+
+
+# --- isometries only, and the symmetry group ----------------------------------
+
+
+def _scaled(matrix, k):
+    return tuple(tuple(k * x for x in row) for row in matrix)
+
+
+def test_curve_action_rejects_multiples_of_isometries():
+    a = autctx()
+    for name in ("tau", "p16"):
+        with pytest.raises(ValueError):
+            CurveAction.of(_scaled(a.registry[name].matrix, 2), f"2{name}")
+        with pytest.raises(ValueError):
+            a.descend([Isometry(_scaled(a.registry[name].matrix, 2), f"2{name}")])
+    minus = CurveAction.of(_scaled(a.tau.matrix, -1), "-tau")
+    assert len(minus.combos) == 20
+
+
+def _run(args, code):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    cmd = [sys.executable, *args, "-c", code]
+    return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=600)
+
+
+def test_curve_action_rejects_multiples_under_python_O():
+    code = (
+        "from hessaut.autgroup import autctx\n"
+        "from hessaut.products import CurveAction\n"
+        "a = autctx()\n"
+        "for name in ('tau', 'p16'):\n"
+        "    m = tuple(tuple(2 * x for x in row) for row in a.registry[name].matrix)\n"
+        "    try:\n"
+        "        CurveAction.of(m, name)\n"
+        "    except ValueError:\n"
+        "        print('rejected', name)\n"
+        "CurveAction.of(tuple(tuple(-x for x in row) for row in a.tau.matrix), '-tau')\n"
+        "print('accepted -tau')\n"
+    )
+    proc = _run(["-O"], code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["rejected tau", "rejected p16", "accepted -tau", ""]
+
+
+def test_the_240_symmetries_permute_the_curves_as_a_group():
+    a = autctx()
+    perms = set()
+    for matrix in a.symmetries:
+        src = CurveAction.of(matrix).src
+        assert sorted(src) == list(range(20))
+        perms.add(src)
+    assert len(perms) == 240
+    for p, q in cartesian(perms, repeat=2):
+        assert tuple([p[c] for c in q]) in perms
+    for p in perms:
+        inverse = [0] * 20
+        for c, d in enumerate(p):
+            inverse[d] = c
+        assert tuple(inverse) in perms
