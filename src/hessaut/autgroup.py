@@ -150,6 +150,19 @@ def isometry_from_images(images: dict[str, ClassVec], name: str) -> Isometry:
     return iso
 
 
+def curve_permutation(images: dict[str, str], name: str) -> Isometry:
+    """The isometry sending each curve to the curve named in images, with its
+    `CurveAction.permutation` as `curve_action`; ValueError unless it exists."""
+    frame = curve_frame()
+    pi = [frame.name_index.get(images.get(c)) for c in frame.names]
+    if None in pi or len(images) != len(pi):
+        raise ValueError(f"{name}: not a map of the twenty curves")
+    action = CurveAction.permutation(pi, name)
+    iso = Isometry(tuple(frame.coords[d] for d in pi[:16]), name)
+    object.__setattr__(iso, "curve_action", action)
+    return iso
+
+
 def table_isometry(table: dict[str, dict], name: str) -> Isometry:
     ctx = picard()
     return isometry_from_images(
@@ -443,32 +456,27 @@ class AutContext:
         self._gram = [list(r) for r in ctx.gram]
         self.gram_omega = exact.mat_vec(self._gram, list(self.omega))
 
-        # tau and the S5 tables send curves to curves: read images off curve_coord
-        self.tau = isometry_from_images(
-            {a: ctx.curve_coord[b] for pair in TAU_PAIRS for a, b in (pair, pair[::-1])},
-            "tau",
-        )
+        # tau, the S5 elements and their products permute the curves
+        tau_map = {a: b for pair in TAU_PAIRS for a, b in (pair, pair[::-1])}
+        self.tau = curve_permutation(tau_map, "tau")
         certify(all(ctx.tau_partner(a) == b for a, b in TAU_PAIRS),
                 "the tau table must pair each node with its tau partner")
 
-        self.s5: dict[tuple, Isometry] = {}
-        for perm in permutations(range(1, 6)):
-            sigma = dict(zip(range(1, 6), perm))
-            images = {}
-            for names, faces_of in ((NODE_NAMES, ctx.node_faces), (LINE_NAMES, ctx.line_faces)):
-                for c in names:
-                    faces = frozenset(sigma[i] for i in faces_of[c])
-                    images[c] = ctx.curve_coord[next(m for m in names if faces_of[m] == faces)]
-            name = "s" + "".join(str(sigma[i]) for i in range(1, 6))
-            self.s5[perm] = isometry_from_images(images, name)
-
         # the symmetry group of the restricted chamber: order 240, fixes omega
+        self.s5: dict[tuple, Isometry] = {}
         self.symmetries: dict[tuple, str] = {}
-        for perm, s in self.s5.items():
-            for m, label in ((s, s.name), (compose(self.tau, s), f"tau*{s.name}")):
-                certify(m.apply(self.omega) == self.omega, f"{label} must fix omega")
+        by_faces = {faces_of[c]: c for faces_of in (ctx.node_faces, ctx.line_faces)
+                    for c in faces_of}
+        for perm in permutations(range(1, 6)):
+            images = {c: by_faces[frozenset(perm[i - 1] for i in faces_of[c])]
+                      for faces_of in (ctx.node_faces, ctx.line_faces) for c in faces_of}
+            s = self.s5[perm] = curve_permutation(images, "s" + "".join(map(str, perm)))
+            # tau*s from the composed map, first tau, then s: no product
+            tau_s = curve_permutation({a: images[b] for a, b in tau_map.items()}, f"tau*{s.name}")
+            for m in (s, tau_s):
+                certify(m.apply(self.omega) == self.omega, f"{m.name} must fix omega")
                 self.symmetries[m.matrix] = "id" if m.same_matrix(identity_isometry()) else (
-                    "tau" if m.same_matrix(self.tau) else label
+                    "tau" if m.same_matrix(self.tau) else m.name
                 )
 
         self.p16 = table_isometry(NODE_PROJECTION_TABLE, "p16")
@@ -481,12 +489,9 @@ class AutContext:
         self.projections: dict[str, Isometry] = {}
         base_faces = ctx.node_faces["N16"]
         for n in NODE_NAMES:
-            target = ctx.node_faces[n]
-            perm = next(
-                p for p in sorted(self.s5)
-                if frozenset(dict(zip(range(1, 6), p))[i] for i in base_faces) == target
-            )
-            self.projections[n] = conjugate(self.p16, self.s5[perm], name=f"p{n[1:]}")
+            perm = next(p for p in sorted(self.s5)
+                        if frozenset(p[i - 1] for i in base_faces) == ctx.node_faces[n])
+            self.projections[n] = self.s5_conjugate(self.p16, perm, name=f"p{n[1:]}")
 
         self.f = table_isometry(PENCIL_INVERSION_TABLE, "f")
         self.g = table_isometry(SYMMETRIZED_INVERSION_TABLE, "g")
@@ -516,18 +521,16 @@ class AutContext:
             gens_2.append((w, self.projections[node[0]]))
         self.wall_generators["2"] = gens_2
 
-        worked_3a = next(
-            w for w in self.walls["3a"] if w.key[1:] == (1, WALL_3A_EXAMPLE_K)
-        )
+        worked_3a = next(w for w in self.walls["3a"] if w.key[1:] == (1, WALL_3A_EXAMPLE_K))
+        # the first S5 element, in sorted order, carrying the worked wall to each r1
+        self.orbit_3a: dict[tuple, tuple] = {}
+        for perm in sorted(self.s5):
+            self.orbit_3a.setdefault(self._apply_q(self.s5[perm], worked_3a.r1), perm)
         gens_3a = []
         for w in self.walls["3a"]:
-            sigma = next(
-                (s for _, s in sorted(self.s5.items())
-                 if self._apply_q(s, worked_3a.r1) == w.r1),
-                None,
-            )
-            certify(sigma is not None, "pentahedral orbit must reach every wall")
-            iso = conjugate(self.g, sigma, name=f"g[{w.key}]")
+            perm = self.orbit_3a.get(w.r1)
+            certify(perm is not None, "pentahedral orbit must reach every wall")
+            iso = self.s5_conjugate(self.g, perm, name=f"g[{w.key}]")
             gens_3a.append((w, iso))
         self.wall_generators["3a"] = gens_3a
 
@@ -585,6 +588,12 @@ class AutContext:
         """Image of a rational class vector, as a tuple of Fractions."""
         nums, den = exact.clear_denominators(vec)
         return tuple(Fraction(x, den) for x in iso.apply(nums))
+
+    def s5_conjugate(self, g: Isometry, perm: tuple, name: str = "") -> Isometry:
+        """`conjugate` by s = s5[perm] without `Isometry.inverse`: s^-1 is the S5
+        element of the inverse permutation, as both agree on the spanning curves."""
+        s, s_inv = self.s5[perm], self.s5[tuple(perm.index(i) + 1 for i in range(1, 6))]
+        return Isometry(compose(s_inv, g, s).matrix, name or f"{s.name}.{g.name}.{s.name}^-1")
 
     def reflection_phi(self, alpha) -> Isometry:
         """Reflection in a primitive (-6)-vector, checked integral.
@@ -659,10 +668,13 @@ class AutContext:
         projection, with the curves, and moves with the same actions. A
         letter b's pairing is the height of b(v), <v, b^-1(omega)>: the
         basis pairings u[:16] against its `omega_preimage`, tried sixteen
-        letters to a big-int sum by `scan` (`DescentScan`). Every letter is a certified isometry, so from the
-        identity the product's entries are capped by its height
-        (`CurveFrame.entry_cap`); a start gamma is not certified, and its
-        product runs uncapped.
+        letters to a big-int sum by `scan` (`DescentScan`). Every letter is
+        a certified isometry, so from the identity the product's entries
+        are capped by its height (`CurveFrame.entry_cap`); a start gamma is
+        not certified, and its product runs uncapped. A letter whose action
+        has no combinations permutes the curves, so b^-1 fixes omega, the
+        sum of the twenty curves (certified in `CurveFrame`): <b(v), omega>
+        = <v, b^-1(omega)> = h, and the height and its cap carry over.
         """
         frame = curve_frame()
         if isinstance(gamma, Isometry):
@@ -674,11 +686,14 @@ class AutContext:
         u = [sum([k * v[i] for i, k in terms]) for terms in frame.pairing_columns]
         # dot stops at the shorter vector: the 16 basis pairings of u
         h = exact.dot(u, self.omega)
+        bound = entry_cap(h)
         for b in letters:
             action = b.curve_action
             u = action(u)
-            h = exact.dot(u, self.omega)
-            product.act(action, entry_cap(h))
+            if action.combos:
+                h = exact.dot(u, self.omega)
+                bound = entry_cap(h)
+            product.act(action, bound)
         heights = [h]
         word: list[str] = []
         while (hit := self.scan.first_hit(u, h)) is not None:
@@ -720,11 +735,7 @@ def inversion_f(index: int = 1) -> Isometry:
     from the worked table by the same conjugation as its symmetrized form."""
     a = autctx()
     w, _ = sorted(a.wall_generators["3a"], key=lambda t: t[0].key)[index - 1]
-    worked = next(ww for ww, _ in a.wall_generators["3a"] if ww.key[1:] == (1, WALL_3A_EXAMPLE_K))
-    sigma = next(
-        s for _, s in sorted(a.s5.items()) if a._apply_q(s, worked.r1) == w.r1
-    )
-    iso = conjugate(a.f, sigma, name=f"f{index}")
+    iso = a.s5_conjugate(a.f, a.orbit_3a[w.r1], name=f"f{index}")
     certify(compose(iso, iso).same_matrix(identity_isometry()), f"f{index} must be an involution")
     return iso
 

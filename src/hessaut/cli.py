@@ -433,14 +433,11 @@ def generators_suite(seed: int) -> list:
     _check(checks, "generators.translation-identity", True,
            compose(a.f, a.g).same_matrix(compose(p12, p35)),
            "two-torsion translation equals the projection product")
-    from itertools import permutations as _perms
-    from .autgroup import conjugate
     skew_t26 = None
-    for perm in _perms(range(1, 6)):
-        s_map = dict(zip(range(1, 6), perm))
-        imgs = {frozenset(s_map[i] for i in (1, 5)), frozenset(s_map[i] for i in (3, 4))}
+    for perm in sorted(a.s5):
+        imgs = {frozenset(perm[i - 1] for i in (1, 5)), frozenset(perm[i - 1] for i in (3, 4))}
         if imgs == {frozenset({4, 5}), frozenset({1, 3})}:
-            skew_t26 = conjugate(skew, a.s5[perm])
+            skew_t26 = a.s5_conjugate(skew, perm)
             break
     _check(checks, "generators.skew-translation", True,
            compose(skew_t26, a.tau).same_matrix(compose(p12, p35)),

@@ -14,10 +14,13 @@ measures its actual largest entry and re-packs wider. `autgroup.compose`
 and `Isometry.inverse` go through it and decode once at the end; the
 dense `exact.mat_mul` remains for Gram checks.
 
-A reduce word runs in curve-pairing coordinates instead. Tau and the 120
-pentahedral permutations are dense in the curve basis, but they permute
-the twenty node and line curves, and each wall generator sends 15-18 of
-the curves to curves. So `AutContext.descend` keeps K = M G Q^T, whose
+A reduce word runs in curve-pairing coordinates instead. Tau, the 120
+pentahedral permutations and the 240 chamber symmetries are dense in the
+curve basis, but they permute the twenty node and line curves: each is
+built from its curve map (`autgroup.curve_permutation`) and certified on
+the table of curve intersection numbers, with no product
+(`CurveAction.permutation`). Each wall generator sends 15-18 of the
+curves to curves. So `AutContext.descend` keeps K = M G Q^T, whose
 column c holds the pairings of the images of the basis vectors with curve
 c (Q: the curve coordinates). Appending a letter b sends column c to the
 old column of b^-1(c), a pure reindex when b^-1(c) is a curve and a short
@@ -196,9 +199,12 @@ class CurveFrame:
         )
         self.coords = tuple(ctx.curve_coord[c] for c in self.names)
         self.index = {q: d for d, q in enumerate(self.coords)}
+        self.name_index = {c: d for d, c in enumerate(self.names)}
         # G q for each curve q: column d holds the pairings of the basis
         # vectors with curve d
         self.pairings = tuple(tuple(exact.mat_vec(ctx.gram, q)) for q in self.coords)
+        # the intersection numbers of the twenty curves
+        self.curve_gram = tuple(tuple(exact.dot(q, g) for g in self.pairings) for q in self.coords)
         self.pairing_columns = sparse_columns(tuple(zip(*self.pairings)))
         self.pairing_norm = column_norm(self.pairing_columns)
         # K of the identity, where every reduce word starts; `copy` it
@@ -211,6 +217,8 @@ class CurveFrame:
         self.adj_norm = column_norm(self.adj_columns)
         # the height constant c: |K_ic| <= c |<g omega, omega>| for every isometry g
         omega = [int(x) for x in ctx.omega_prime]
+        certify(list(map(sum, zip(*self.coords))) == omega,
+                "the Weyl projection must be the sum of the twenty curves")
         heights = exact.mat_vec(ctx.gram, omega)
         n = exact.dot(heights, omega)
         certify(n > 0, "the Weyl projection must have positive square")
@@ -273,14 +281,35 @@ class CurveAction:
         self._take = itemgetter(*(0 if d is None else d for d in self.src))
 
     @classmethod
+    def permutation(cls, pi, name: str = "") -> "CurveAction":
+        """The checked action of M, rows q_pi(i), sending curve c to pi[c].
+
+        ValueError unless pi is a bijection keeping every <q_a, q_j>, a a
+        curve and j a basis curve (`CurveFrame.curve_gram`). Rows a < 16 say
+        M G M^T = G, so M is an isometry and its rows span. For c beyond the
+        basis, q_c = sum a_i e_i, M q_c = sum a_i q_pi(i) pairs with q_pi(j)
+        as <q_c, e_j> = <q_pi(c), q_pi(j)> (row c), so M q_c = q_pi(c).
+        """
+        frame = curve_frame()
+        if sorted(pi) != list(range(len(frame.names))):
+            raise ValueError(f"{name}: not a bijection of the twenty curves")
+        table, take = frame.curve_gram, itemgetter(*pi[:16])
+        for a, d in enumerate(pi):
+            if take(table[d]) != table[a][:16]:
+                raise ValueError(f"{name}: not an isometry of the Picard lattice" if a < 16 else
+                                 f"{name}: images violate the curve relations at {frame.names[a]}")
+        return cls(sorted(range(len(pi)), key=pi.__getitem__), ())
+
+    @classmethod
     def of(cls, matrix, name: str = "") -> "CurveAction":
         """The checked action of the isometry with this matrix M.
 
         Row i of M is the image of basis curve i, and the other four curves
         are mapped, so every preimage that is a curve is read off without
-        an inverse; `preimage` gives the rest, exactly. ValueError unless M
-        is an isometry, that is M G M^T = G. For each curve q_d this checks
-        a preimage x_d with
+        an inverse. When all twenty are, M permutes the curves and is
+        checked by `permutation`. Otherwise `preimage` gives the rest,
+        exactly, and ValueError unless M is an isometry, that is M G M^T =
+        G. For each curve q_d this checks a preimage x_d with
 
           (a) x_d M = q_d and (b) M G q_d = G x_d (column vectors).
 
@@ -299,6 +328,8 @@ class CurveAction:
             d = frame.index.get(image)
             if d is not None:
                 src[d] = c
+        if None not in src:
+            return cls.permutation([src.index(c) for c in range(len(src))], name)
         combos = []
         for d, c in enumerate(src):
             if c is None:

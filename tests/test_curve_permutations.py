@@ -1,0 +1,316 @@
+"""Tau, the 120 pentahedral permutations and the 240 chamber symmetries as
+certified curve permutations, against the dense paths they replace.
+
+`autgroup.curve_permutation` builds an isometry from its map of the twenty
+curves and certifies it on the curve intersection table
+(`CurveAction.permutation`). These tests check its matrices against
+`isometry_from_images` and `compose`, the S5 inverses used for
+conjugation, the permutation fast path of `CurveAction.of` against the
+packed check and the dense actions, the letters-phase heights that
+permutation letters leave alone, the rejections (plain and `python -O`),
+and the construction budget of `AutContext`.
+"""
+
+import os
+import subprocess
+import sys
+from functools import cache
+from itertools import permutations
+from pathlib import Path
+
+import pytest
+
+from hessaut import autgroup, exact
+from hessaut.autgroup import (
+    TAU_PAIRS,
+    AutContext,
+    Isometry,
+    autctx,
+    compose,
+    curve_permutation,
+    identity_isometry,
+    isometry_from_images,
+)
+from hessaut.hessian import picard
+from hessaut.products import CurveAction, PackedProduct, curve_frame, matrix_from_pairings
+
+from test_curve_pairings import _check_action
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+import words  # noqa: E402  (perfbench/words.py)
+
+TAU_MAP = {a: b for pair in TAU_PAIRS for a, b in (pair, pair[::-1])}
+
+
+@cache
+def _s5_map(perm):
+    """The curve map of the pentahedral permutation i -> perm[i - 1]."""
+    ctx = picard()
+    sigma = dict(zip(range(1, 6), perm))
+    out = {}
+    for faces_of in (ctx.node_faces, ctx.line_faces):
+        for c in faces_of:
+            faces = frozenset(sigma[i] for i in faces_of[c])
+            out[c] = next(m for m in faces_of if faces_of[m] == faces)
+    return out
+
+
+def _dense(images, name):
+    coord = picard().curve_coord
+    return isometry_from_images({c: coord[d] for c, d in images.items()}, name)
+
+
+def _inverse_perm(perm):
+    return tuple(perm.index(i) + 1 for i in range(1, 6))
+
+
+# --- the builder against the dense paths ---------------------------------------
+
+
+def test_tau_and_the_s5_tables_match_isometry_from_images():
+    a = autctx()
+    assert curve_permutation(TAU_MAP, "tau").matrix == _dense(TAU_MAP, "tau").matrix
+    assert a.tau.matrix == _dense(TAU_MAP, "tau").matrix
+    perms = list(permutations(range(1, 6)))
+    assert sorted(a.s5) == sorted(perms)
+    for perm in perms:
+        s = a.s5[perm]
+        assert s.name == "s" + "".join(map(str, perm))
+        assert s.matrix == _dense(_s5_map(perm), s.name).matrix, s.name
+
+
+def test_tau_times_s_matches_the_product():
+    a = autctx()
+    labels = {v: k for k, v in a.symmetries.items()}
+    for perm, s in a.s5.items():
+        composed = {c: _s5_map(perm)[d] for c, d in TAU_MAP.items()}
+        built = curve_permutation(composed, f"tau*{s.name}")
+        assert built.matrix == compose(a.tau, s).matrix, s.name
+        label = "tau" if s.name == "s12345" else f"tau*{s.name}"
+        assert labels[label] == built.matrix
+
+
+def test_the_s5_element_of_the_inverse_permutation_is_the_inverse():
+    a = autctx()
+    ident = identity_isometry().matrix
+    for perm, s in a.s5.items():
+        inv = a.s5[_inverse_perm(perm)]
+        assert compose(inv, s).matrix == ident, s.name
+        assert compose(s, inv).matrix == ident, s.name
+
+
+def test_s5_conjugates_match_conjugation_by_the_inverse_matrix():
+    a = autctx()
+    for perm in sorted(a.s5)[::11]:
+        s = a.s5[perm]
+        want = compose(s.inverse(), a.g, s).matrix
+        assert a.s5_conjugate(a.g, perm).matrix == want, s.name
+
+
+def test_the_3a_orbit_index_is_the_first_sorted_match():
+    a = autctx()
+    worked = next(w for w in a.walls["3a"] if w.key[1:] == (1, autgroup.WALL_3A_EXAMPLE_K))
+    for w in a.walls["3a"]:
+        first = next(p for p in sorted(a.s5) if a._apply_q(a.s5[p], worked.r1) == w.r1)
+        assert a.orbit_3a[w.r1] == first, w.key
+
+
+# --- the permutation fast path of CurveAction.of ----------------------------------
+
+
+def _packed_accepts(matrix, src):
+    """The packed check of `CurveAction.of`: K of M read off against the
+    pairings of the curves the rows map to."""
+    frame = curve_frame()
+    k = PackedProduct(tuple(zip(*matrix))).times(frame.pairing_columns, frame.pairing_norm)
+    k = k.columns()
+    return all(k[d] == frame.pairings[c] for d, c in enumerate(src))
+
+
+def _built_symmetries():
+    """The 240 symmetries as the builder makes them: s and tau*s."""
+    a = autctx()
+    out = []
+    for perm, s in a.s5.items():
+        composed = {c: _s5_map(perm)[d] for c, d in TAU_MAP.items()}
+        out += [s, curve_permutation(composed, f"tau*{s.name}")]
+    return out
+
+
+def test_the_permutation_fast_path_matches_the_packed_check_and_dense_actions():
+    isos = _built_symmetries()
+    assert len({iso.matrix for iso in isos}) == 240
+    for iso in isos:
+        fresh = CurveAction.of(iso.matrix, iso.name)
+        assert not fresh.combos and fresh.norm == 1
+        assert fresh.src == iso.curve_action.src, iso.name
+        assert _packed_accepts(iso.matrix, fresh.src), iso.name
+        _check_action(Isometry(iso.matrix, iso.name))
+
+
+def test_a_curve_permuting_matrix_goes_through_the_table_check(monkeypatch):
+    checked = []
+    real = CurveAction.permutation.__func__
+
+    def spy(cls, pi, name=""):
+        checked.append(name)
+        return real(cls, pi, name)
+
+    monkeypatch.setattr(CurveAction, "permutation", classmethod(spy))
+    a = autctx()
+    for name in ("tau", "s23451", "id"):
+        CurveAction.of(a.registry[name].matrix, name)
+    CurveAction.of(a.registry["p16"].matrix, "p16")
+    assert checked == ["tau", "s23451", "id"]
+
+
+def test_the_builder_carries_the_action_of_its_map():
+    frame = curve_frame()
+    for images, name in ((TAU_MAP, "tau"), (_s5_map((2, 3, 4, 5, 1)), "s23451")):
+        iso = curve_permutation(images, name)
+        src = iso.curve_action.src
+        for c, d in images.items():
+            assert src[frame.name_index[d]] == frame.name_index[c]
+
+
+def test_fast_path_and_packed_check_reject_the_same_curve_permutation():
+    # rows are curves and every curve goes to a curve, but a node and a
+    # line change places, which breaks the intersection numbers
+    frame = curve_frame()
+    rows = list(frame.coords[:16])
+    rows[0], rows[10] = rows[10], rows[0]
+    src = list(range(20))
+    src[0], src[10] = 10, 0
+    assert not _packed_accepts(rows, src)
+    with pytest.raises(ValueError, match="isometry"):
+        CurveAction.of(tuple(rows), "swap")
+
+
+# --- letters-phase heights -------------------------------------------------------
+
+
+def _descend_dot_per_letter(a, letters):
+    """`AutContext.descend` on letters as it ran before: one dot product and
+    one entry cap after every letter."""
+    frame = curve_frame()
+    product = frame.identity_pairings.copy()
+    u = [sum([k * a.omega[i] for i, k in terms]) for terms in frame.pairing_columns]
+    h = exact.dot(u, a.omega)
+    for b in letters:
+        before = h
+        u = b.curve_action(u)
+        h = exact.dot(u, a.omega)
+        if not b.curve_action.combos:
+            assert h == before, b.name
+        product.act(b.curve_action, frame.entry_cap(h))
+    word, heights = [], [h]
+    while (hit := a.scan.first_hit(u, h)) is not None:
+        k, h = hit
+        name, iso, _ = a.descent[k]
+        product.act(iso.curve_action, frame.entry_cap(h))
+        u = iso.curve_action(u)
+        word.append(name)
+        heights.append(h)
+    return word, matrix_from_pairings(product), heights
+
+
+@pytest.mark.parametrize("block", [0, 1])
+def test_letters_phase_skip_matches_a_dot_per_letter(block, monkeypatch):
+    a = autctx()
+    real_dot = exact.dot
+    for w in words.pool()[block]:
+        letters = [a.registry[n] for n in w.split(",")]
+        want = _descend_dot_per_letter(a, letters)
+        calls = []
+        monkeypatch.setattr(exact, "dot", lambda x, y: calls.append(1) or real_dot(x, y))
+        word, residual, heights = a.descend(letters)
+        monkeypatch.setattr(exact, "dot", real_dot)
+        assert (word, residual.matrix, heights) == want, w
+        assert len(calls) == 1 + sum(1 for b in letters if b.curve_action.combos), w
+
+
+# --- rejections --------------------------------------------------------------------
+
+
+def _identity_map():
+    return {c: c for c in curve_frame().names}
+
+
+def _bad_maps():
+    not_bijective = {**_identity_map(), "N16": "N26"}
+    relation = {**_identity_map(), "T15": "T23", "T23": "T15"}
+    basis_swap = {**_identity_map(), "N16": "N26", "N26": "N16"}
+    missing = _identity_map()
+    del missing["T34"]
+    return {
+        "bijection": not_bijective,
+        "relations at T15": relation,
+        "not an isometry": basis_swap,
+        "twenty curves": missing,
+    }
+
+
+@pytest.mark.parametrize("message", sorted(_bad_maps()))
+def test_curve_permutation_rejects(message):
+    with pytest.raises(ValueError, match=message):
+        curve_permutation(_bad_maps()[message], "bad")
+
+
+def test_curve_permutation_accepts_the_identity():
+    assert curve_permutation(_identity_map(), "id").matrix == identity_isometry().matrix
+
+
+def test_curve_permutation_rejects_under_python_O():
+    code = (
+        "from hessaut.autgroup import curve_permutation\n"
+        "from hessaut.products import curve_frame\n"
+        "ident = {c: c for c in curve_frame().names}\n"
+        "for bad in ({**ident, 'N16': 'N26'}, {**ident, 'T15': 'T23', 'T23': 'T15'},\n"
+        "            {**ident, 'N16': 'N26', 'N26': 'N16'}):\n"
+        "    try:\n"
+        "        curve_permutation(bad, 'bad')\n"
+        "    except ValueError as e:\n"
+        "        print('rejected:', e)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "rejected: bad: not a bijection of the twenty curves",
+        "rejected: bad: images violate the curve relations at T15",
+        "rejected: bad: not an isometry of the Picard lattice",
+    ]
+
+
+# --- construction budget -----------------------------------------------------------
+
+
+def test_construction_takes_no_inverse_and_few_products(monkeypatch):
+    # these stay callables at their paths for the benchmark tracer
+    for path in ("Isometry.inverse", "compose", "AutContext._apply_q"):
+        target = autgroup
+        for part in path.split("."):
+            target = getattr(target, part)
+        assert callable(target), path
+    autctx()  # picard, the walls and the curve frame are cached
+    calls = {"inverse": 0, "compose": 0}
+    real_inverse, real_compose = Isometry.inverse, autgroup.compose
+
+    def inverse(self, name=""):
+        calls["inverse"] += 1
+        return real_inverse(self, name)
+
+    def counted(*isos):
+        calls["compose"] += 1
+        return real_compose(*isos)
+
+    monkeypatch.setattr(Isometry, "inverse", inverse)
+    monkeypatch.setattr(autgroup, "compose", counted)
+    AutContext()
+    assert calls["inverse"] == 0
+    assert 0 < calls["compose"] <= 60
