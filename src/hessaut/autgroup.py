@@ -462,7 +462,10 @@ class AutContext:
         certify(all(ctx.tau_partner(a) == b for a, b in TAU_PAIRS),
                 "the tau table must pair each node with its tau partner")
 
-        # the symmetry group of the restricted chamber: order 240, fixes omega
+        # the symmetry group of the restricted chamber, of order 240. Each element
+        # is a certified curve permutation (`CurveAction.permutation`), so it fixes
+        # omega, the sum of the twenty curves (certified in `CurveFrame`);
+        # `reduce.height-floor` still checks all 240 densely
         self.s5: dict[tuple, Isometry] = {}
         self.symmetries: dict[tuple, str] = {}
         by_faces = {faces_of[c]: c for faces_of in (ctx.node_faces, ctx.line_faces)
@@ -474,7 +477,6 @@ class AutContext:
             # tau*s from the composed map, first tau, then s: no product
             tau_s = curve_permutation({a: images[b] for a, b in tau_map.items()}, f"tau*{s.name}")
             for m in (s, tau_s):
-                certify(m.apply(self.omega) == self.omega, f"{m.name} must fix omega")
                 self.symmetries[m.matrix] = "id" if m.same_matrix(identity_isometry()) else (
                     "tau" if m.same_matrix(self.tau) else m.name
                 )
@@ -522,13 +524,16 @@ class AutContext:
         self.wall_generators["2"] = gens_2
 
         worked_3a = next(w for w in self.walls["3a"] if w.key[1:] == (1, WALL_3A_EXAMPLE_K))
-        # the first S5 element, in sorted order, carrying the worked wall to each r1
-        self.orbit_3a: dict[tuple, tuple] = {}
+        # the first S5 element, in sorted order, carrying the worked wall to each
+        # wall r1, keyed on the images of den * r1 (ints hash as integral Fractions)
+        nums, den = exact.clear_denominators(worked_3a.r1)
+        first: dict[tuple, tuple] = {}
         for perm in sorted(self.s5):
-            self.orbit_3a.setdefault(self._apply_q(self.s5[perm], worked_3a.r1), perm)
+            first.setdefault(self.s5[perm].apply(nums), perm)
+        self.orbit_3a: dict[tuple, tuple] = {}
         gens_3a = []
         for w in self.walls["3a"]:
-            perm = self.orbit_3a.get(w.r1)
+            perm = self.orbit_3a[w.r1] = first.get(tuple(den * x for x in w.r1))
             certify(perm is not None, "pentahedral orbit must reach every wall")
             iso = self.s5_conjugate(self.g, perm, name=f"g[{w.key}]")
             gens_3a.append((w, iso))
@@ -637,13 +642,6 @@ class AutContext:
         if minus:
             return "-1"
         return "other"
-
-    def generator_for_wall(self, w: WallRoot) -> Isometry:
-        for case, pairs in self.wall_generators.items():
-            for ww, iso in pairs:
-                if ww.r1 == w.r1:
-                    return iso
-        raise ValueError("not a wall of the restricted chamber")
 
     def height(self, vec) -> int:
         return exact.dot(vec, self.gram_omega)

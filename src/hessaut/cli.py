@@ -472,6 +472,16 @@ def generators_suite(seed: int) -> list:
     return checks
 
 
+def suite_words(seed: int) -> list[list[str]]:
+    """The 200 seeded words of `reduce.random-words`, as generator names."""
+    a = autctx()
+    rng = random.Random(seed)
+    names = [n for n, _, _ in a.descent] + ["tau"] + [
+        s.name for s in list(a.s5.values())[::7]
+    ]
+    return [[rng.choice(names) for _ in range(rng.randint(1, 12))] for _ in range(200)]
+
+
 def reduce_suite(seed: int) -> list:
     checks: list = []
     a = autctx()
@@ -481,21 +491,16 @@ def reduce_suite(seed: int) -> list:
     word, residual = a.reduce_height(a.tau)
     _check(checks, "reduce.symmetry-fixed", ([], "tau"),
            (word, a.classify_symmetry(residual)), "symmetries are already reduced")
-    rng = random.Random(seed)
-    names = [n for n, _, _ in a.descent] + ["tau"] + [
-        s.name for s in list(a.s5.values())[::7]
-    ]
     all_ok = True
     floor_iff_ok = True
-    for _ in range(200):
-        word = [rng.choice(names) for _ in range(rng.randint(1, 12))]
-        gamma = compose(*[a.registry[n] for n in word])
-        applied, residual = a.reduce_height(gamma)
+    for word in suite_words(seed):
+        applied, residual, heights = a.descend([a.registry[n] for n in word])
         label = a.classify_symmetry(residual)
         all_ok = all_ok and label is not None
         all_ok = all_ok and a.height(residual.apply(a.omega)) == 20
-        if a.height(gamma.apply(a.omega)) == 20:
-            floor_iff_ok = floor_iff_ok and a.classify_symmetry(gamma) is not None
+        if heights[0] == 20:
+            # at the floor nothing is applied: the residual is the word's product
+            floor_iff_ok = floor_iff_ok and not applied and label is not None
     _check(checks, "reduce.random-words", True, all_ok,
            "200 seeded words reduce into the 240-element group")
     _check(checks, "reduce.floor-only-on-symmetries", True, floor_iff_ok,

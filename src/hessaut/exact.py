@@ -278,10 +278,6 @@ def det_rational(a) -> Fraction:
     return Fraction((-1) ** swaps * minors[-1] if len(cols) == len(a) else 0)
 
 
-def is_unimodular(u) -> bool:
-    return len(u) > 0 and abs(det_rational(u)) == 1
-
-
 class RowSpan:
     """Incrementally built integer row span in Z^n.
 

@@ -28,10 +28,6 @@ def point_index(p: int) -> int:
     return p + 1
 
 
-def index_point(i: int) -> int:
-    return i - 1
-
-
 def _translation() -> dict[int, int]:
     g = {k: (k + 1) % 23 for k in range(23)}
     g[INFINITY] = INFINITY
@@ -107,10 +103,6 @@ def set_mask(s: Iterable[int]) -> int:
     for p in s:
         mask |= 1 << point_index(p)
     return mask
-
-
-def mask_set(mask: int) -> frozenset[int]:
-    return frozenset(index_point(i) for i in range(24) if mask >> i & 1)
 
 
 @cache

@@ -6,21 +6,27 @@ orthogonal complements come from Hermite forms and integer kernels,
 saturations from double kernels, discriminant groups from Smith forms of
 Gram matrices.
 
-Root systems are typed one way (`root_components`): take a basis of
-roots, close it under its reflections s_a(v) = v + (v.a)a, and read the
-components off the basis pairing graph. The basis is the given one when
-every diagonal entry is -2, else the simple system of the Fincke-Pohst
-roots (`short_vectors`) for the lexicographic order: the positive roots
-that are not a sum of two positive roots. This is exact. A simple system
-is an independent base whose reflections move it onto every root
-(Bourbaki, Lie Groups and Lie Algebras, ch. VI 1.5-1.7). In a negative
-definite lattice the closure R' of a root basis is a finite simply-laced
-root system with ZR' the whole lattice, so its norm -2 vectors are
-exactly R' (Conway-Sloane, SPLAG ch. 4). Basis roots in different
-components are orthogonal, and a norm -2 vector of an orthogonal sum of
-negative definite even lattices lies in one summand, as each nonzero part
-has norm at most -2. So each root lies on one component, of rank its
-number of basis roots; rank and root count fix the ADE type.
+Root systems are typed one way (`root_components`): read the components
+off the Dynkin diagram of a simple system. The simple system is the given
+basis when every diagonal entry is -2 and every pairing 0 or 1, else the
+simple system of the Fincke-Pohst roots (`short_vectors`) for the
+lexicographic order: the positive roots that are not a sum of two
+positive roots. This is exact. Linearly independent roots with pairings
+0 or 1 in a negative definite lattice are a base of the finite root
+system R' that their reflections generate (Bourbaki, Lie Groups and Lie
+Algebras, ch. VI 1.5-1.7; Humphreys, Reflection Groups and Coxeter
+Groups, 1.3-1.5), and their graph is a simply-laced Dynkin diagram
+(Bourbaki, ch. VI 4): a path is A_n, a branch node with arms (1, 1, k) is
+D_{k+3}, arms (1, 2, 2), (1, 2, 3) and (1, 2, 4) are E6, E7 and E8. The
+type fixes the root count. R' spans the lattice of the simple system, so
+its norm -2 vectors are exactly R' (Conway-Sloane, SPLAG ch. 4). Basis
+roots in different components are orthogonal, and a norm -2 vector of an
+orthogonal sum of negative definite even lattices lies in one summand, as
+each nonzero part has norm at most -2. So each root lies on one
+component of the diagram. The form is negative definite exactly when
+the block of each component is; each block takes the leading-minor test
+`_negative_definite` before its diagram is read, and a graph that is not
+a Dynkin diagram is refused as well.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, product
+from itertools import product
 from operator import sub
 from typing import Iterable, Sequence
 
@@ -69,9 +75,6 @@ class Ambient:
         if any(x % self._den for x in c):
             raise ValueError("vector does not lie in L")
         return tuple(x // self._den for x in c)
-
-    def in_lattice(self, v: LorentzVector) -> bool:
-        return not any(x % self._den for x in exact.vec_mat(v.raw(), self._adj))
 
     def vector(self, coords: Sequence[int]) -> LorentzVector:
         raw = exact.vec_mat(list(coords), self.rows)
@@ -381,14 +384,6 @@ def short_vectors(gram, target: int) -> list[tuple[int, ...]]:
     return out
 
 
-_TYPE_BY_RANK_COUNT = {
-    (1, 2): "A1", (2, 6): "A2", (3, 12): "A3", (4, 20): "A4", (5, 30): "A5",
-    (6, 42): "A6", (7, 56): "A7", (8, 72): "A8",
-    (4, 24): "D4", (5, 40): "D5", (6, 60): "D6", (7, 84): "D7", (8, 112): "D8",
-    (6, 72): "E6", (7, 126): "E7", (8, 240): "E8",
-}
-
-
 def root_count(gram) -> int:
     return len(short_vectors(gram, -2))
 
@@ -403,41 +398,11 @@ def _negative_definite(gram) -> bool:
     return not swaps and len(cols) == len(gram) and all(p > 0 for p in minors)
 
 
-def reflection_closure(gram) -> list[tuple[int, ...]]:
-    """All roots of a negative definite lattice whose basis vectors are roots.
-
-    The roots are the orbit of the basis vectors under the reflections in
-    them; see the module docstring for why no root is missed. Reflecting
-    in the i-th basis vector only changes the i-th coordinate. The order
-    matches `short_vectors`.
-    """
+def _simple_system_gram(gram):
+    """Gram matrix of a simple system of the roots; see the module docstring."""
     n = len(gram)
-    if any(gram[i][i] != -2 for i in range(n)):
-        raise ValueError("reflection closure needs basis vectors of norm -2")
-    if not _negative_definite(gram):
-        raise ValueError("reflection closure expects a negative definite form")
-    basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    seen = set(basis)
-    frontier = basis
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i, p in enumerate(exact.vec_mat(v, gram)):
-                if p:
-                    w = list(v)
-                    w[i] += p
-                    w = tuple(w)
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-        frontier = nxt
-    return sorted(seen, key=lambda v: v[::-1])
-
-
-def _root_basis_gram(gram):
-    """Gram matrix of a basis of the roots; see the module docstring."""
-    n = len(gram)
-    if all(gram[i][i] == -2 for i in range(n)):
+    if all(gram[i][j] == -2 if i == j else gram[i][j] in (0, 1)
+           for i in range(n) for j in range(n)):
         return gram
     positive = [r for r in short_vectors(gram, -2) if r > (0,) * n]
     known = set(positive)
@@ -446,25 +411,48 @@ def _root_basis_gram(gram):
     return [[exact.dot(r, t) for t in simple] for r in rows]
 
 
+def _dynkin_type(nodes: list[int], edges: list[list[int]]) -> tuple[str, int, int]:
+    """(type, rank, root count) of a connected simply-laced Dynkin diagram."""
+    n = len(nodes)
+    branches = [i for i in nodes if len(edges[i]) > 2]
+    if sum(len(edges[i]) for i in nodes) != 2 * (n - 1) or len(branches) > 1:
+        raise ValueError(f"a component of {n} roots is not a Dynkin diagram")
+    if not branches:
+        return f"A{n}", n, n * (n + 1)
+    (b,) = branches
+    arms = []
+    for j in edges[b]:
+        prev, node, length = b, j, 1
+        while nxt := [k for k in edges[node] if k != prev]:
+            prev, node, length = node, nxt[0], length + 1
+        arms.append(length)
+    arms.sort()
+    if len(arms) == 3 and arms[:2] == [1, 1]:
+        return f"D{n}", n, 2 * n * (n - 1)
+    if arms in ([1, 2, 2], [1, 2, 3], [1, 2, 4]):
+        return f"E{n}", n, {6: 72, 7: 126, 8: 240}[n]
+    raise ValueError(f"a branch node with arms {arms} is not a Dynkin diagram")
+
+
 def root_components(gram) -> list[tuple[str, int, int]]:
     """Irreducible components as (type, rank, root count) triples."""
-    basis = _root_basis_gram(gram)
-    comp = list(range(len(basis)))
-    for i, j in combinations(range(len(basis)), 2):
-        if basis[i][j] and comp[i] != comp[j]:
-            old = comp[j]
-            comp = [comp[i] if c == old else c for c in comp]
-    # a reflection moves only the coordinate of a basis root that v meets,
-    # so a closure root v lies on the component of its first nonzero entry
-    first = (next(i for i, x in enumerate(v) if x) for v in reflection_closure(basis))
-    counts = Counter(comp[i] for i in first)
+    basis = _simple_system_gram(gram)
+    n = len(basis)
+    edges = [[j for j in range(n) if j != i and basis[i][j]] for i in range(n)]
+    seen: set[int] = set()
     comps = []
-    for c, rank in Counter(comp).items():
-        key = (rank, counts[c])
-        label = _TYPE_BY_RANK_COUNT.get(key)
-        if label is None:
-            raise ValueError(f"unrecognized root component with rank/count {key}")
-        comps.append((label, rank, counts[c]))
+    for start in range(n):
+        if start in seen:
+            continue
+        nodes = [start]
+        seen.add(start)
+        for i in nodes:
+            fresh = [j for j in edges[i] if j not in seen]
+            seen.update(fresh)
+            nodes += fresh
+        if not _negative_definite([[basis[i][j] for j in nodes] for i in nodes]):
+            raise ValueError("root typing expects a negative definite form")
+        comps.append(_dynkin_type(nodes, edges))
     return comps
 
 

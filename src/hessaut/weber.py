@@ -74,11 +74,6 @@ def pair_bits(v: int, w: int) -> int:
     )
 
 
-def q0_bits(v: int) -> int:
-    """The quadratic form eps . eta."""
-    return (v & 1 and v >> 2 & 1) ^ (v >> 1 & 1 and v >> 3 & 1)
-
-
 @cache
 def psi_table() -> dict[Label, int]:
     """Linear extension of the four base assignments; a bijection."""
@@ -116,10 +111,6 @@ THETA_STEP = tuple(frozenset(s) for s in ((), (1, 6), (2, 6), (3, 6), (4, 6), (5
 
 def theta_contains(beta: Label, alpha: Label) -> bool:
     return add(alpha, beta) in THETA_STEP
-
-
-def theta_points(beta: Label) -> list[Label]:
-    return [a for a in ALL_POINTS if theta_contains(beta, a)]
 
 
 def theta_characteristic(s: Iterable[int]) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -298,33 +289,28 @@ def pentahedral_dictionary(
 
 @cache
 def affine_symplectic_group() -> tuple[tuple[int, ...], ...]:
-    """All 11520 affine symplectic permutations of the 16 points (as ints)."""
+    """All 11520 affine symplectic permutations of the 16 points (as ints).
+
+    The images of the four unit vectors are chosen one at a time, each
+    among the columns with the right pairings against those already
+    chosen. Each partial choice is extended in increasing order, so the
+    linear parts come in lexicographic order.
+    """
     units = (1, 2, 4, 8)
-    want = [[pair_bits(a, b) for b in units] for a in units]
-    linear = []
-    for cols in product(range(16), repeat=4):
-        ok = True
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if pair_bits(cols[i], cols[j]) != want[i][j]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            linear.append(cols)
+    pairs = [[pair_bits(v, w) for w in range(16)] for v in range(16)]
+    linear = [()]
+    for i, unit in enumerate(units):
+        want = [pairs[u][unit] for u in units[:i]]
+        linear = [cols + (c,) for cols in linear for c in range(16)
+                  if [pairs[d][c] for d in cols] == want]
     certify(len(linear) == 720, "Sp(4,2) has order 720")
     perms = []
     for cols in linear:
-        images = []
-        for p in range(16):
-            img = 0
-            for i in range(4):
-                if p >> i & 1:
-                    img ^= cols[i]
-            images.append(img)
-        for t in range(16):
-            perms.append(tuple(img ^ t for img in images))
+        images = [0] * 16
+        for p in range(1, 16):
+            low = p & -p  # p is p ^ low plus the unit vector low
+            images[p] = images[p ^ low] ^ cols[low.bit_length() - 1]
+        perms += [tuple(img ^ t for img in images) for t in range(16)]
     certify(len(set(perms)) == 11520, "the affine symplectic group has order 11520")
     return tuple(perms)
 

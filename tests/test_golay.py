@@ -7,8 +7,8 @@ from hessaut.golay import (
     OMEGA,
     golay_code,
     is_octad,
-    mask_set,
     octads_through,
+    point_index,
     set_mask,
     steiner_system,
 )
@@ -82,4 +82,6 @@ def test_golay_code_weight_distribution():
 
 
 def test_mask_round_trip():
-    assert mask_set(set_mask(K1)) == frozenset(K1)
+    mask = set_mask(K1)
+    assert frozenset(p for p in OMEGA if mask >> point_index(p) & 1) == frozenset(K1)
+    assert mask.bit_count() == len(K1)

@@ -1,21 +1,25 @@
-"""Root typing on the basis graph against the Fincke-Pohst reference.
+"""Root typing from the Dynkin diagram against the two former typings.
 
-`root_components` closes a root basis under its reflections and reads the
-components off the basis pairing graph. The slower path stays as the
-independent reference (`root_reference`): the `short_vectors` search, a
-union-find over every pair of roots and a Hermite-form rank. On every root
-Gram matrix the construction uses, on the standard ADE types and on
-random re-bases of block sums, both must give the same components, and
-the closure the same roots, vector for vector.
+`root_components` reads each component's type and root count off the
+Dynkin diagram of a simple system. The slower paths stay as independent
+references (`root_reference`): the `short_vectors` search with a
+union-find over every pair of roots and a Hermite-form rank, and the
+reflection closure of the simple system, counted on each component of
+its pairing graph. On every root Gram matrix the construction uses, on
+the standard ADE types, on shuffled bases and on random re-bases of block
+sums, all three must give the same components, and the closure the same
+roots as `short_vectors`, vector for vector.
 """
 
 from collections import Counter
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import root_reference as ref
+from root_reference import reflection_closure
 from hessaut import cli, lattices
 from hessaut.autgroup import (
     CASE_ROOT_TYPES,
@@ -25,7 +29,6 @@ from hessaut.autgroup import (
 )
 from hessaut.hessian import BASE_ROOT_ORDER, expected_base_gram, picard
 from hessaut.lattices import (
-    reflection_closure,
     root_components,
     root_type,
     short_vectors,
@@ -52,6 +55,19 @@ def _block_sum(*grams):
     return out
 
 
+def _graph_gram(edges):
+    n = 1 + max(j for e in edges for j in e)
+    gram = [[-2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        gram[i][j] = gram[j][i] = 1
+    return gram
+
+
+_TRIANGLE = _graph_gram([(0, 1), (1, 2), (0, 2)])  # the affine diagram of A2
+# E10: a branch node with arms (1, 2, 6)
+_E10 = _graph_gram([(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 9)])
+
+
 def _standard_root_grams():
     grams = {}
     for n in range(1, 9):
@@ -73,7 +89,8 @@ def _base_root_grams():
 
 
 def _same_components(gram):
-    return Counter(root_components(gram)) == Counter(ref.root_components(gram))
+    want = Counter(root_components(gram))
+    return want == Counter(ref.root_components(gram)) == Counter(ref.closure_components(gram))
 
 
 @pytest.mark.parametrize("name,gram", sorted(_standard_root_grams().items()))
@@ -156,6 +173,31 @@ def _rebased_block_sums(draw):
     return gram, rebased
 
 
+@cache
+def _named_grams():
+    grams = {**_standard_root_grams(), **_base_root_grams()}
+    for ws in enumerate_wall_roots().values():
+        for w in ws:
+            grams[str(w.key)] = wall_root_gram(w.root)
+    return sorted(grams.items())
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_typing_ignores_the_order_of_the_basis(data):
+    """Every named basis, shuffled: the same components from the diagram;
+    one of them, drawn, also against both references."""
+    rng = data.draw(st.randoms(use_true_random=False), label="rng")
+    shuffled = {}
+    for name, gram in _named_grams():
+        order = list(range(len(gram)))
+        rng.shuffle(order)
+        shuffled[name] = [[gram[i][j] for j in order] for i in order]
+        assert Counter(root_components(shuffled[name])) == Counter(root_components(gram)), name
+    name = data.draw(st.sampled_from(sorted(shuffled)), label="checked")
+    assert _same_components(shuffled[name]), name
+
+
 @settings(max_examples=60, deadline=None)
 @given(_rebased_block_sums())
 def test_root_type_is_basis_independent(grams):
@@ -187,6 +229,8 @@ def test_roots_spanning_a_proper_sublattice():
         standard_gram("U"),  # no -2 diagonal: the simple-system path
         [[-2, 1], [1, 4]],
         [[-4, 4], [4, -4]],
+        _TRIANGLE,  # 0/1 pairings, semidefinite
+        _E10,  # 0/1 pairings, indefinite
     ],
 )
 def test_indefinite_forms_are_rejected_on_both_paths(gram):
@@ -194,6 +238,51 @@ def test_indefinite_forms_are_rejected_on_both_paths(gram):
         root_type(gram)
     with pytest.raises(ValueError):
         ref.root_type(gram)
+    with pytest.raises(ValueError):
+        ref.closure_components(gram)
+
+
+@pytest.mark.parametrize(
+    "gram",
+    [
+        _TRIANGLE,
+        _E10,
+        _graph_gram([(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (5, 6)]),  # affine E6
+        _graph_gram([(0, 2), (1, 2), (2, 3), (3, 4), (4, 5)]),  # D6, a Dynkin diagram
+        _graph_gram([(0, 1), (1, 2), (1, 3), (1, 4)]),  # affine D4: four arms
+        _graph_gram([(0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6)]),  # affine D6: two branches
+    ],
+)
+def test_the_diagram_alone_refuses_non_dynkin_graphs(monkeypatch, gram):
+    """With the definiteness test switched off, the diagram reader still
+    accepts exactly the Dynkin diagrams."""
+    dynkin = Counter(ref.closure_components(gram)) if lattices._negative_definite(gram) else None
+    monkeypatch.setattr(lattices, "_negative_definite", lambda block: True)
+    if dynkin is not None:
+        assert Counter(root_components(gram)) == dynkin
+    else:
+        with pytest.raises(ValueError):
+            root_components(gram)
+
+
+@pytest.mark.parametrize("name", ["A2", "A5", "D4", "D6", "E6", "E8"])
+def test_negative_pairings_fall_back_to_fincke_pohst(monkeypatch, name):
+    """A -2 basis with a -1 pairing is not a simple system: the simple
+    system of the Fincke-Pohst roots gives the same type."""
+    gram = _standard_root_grams()[name]
+    flipped = [[-x if (i == 0) != (j == 0) else x for j, x in enumerate(row)]
+               for i, row in enumerate(gram)]
+    assert -1 in flipped[0]
+    searched = []
+
+    def spy(g, target):
+        searched.append(target)
+        return short_vectors(g, target)
+
+    monkeypatch.setattr(lattices, "short_vectors", spy)
+    assert root_type(flipped) == name
+    assert searched == [-2]
+    assert _same_components(flipped)
 
 
 def test_closure_rejects_indefinite_forms():

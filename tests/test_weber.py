@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, product
 
 from hessaut import weber
 from hessaut.weber import (
@@ -18,14 +18,12 @@ from hessaut.weber import (
     pentahedral_dictionary,
     psi,
     psi_table,
-    q0_bits,
     reduce_label,
     symplectic,
     tetrads,
     theta_characteristic,
     theta_characteristic_of_label,
     theta_contains,
-    theta_points,
     weber_hexads,
 )
 
@@ -78,6 +76,11 @@ def test_psi_preserves_pairing_on_all_pairs():
         assert symplectic(a, b) == pair_bits(table[a], table[b])
 
 
+def q0_bits(v: int) -> int:
+    """The quadratic form eps . eta."""
+    return (v & 1 and v >> 2 & 1) ^ (v >> 1 & 1 and v >> 3 & 1)
+
+
 def test_q0_polarization_is_the_pairing():
     for v in range(16):
         for w in range(16):
@@ -87,7 +90,7 @@ def test_q0_polarization_is_the_pairing():
 def test_theta_membership():
     assert theta_contains(L({1, 2}), L({1, 2}))
     for beta in ALL_POINTS:
-        assert len(theta_points(beta)) == 6
+        assert sum(1 for a in ALL_POINTS if theta_contains(beta, a)) == 6
     for alpha in ALL_POINTS:
         assert sum(1 for beta in ALL_POINTS if theta_contains(beta, alpha)) == 6
 
@@ -164,6 +167,34 @@ def test_every_hexad_has_ten_triple_divisors():
     for h in weber_hexads():
         counts = [sum(1 for a in h if theta_contains(beta, a)) for beta in ALL_POINTS]
         assert sorted(counts) == [1] * 6 + [3] * 10
+
+
+def _affine_symplectic_group_by_scan():
+    """The former construction: test all 65,536 column 4-tuples, and build
+    each image bit by bit."""
+    units = (1, 2, 4, 8)
+    want = [[pair_bits(a, b) for b in units] for a in units]
+    linear = [
+        cols for cols in product(range(16), repeat=4)
+        if all(pair_bits(cols[i], cols[j]) == want[i][j]
+               for i in range(4) for j in range(i + 1, 4))
+    ]
+    perms = []
+    for cols in linear:
+        images = []
+        for p in range(16):
+            img = 0
+            for i in range(4):
+                if p >> i & 1:
+                    img ^= cols[i]
+            images.append(img)
+        for t in range(16):
+            perms.append(tuple(img ^ t for img in images))
+    return tuple(perms)
+
+
+def test_affine_symplectic_group_matches_the_full_scan():
+    assert affine_symplectic_group() == _affine_symplectic_group_by_scan()
 
 
 def test_group_order_orbit_and_stabilizer():
