@@ -46,7 +46,6 @@ from .products import (
     PackedProduct,
     column_norm,
     curve_frame,
-    exact_quotient,
     matrix_from_pairings,
     preimage,
     sparse_columns,
@@ -80,27 +79,13 @@ class Isometry:
         return tuple(sum(map(mul, vec, col)) for col in zip(*self.matrix))
 
     def inverse(self, name: str = "") -> "Isometry":
-        """M^-1 = G M^T G^-1 over the integers, since M G M^T = G.
-
-        With G^-1 = adj / den, the rows of M^-1 are the columns of
-        adj M G divided by den (adj and G are symmetric). Raises
-        ValueError when an entry is not divisible or M M^-1 is not I.
-        """
-        ctx = picard()
-        den = ctx._gram_den
-        gram = sparse_columns(ctx.gram)
-        cols = (
-            PackedProduct(ctx._gram_adj)
-            .times(self.sparse_columns, self.norm)
-            .times(gram, column_norm(gram))
-            .columns()
-        )
+        """M^-1, whose row j is b^-1(e_j) = `preimage`(M, G e_j). Raises
+        ValueError when an entry is not integral or M M^-1 is not I."""
         inv = Isometry(
-            exact_quotient(cols, den, f"{self.name}: not an isometry of the Picard lattice"),
+            tuple(preimage(self.matrix, col, self.name) for col in picard().gram),
             name or f"{self.name}^-1",
         )
-        ident = identity_isometry().matrix
-        if self.packed().times(inv.sparse_columns, inv.norm).columns() != ident:
+        if not compose(self, inv).same_matrix(identity_isometry()):
             raise ValueError(f"{self.name}: not an isometry of the Picard lattice")
         return inv
 
@@ -123,12 +108,6 @@ def compose(*isos: Isometry) -> Isometry:
     return Isometry(tuple(zip(*product.columns())), "*".join(i.name for i in isos))
 
 
-def conjugate(g: Isometry, s: Isometry, name: str = "") -> Isometry:
-    """s o g o s^-1 (apply s^-1, then g, then s)."""
-    out = compose(s.inverse(), g, s)
-    return Isometry(out.matrix, name or f"{s.name}.{g.name}.{s.name}^-1")
-
-
 def isometry_from_images(images: dict[str, ClassVec], name: str) -> Isometry:
     """Linear extension of curve images; rejects ill-defined or non-isometric
     tables (the redundant rows beyond a basis are checked, never assumed)."""
@@ -143,9 +122,7 @@ def isometry_from_images(images: dict[str, ClassVec], name: str) -> Isometry:
     for c, target in ints.items():
         if iso.apply(ctx.curve_coord[c]) != target:
             raise ValueError(f"{name}: images violate the curve relations at {c}")
-    g = [list(r) for r in ctx.gram]
-    m = [list(r) for r in iso.matrix]
-    if exact.mat_mul(exact.mat_mul(m, g), exact.transpose(m)) != g:
+    if not ctx.preserves_form(iso.matrix):
         raise ValueError(f"{name}: table is not an isometry")
     return iso
 
@@ -453,8 +430,7 @@ class AutContext:
         ctx = picard()
         self.ctx = ctx
         self.omega = tuple(int(x) for x in ctx.omega_prime)
-        self._gram = [list(r) for r in ctx.gram]
-        self.gram_omega = exact.mat_vec(self._gram, list(self.omega))
+        self.gram_omega = exact.mat_vec(ctx._gram_rows, list(self.omega))
 
         # tau, the S5 elements and their products permute the curves
         tau_map = {a: b for pair in TAU_PAIRS for a, b in (pair, pair[::-1])}
@@ -595,7 +571,7 @@ class AutContext:
         return tuple(Fraction(x, den) for x in iso.apply(nums))
 
     def s5_conjugate(self, g: Isometry, perm: tuple, name: str = "") -> Isometry:
-        """`conjugate` by s = s5[perm] without `Isometry.inverse`: s^-1 is the S5
+        """s o g o s^-1 for s = s5[perm], without `Isometry.inverse`: s^-1 is the S5
         element of the inverse permutation, as both agree on the spanning curves."""
         s, s_inv = self.s5[perm], self.s5[tuple(perm.index(i) + 1 for i in range(1, 6))]
         return Isometry(compose(s_inv, g, s).matrix, name or f"{s.name}.{g.name}.{s.name}^-1")
@@ -611,7 +587,7 @@ class AutContext:
             raise ValueError("reflection vector must be integral")
         if gcd(*ints) != 1:
             raise ValueError("reflection vector must be primitive")
-        pairings = exact.mat_vec(self._gram, ints)
+        pairings = exact.mat_vec(self.ctx._gram_rows, ints)
         if exact.dot(pairings, ints) != -6:
             raise ValueError("reflection vector must have square -6")
         if any(p % 3 for p in pairings):
@@ -622,9 +598,7 @@ class AutContext:
             img[i] += 1
             rows.append(tuple(img))
         iso = Isometry(tuple(rows), "phi")
-        g = self._gram
-        certify(exact.mat_mul(exact.mat_mul(rows, g), exact.transpose(rows)) == g,
-                "a reflection must preserve the intersection form")
+        certify(self.ctx.preserves_form(rows), "a reflection must preserve the intersection form")
         certify(iso.apply(ints) == tuple(-x for x in ints), "a reflection must negate its vector")
         return iso
 
@@ -653,34 +627,31 @@ class AutContext:
     def descend(self, gamma, cap: int = 10000):
         """Greedy descent to the chamber of the Weyl projection.
 
-        gamma is an isometry, or a sequence of isometries whose product,
-        left to right as in `compose`, is reduced without forming its
-        matrix. Returns (word, residual, heights): applying the word after
-        gamma fixes the Weyl projection, the residual must land in the
-        240-element symmetry group, and heights[k] is the height after k
-        letters.
+        gamma is a sequence of isometries whose product, left to right as
+        in `compose`, is reduced without forming its matrix; an isometry
+        is descended as the one-letter word [gamma], so it must be one
+        (ValueError otherwise). Returns (word, residual, heights): applying
+        the word after gamma fixes the Weyl projection, the residual must
+        land in the 240-element symmetry group, and heights[k] is the
+        height after k letters.
 
         The product runs in curve-pairing coordinates: the packed pairings
-        of gamma's matrix, or of the identity moved by the `curve_action`
-        of every letter. u holds the pairings of v, the image of the Weyl
-        projection, with the curves, and moves with the same actions. A
-        letter b's pairing is the height of b(v), <v, b^-1(omega)>: the
-        basis pairings u[:16] against its `omega_preimage`, tried sixteen
-        letters to a big-int sum by `scan` (`DescentScan`). Every letter is
-        a certified isometry, so from the identity the product's entries
-        are capped by its height (`CurveFrame.entry_cap`); a start gamma is
-        not certified, and its product runs uncapped. A letter whose action
-        has no combinations permutes the curves, so b^-1 fixes omega, the
-        sum of the twenty curves (certified in `CurveFrame`): <b(v), omega>
-        = <v, b^-1(omega)> = h, and the height and its cap carry over.
+        of the identity, moved by the `curve_action` of every letter. u
+        holds the pairings of v, the image of the Weyl projection, with the
+        curves, and moves with the same actions. A letter b's pairing is
+        the height of b(v), <v, b^-1(omega)>: the basis pairings u[:16]
+        against its `omega_preimage`, tried sixteen letters to a big-int
+        sum by `scan` (`DescentScan`). Every letter is a certified
+        isometry, so the product's entries are capped by its height
+        (`CurveFrame.entry_cap`). A letter whose action has no combinations
+        permutes the curves, so b^-1 fixes omega, the sum of the twenty
+        curves (certified in `CurveFrame`): <b(v), omega> = <v,
+        b^-1(omega)> = h, and the height and its cap carry over.
         """
         frame = curve_frame()
-        if isinstance(gamma, Isometry):
-            letters, v, entry_cap = (), gamma.apply(self.omega), _uncapped
-            product = gamma.packed().times(frame.pairing_columns, frame.pairing_norm)
-        else:
-            letters, v, product = gamma, self.omega, frame.identity_pairings.copy()
-            entry_cap = frame.entry_cap
+        entry_cap = frame.entry_cap
+        letters = (gamma,) if isinstance(gamma, Isometry) else gamma
+        v, product = self.omega, frame.identity_pairings.copy()
         u = [sum([k * v[i] for i, k in terms]) for terms in frame.pairing_columns]
         # dot stops at the shorter vector: the 16 basis pairings of u
         h = exact.dot(u, self.omega)
@@ -713,11 +684,6 @@ class AutContext:
 
     def classify_symmetry(self, iso: Isometry) -> str | None:
         return self.symmetries.get(iso.matrix)
-
-
-def _uncapped(height: int) -> None:
-    """No entry cap: the product is not known to be an isometry."""
-    return None
 
 
 @cache

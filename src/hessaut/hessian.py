@@ -20,7 +20,7 @@ from functools import cache
 from itertools import combinations
 
 from . import exact, lattices, leech, weber
-from .checks import CertificationError, certify
+from .checks import certify
 from .golay import INFINITY
 from .leech import NU_OMEGA, nu, two_nu, vadd, vscale
 from .lorentz import LorentzVector, bilinear, leech_root
@@ -213,21 +213,17 @@ class Picard:
 
     @staticmethod
     def _pick_unimodular_basis(raw_coords) -> tuple[str, ...]:
+        """The first curves that each raise the rank of their span, certified unimodular."""
         greedy = []
         span = exact.RowSpan(16)
         for name in CURVE_NAMES:
             if span.add(list(raw_coords[name])):
                 if span.rank > len(greedy):
                     greedy.append(name)
-        if len(greedy) == 16:
-            det = exact.det_rational([raw_coords[n] for n in greedy])
-            if abs(det) == 1:
-                return tuple(greedy)
-        for combo in combinations(CURVE_NAMES, 16):
-            m = [raw_coords[n] for n in combo]
-            if abs(exact.det_rational(m)) == 1:
-                return tuple(combo)
-        raise CertificationError("no 16 curves form a unimodular basis")
+        certify(len(greedy) == 16
+                and abs(exact.det_rational([raw_coords[n] for n in greedy])) == 1,
+                "the first sixteen independent curves must form a unimodular basis")
+        return tuple(greedy)
 
     # --- basic queries --------------------------------------------------
 
@@ -245,6 +241,11 @@ class Picard:
         if all(type(x) is int for x in u) and all(type(x) is int for x in v):
             return s
         return Fraction(s, du * dv)
+
+    def preserves_form(self, rows) -> bool:
+        """M G M^T == G for the matrix M with these rows: M is an isometry."""
+        g = self._gram_rows
+        return exact.mat_mul(exact.mat_mul(rows, g), exact.transpose(rows)) == g
 
     def lines_through(self, node: str) -> list[str]:
         return [l for l in LINE_NAMES if incidence(node, l) == 1]

@@ -11,8 +11,8 @@ ring map from integer columns to integers, and reading the slots back is
 unique while every |entry| < 2^(w-1). The product tracks a bound on its
 entries, and before a factor could break that condition it decodes,
 measures its actual largest entry and re-packs wider. `autgroup.compose`
-and `Isometry.inverse` go through it and decode once at the end; the
-dense `exact.mat_mul` remains for Gram checks.
+goes through it and decodes once at the end; the dense `exact.mat_mul`
+remains for the Gram check (`hessian.Picard.preserves_form`).
 
 A reduce word runs in curve-pairing coordinates instead. Tau, the 120
 pentahedral permutations and the 240 chamber symmetries are dense in the
@@ -50,9 +50,8 @@ A descent step costs a few big-int operations more:
   majorant, and a boost by t stretches by at most e^t). So every entry
   K_ic = <g e_i, q_c> is at most (2 |H| / n) max ||e_i|| max ||q_c||,
   that is c |H| with c = 21/100 here. Along a descent the heights fall, so
-  the product never re-packs. This holds for isometries only; every
-  letter's `CurveAction` is certified one, but an `Isometry` handed to
-  `AutContext.descend` as a start is not, and runs uncapped.
+  the product never re-packs. This holds for isometries only, and every
+  letter's `CurveAction` is certified one.
 """
 
 from __future__ import annotations

@@ -1,12 +1,17 @@
-"""The dense column product that `autgroup.PackedProduct` replaced.
+"""The dense column product that `autgroup.PackedProduct` replaced, and
+conjugation through `Isometry.inverse`.
 
 Column j of A*B is the sum, over the terms (i, c) of column j of B, of c
 times column i of A, one entry at a time. It is the reference the packed
 kernel is tested against, and is itself tested against `exact.mat_mul`.
+`conjugate` is the reference for `AutContext.s5_conjugate`, which reads
+s^-1 off the S5 element of the inverse permutation instead.
 """
 
 from itertools import repeat
 from operator import add, mul, neg
+
+from hessaut.autgroup import Isometry, compose
 
 
 def column_product(cols, sparse) -> tuple[tuple[int, ...], ...]:
@@ -33,3 +38,9 @@ def column_product(cols, sparse) -> tuple[tuple[int, ...], ...]:
             acc = col if acc is None else map(add, acc, col)
         out.append(tuple(acc))  # a lone column of A comes back as itself
     return tuple(out)
+
+
+def conjugate(g: Isometry, s: Isometry, name: str = "") -> Isometry:
+    """s o g o s^-1 (apply s^-1, then g, then s)."""
+    out = compose(s.inverse(), g, s)
+    return Isometry(out.matrix, name or f"{s.name}.{g.name}.{s.name}^-1")

@@ -19,7 +19,6 @@ from hessaut.autgroup import (
     autctx,
     classify_wall_root,
     compose,
-    conjugate,
     enumerate_wall_roots,
     identity_isometry,
     isometry_from_images,
@@ -28,6 +27,7 @@ from hessaut.autgroup import (
 from hessaut.checks import CertificationError
 from hessaut.hessian import CURVE_NAMES, NODE_NAMES, picard
 from hessaut.lorentz import bilinear
+from product_reference import conjugate
 
 
 def lam_octad(w, values=(-1, 3)):

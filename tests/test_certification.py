@@ -3,14 +3,31 @@ cannot strip, and a failed certification is a reported failure (exit 1)
 rather than a traceback."""
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from hessaut import cli, weber
+from hessaut.checks import CertificationError
+from hessaut.hessian import CURVE_NAMES, Picard
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _python_O(code):
+    """Run code in a fresh `python -O` with `src` on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
 
 
 def test_src_has_no_assert_statements_or_assertion_errors():
@@ -33,14 +50,7 @@ def test_constructor_certification_runs_under_python_O():
         "autgroup.CASE_ROOT_TYPES['2'] = 'A1'\n"
         "sys.exit(cli.main(['reduce', '--word', 'p16']))\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        env=env, capture_output=True, text=True, timeout=600,
-    )
+    proc = _python_O(code)
     assert proc.returncode == 1, proc.stderr
     assert any(
         line.startswith("certification failed:") for line in proc.stderr.splitlines()
@@ -57,3 +67,36 @@ def test_pinned_packets_are_certified(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("certification failed:")
     assert err.count("\n") == 1
+
+
+def _unit_coords(scale):
+    """Raw coordinates of the twenty curves: the first sixteen the unit
+    vectors, the first of them times scale, the last four zero."""
+    rows = [[int(i == j) for j in range(16)] for i in range(16)]
+    rows[0][0] = scale
+    return dict(zip(CURVE_NAMES, rows + [[0] * 16] * 4))
+
+
+def test_the_greedy_curve_basis_is_certified_unimodular():
+    assert Picard._pick_unimodular_basis(_unit_coords(1)) == tuple(CURVE_NAMES[:16])
+    doubled = _unit_coords(2)
+    # a later curve would complete a unimodular basis, but the pick stays greedy
+    other = {**doubled, CURVE_NAMES[16]: _unit_coords(1)[CURVE_NAMES[0]]}
+    for coords in (doubled, _unit_coords(0), other):  # det 2, rank 15, det 2
+        with pytest.raises(CertificationError, match="unimodular basis"):
+            Picard._pick_unimodular_basis(coords)
+
+
+def test_the_greedy_curve_basis_is_certified_under_python_O():
+    code = (
+        "from hessaut.checks import CertificationError\n"
+        "from hessaut.hessian import CURVE_NAMES, Picard\n"
+        + inspect.getsource(_unit_coords)
+        + "try:\n"
+        "    Picard._pick_unimodular_basis(_unit_coords(2))\n"
+        "except CertificationError as e:\n"
+        "    print('rejected:', e)\n"
+    )
+    proc = _python_O(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("rejected:") and "unimodular basis" in proc.stdout

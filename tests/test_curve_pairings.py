@@ -21,12 +21,12 @@ from hessaut.autgroup import (
     Isometry,
     autctx,
     compose,
-    conjugate,
     identity_isometry,
     inversion_f,
 )
 from hessaut.hessian import picard
 from hessaut.products import curve_frame, matrix_from_pairings
+from product_reference import conjugate
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

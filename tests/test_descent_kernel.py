@@ -4,12 +4,14 @@
 sign bits; it must agree with one dot product per letter, at group edges
 (k = 0, 15, 16, 63), with ties (the test is a strict <) and with no hit.
 `CurveFrame.entry_cap` bounds the curve pairings K of an isometry by its
-height; the bound is checked on real words, a re-pack under it is forced,
-and an uncertified `Isometry` start must run without it. The bound rests
-on `CurveAction.of` accepting isometries only, and the 240 symmetries must
-act on the curves as a group of permutations.
+height; the bound is checked on real words and a re-pack under it is
+forced. An `Isometry` start is descended as its one-letter word, so a
+non-isometry is rejected. The bound rests on `CurveAction.of` accepting
+isometries only, and the 240 symmetries must act on the curves as a group
+of permutations.
 """
 
+import inspect
 import os
 import random
 import subprocess
@@ -23,8 +25,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import fraction_reference as ref
 from hessaut import exact
-from hessaut.autgroup import Isometry, autctx, compose
+from hessaut.autgroup import Isometry, autctx, compose, inversion_f
 from hessaut.hessian import picard
 from hessaut.products import (
     SCAN_CACHE_WIDTH,
@@ -35,7 +38,9 @@ from hessaut.products import (
     PackedProduct,
     ceil_sqrt,
     curve_frame,
+    preimage,
 )
+from product_reference import conjugate
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -150,7 +155,8 @@ def test_no_dot_product_in_the_descent_steps(monkeypatch):
     real = exact.dot
     monkeypatch.setattr(exact, "dot", lambda u, v: calls.append(1) or real(u, v))
     assert a.descend(gamma) == want
-    assert len(calls) == 1  # the starting height
+    assert gamma.curve_action.combos
+    assert len(calls) == 2  # the starting heights: of the identity, then of gamma
 
 
 # --- the height cap -----------------------------------------------------------
@@ -238,11 +244,9 @@ def test_letters_phase_repacks_under_the_cap(monkeypatch):
     assert got == a.descend(compose(*isos))
 
 
-def test_an_isometry_start_runs_uncapped():
-    """gamma = G0 (I + N) with v N = 0 for v = omega G0: the descent of G0,
-    but K = G0 W + G0 N W grows with the word W of the descent, far above
-    the height cap, so a capped product would overflow its slots."""
-    a = autctx()
+def _non_isometric_starts(a):
+    """gamma = G0 (I + N) with v N = 0 for v = omega G0, which moves the
+    Weyl projection as G0 does but is no isometry, and 2 tau."""
     rng = random.Random("uncapped-start")
     walls = [name for name, _, _ in a.descent]
     g0 = compose(*(a.registry[rng.choice(walls)] for _ in range(40)))
@@ -251,15 +255,69 @@ def test_an_isometry_start_runs_uncapped():
     assert exact.dot(v, col) == 0 and any(col)
     row = [rng.randint(-9, 9) for _ in range(16)]
     shear = [[int(i == j) + col[i] * row[j] for j in range(16)] for i in range(16)]
-    gamma = Isometry(tuple(map(tuple, exact.mat_mul(g0.matrix, shear))), "sheared")
-    word, _, heights = a.descend(g0)
-    assert len(word) >= 20 and max(map(abs, sum(g0.matrix, ()))) > 2**SLOT_MARGIN
-    got = a.descend(gamma)
-    assert got[0] == word and got[2] == heights
-    m = [list(r) for r in gamma.matrix]
+    sheared = Isometry(tuple(map(tuple, exact.mat_mul(g0.matrix, shear))), "sheared")
+    assert sheared.apply(a.omega) == v
+    return sheared, Isometry(tuple(tuple(2 * x for x in r) for r in a.tau.matrix), "2tau")
+
+
+def test_a_non_isometric_start_is_rejected():
+    a = autctx()
+    for gamma in _non_isometric_starts(a):
+        for run in (a.descend, lambda g: a.descend([g]), a.reduce_height):
+            with pytest.raises(ValueError, match="not an isometry of the Picard lattice"):
+                run(gamma)
+
+
+def test_a_non_isometric_start_is_rejected_under_python_O():
+    code = (
+        "import random\n"
+        "from hessaut import exact\n"
+        "from hessaut.autgroup import Isometry, autctx, compose\n"
+        + inspect.getsource(_non_isometric_starts)
+        + "a = autctx()\n"
+        "for gamma in _non_isometric_starts(a):\n"
+        "    for run in (a.descend, lambda g: a.descend([g]), a.reduce_height):\n"
+        "        try:\n"
+        "            run(gamma)\n"
+        "        except ValueError as e:\n"
+        "            print('rejected', gamma.name, 'not an isometry' in str(e))\n"
+    )
+    proc = _run(["-O"], code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["rejected sheared True"] * 3 + ["rejected 2tau True"] * 3 + [""]
+
+
+def _start_isometries(a):
+    r, names = a.registry, sorted(a.registry)
+    isos = {"p16": r["p16"], "tau": a.tau, "f": a.f,
+            "f1": inversion_f(1), "f7": inversion_f(7),
+            "g^s23451": conjugate(a.g, r["s23451"])}
+    for n in (2, 5, 12, 40):
+        rng = random.Random(f"start-{n}")
+        isos[f"word{n}"] = compose(*(r[rng.choice(names)] for _ in range(n)))
+    return isos
+
+
+START_KEYS = ("p16", "tau", "f", "f1", "f7", "g^s23451", "word2", "word5", "word12", "word40")
+
+
+@pytest.mark.parametrize("key", START_KEYS)
+def test_an_isometry_start_is_its_one_letter_word(key):
+    a = autctx()
+    g = _start_isometries(a)[key]
+    word, residual, heights = got = a.descend(g)
+    assert got == a.descend([g])
+    m, v = [list(r) for r in g.matrix], g.apply(a.omega)
+    replay = [a.height(v)]
     for name in word:
         m = exact.mat_mul(m, a.registry[name].matrix)
-    assert got[1].matrix == tuple(map(tuple, m))
+        v = a.registry[name].apply(v)
+        replay.append(a.height(v))
+    assert residual.matrix == tuple(map(tuple, m)) and heights == replay
+    inv = g.inverse()
+    assert inv.matrix == tuple(preimage(g.matrix, col) for col in picard().gram)
+    want = ref.invert([list(r) for r in g.matrix])
+    assert inv.matrix == tuple(tuple(int(x) for x in row) for row in want)
 
 
 # --- isometries only, and the symmetry group ----------------------------------

@@ -100,3 +100,23 @@ def test_images_off_the_basis_must_follow_the_curve_relations():
     assert isometry_from_images(_identity_images(), "id").matrix == tuple(
         tuple(int(i == j) for j in range(16)) for i in range(16)
     )
+
+
+def test_a_linear_table_that_breaks_the_form_is_rejected():
+    """2 times every curve is integral and keeps the curve relations, so
+    only the M G M^T = G test (`Picard.preserves_form`) can reject it."""
+    images = {c: tuple(2 * x for x in v) for c, v in _identity_images().items()}
+    for build in (isometry_from_images, _reference):
+        with pytest.raises(ValueError, match="table is not an isometry"):
+            build(images, "double")
+
+
+def test_preserves_form_against_the_dense_product():
+    ctx = picard()
+    shear = [[int(i == j) + int((i, j) == (0, 1)) for j in range(16)] for i in range(16)]
+    doubled = [[2 * int(i == j) for j in range(16)] for i in range(16)]
+    for rows in [iso.matrix for iso in autctx().registry.values()] + [shear, doubled]:
+        m = [list(r) for r in rows]
+        want = exact.mat_mul(exact.mat_mul(m, ctx.gram), exact.transpose(m)) == ctx._gram_rows
+        assert ctx.preserves_form(rows) is want
+    assert not ctx.preserves_form(shear) and not ctx.preserves_form(doubled)

@@ -18,12 +18,11 @@ from hessaut.autgroup import (
     Isometry,
     autctx,
     compose,
-    conjugate,
     identity_isometry,
     inversion_f,
 )
 from hessaut.products import sparse_columns
-from product_reference import column_product
+from product_reference import column_product, conjugate
 
 BIG = 2**400
 
