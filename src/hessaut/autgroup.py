@@ -112,14 +112,11 @@ def isometry_from_images(images: dict[str, ClassVec], name: str) -> Isometry:
     """Linear extension of curve images; rejects ill-defined or non-isometric
     tables (the redundant rows beyond a basis are checked, never assumed)."""
     ctx = picard()
-    ints = {}
     for c, target in images.items():
-        nums, den = exact.clear_denominators(target)
-        if den != 1:
+        if any(x % 1 for x in target):
             raise ValueError(f"{name}: non-integral image of {c}")
-        ints[c] = tuple(nums)
-    iso = Isometry(tuple(ints[b] for b in ctx.basis_names), name)
-    for c, target in ints.items():
+    iso = Isometry(tuple(images[b] for b in ctx.basis_names), name)
+    for c, target in images.items():
         if iso.apply(ctx.curve_coord[c]) != target:
             raise ValueError(f"{name}: images violate the curve relations at {c}")
     if not ctx.preserves_form(iso.matrix):
@@ -300,10 +297,19 @@ PUSH_MULTIPLES = {"1a": 15, "1b": 15, "2": 4, "3a": 12, "3b": 12}
 
 @dataclass(frozen=True)
 class WallRoot:
+    """A wall root (None for the case 1b walls, which tau carries from 1a)
+    and its projection r1 = vec / den into the Picard lattice, den the
+    least positive denominator."""
+
     case: str
     root: LorentzVector | None
-    r1: ClassVec
+    vec: ClassVec
+    den: int
     key: tuple
+
+    @cached_property
+    def r1(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.vec)
 
 
 def wall_root_gram(root: LorentzVector) -> list[list[int]]:
@@ -342,7 +348,7 @@ def classify_wall_root(root: LorentzVector) -> WallRoot:
     rtype = lattices.root_type(gram)
     certify(rtype == CASE_ROOT_TYPES[case], f"case {case} wall lattice has type {rtype}")
 
-    r1 = ctx.project_to_sh(root)
+    vec, den = ctx.project(root)
     if case != "0":
         # the closed form times denom: denom*r plus a dual-basis correction
         # inside R tensor Q, where each x_i met by r has coefficient 1/2
@@ -351,13 +357,12 @@ def classify_wall_root(root: LorentzVector) -> WallRoot:
         raw = [denom * x for x in root.raw()]
         for k, c in coeffs.items():
             raw = [a + c * b for a, b in zip(raw, roots[k].raw())]
-        nums, den = exact.clear_denominators(r1)
-        r1_raw = exact.vec_mat(exact.vec_mat(nums, ctx.basis_coords), lattices.ambient().rows)
+        r1_raw = exact.vec_mat(exact.vec_mat(vec, ctx.basis_coords), lattices.ambient().rows)
         certify([denom * x for x in r1_raw] == [den * x for x in raw],
                 f"closed-form projection mismatch in case {case}")
     else:
         certify(root in ctx.curve_roots.values(), "a case 0 wall root must be a curve root")
-    return WallRoot(case, root, r1, _wall_key(case, root))
+    return WallRoot(case, root, vec, den, _wall_key(case, root))
 
 
 def _wall_key(case: str, root: LorentzVector) -> tuple:
@@ -416,7 +421,7 @@ def enumerate_wall_roots() -> dict[str, list[WallRoot]]:
         for key, root in found:
             w = classify_wall_root(root)
             certify(w.case == case, f"a case {case} search found a case {w.case} root")
-            walls[case].append(WallRoot(case, root, w.r1, (case,) + key))
+            walls[case].append(WallRoot(case, root, w.vec, w.den, (case,) + key))
     return walls
 
 
@@ -429,8 +434,13 @@ class AutContext:
     def __init__(self):
         ctx = picard()
         self.ctx = ctx
-        self.omega = tuple(int(x) for x in ctx.omega_prime)
-        self.gram_omega = exact.mat_vec(ctx._gram_rows, list(self.omega))
+        self.omega = ctx.omega_prime
+        self.gram_omega = exact.mat_vec(ctx._gram_rows, self.omega)
+        # where every descent starts: the pairings of omega with the twenty
+        # curves, and its height
+        u = tuple(sum([k * self.omega[i] for i, k in terms])
+                  for terms in curve_frame().pairing_columns)
+        self.descent_start = (u, exact.dot(u, self.omega))
 
         # tau, the S5 elements and their products permute the curves
         tau_map = {a: b for pair in TAU_PAIRS for a, b in (pair, pair[::-1])}
@@ -461,7 +471,7 @@ class AutContext:
         expected_eta = ctx.resolve(
             {"etaH": 2, "T23": -2, "N26": -1, "N45": -1, "N36": -1, "N16": -1}
         )
-        certify(self._apply_q(self.p16, ctx.eta_h) == expected_eta,
+        certify(self.p16.apply(ctx.eta_h) == expected_eta,
                 "p16 must send etaH to the projected hyperplane class")
 
         self.projections: dict[str, Isometry] = {}
@@ -478,16 +488,13 @@ class AutContext:
                     f"{iso.name} must be an involution")
 
         # discriminant-group generators as integer rows over a common denominator
-        _, disc_gens = lattices.discriminant_form_from_gram(ctx.gram)
-        self._disc_gens, self._disc_den = exact.clear_row_denominators(disc_gens)
+        _, (self._disc_gens, self._disc_den) = lattices.discriminant_form_from_gram(ctx.gram)
 
         self.walls = enumerate_wall_roots()
         self.wall_generators: dict[str, list[tuple[WallRoot, Isometry]]] = {}
 
-        gens_1a = []
-        for w in self.walls["1a"]:
-            alpha = tuple(3 * x for x in w.r1)
-            gens_1a.append((w, self.reflection_phi(alpha)))
+        # vec = 3 r1 is the (-6)-root of a case 1a wall
+        gens_1a = [(w, self.reflection_phi(w.vec)) for w in self.walls["1a"]]
         self.wall_generators["1a"] = gens_1a
 
         gens_2 = []
@@ -501,15 +508,14 @@ class AutContext:
 
         worked_3a = next(w for w in self.walls["3a"] if w.key[1:] == (1, WALL_3A_EXAMPLE_K))
         # the first S5 element, in sorted order, carrying the worked wall to each
-        # wall r1, keyed on the images of den * r1 (ints hash as integral Fractions)
-        nums, den = exact.clear_denominators(worked_3a.r1)
+        # wall, keyed on the images of vec (every case 3a wall has den 6)
         first: dict[tuple, tuple] = {}
         for perm in sorted(self.s5):
-            first.setdefault(self.s5[perm].apply(nums), perm)
+            first.setdefault(self.s5[perm].apply(worked_3a.vec), perm)
         self.orbit_3a: dict[tuple, tuple] = {}
         gens_3a = []
         for w in self.walls["3a"]:
-            perm = self.orbit_3a[w.r1] = first.get(tuple(den * x for x in w.r1))
+            perm = self.orbit_3a[w.r1] = first.get(w.vec)
             certify(perm is not None, "pentahedral orbit must reach every wall")
             iso = self.s5_conjugate(self.g, perm, name=f"g[{w.key}]")
             gens_3a.append((w, iso))
@@ -517,18 +523,15 @@ class AutContext:
 
         gens_1b = []
         for w, phi in gens_1a:
-            r1b = self._apply_q(self.tau, w.r1)
-            wb = WallRoot("1b", None, r1b, ("1b",) + w.key[1:])
+            wb = WallRoot("1b", None, self.tau.apply(w.vec), w.den, ("1b",) + w.key[1:])
             gens_1b.append((wb, compose(self.tau, phi, self.tau)))
         self.wall_generators["1b"] = gens_1b
 
         gens_3b = []
         for w in self.walls["3b"]:
-            image = self._apply_q(self.tau, w.r1)
-            partner = next(
-                (ww, gg) for ww, gg in gens_3a if ww.r1 == image
-            )
-            gens_3b.append((w, compose(self.tau, partner[1], self.tau)))
+            image = self.tau.apply(w.vec)
+            partner = next(gg for ww, gg in gens_3a if ww.vec == image)
+            gens_3b.append((w, compose(self.tau, partner, self.tau)))
         self.wall_generators["3b"] = gens_3b
         # `hessaut verify generators` certifies every wall generator: involution,
         # wall reflection, push identity and discriminant action
@@ -567,8 +570,7 @@ class AutContext:
     @staticmethod
     def _apply_q(iso: Isometry, vec) -> tuple:
         """Image of a rational class vector, as a tuple of Fractions."""
-        nums, den = exact.clear_denominators(vec)
-        return tuple(Fraction(x, den) for x in iso.apply(nums))
+        return tuple(map(Fraction, iso.apply(vec)))
 
     def s5_conjugate(self, g: Isometry, perm: tuple, name: str = "") -> Isometry:
         """s o g o s^-1 for s = s5[perm], without `Isometry.inverse`: s^-1 is the S5
@@ -577,29 +579,26 @@ class AutContext:
         return Isometry(compose(s_inv, g, s).matrix, name or f"{s.name}.{g.name}.{s.name}^-1")
 
     def reflection_phi(self, alpha) -> Isometry:
-        """Reflection in a primitive (-6)-vector, checked integral.
+        """Reflection in a primitive (-6)-vector of ints, checked integral.
 
         Row i is e_i + (G alpha)_i alpha / 3; alpha is primitive, so the
         row is integral exactly when 3 divides (G alpha)_i.
         """
-        ints, den = exact.clear_denominators(alpha)
-        if den != 1:
-            raise ValueError("reflection vector must be integral")
-        if gcd(*ints) != 1:
+        if gcd(*alpha) != 1:
             raise ValueError("reflection vector must be primitive")
-        pairings = exact.mat_vec(self.ctx._gram_rows, ints)
-        if exact.dot(pairings, ints) != -6:
+        pairings = exact.mat_vec(self.ctx._gram_rows, alpha)
+        if exact.dot(pairings, alpha) != -6:
             raise ValueError("reflection vector must have square -6")
         if any(p % 3 for p in pairings):
             raise ValueError("reflection does not preserve the lattice")
         rows = []
         for i, p in enumerate(pairings):
-            img = [p // 3 * x for x in ints]
+            img = [p // 3 * x for x in alpha]
             img[i] += 1
             rows.append(tuple(img))
         iso = Isometry(tuple(rows), "phi")
         certify(self.ctx.preserves_form(rows), "a reflection must preserve the intersection form")
-        certify(iso.apply(ints) == tuple(-x for x in ints), "a reflection must negate its vector")
+        certify(iso.apply(alpha) == tuple(-x for x in alpha), "a reflection must negate its vector")
         return iso
 
     def discriminant_action(self, iso: Isometry) -> str:
@@ -638,10 +637,11 @@ class AutContext:
         The product runs in curve-pairing coordinates: the packed pairings
         of the identity, moved by the `curve_action` of every letter. u
         holds the pairings of v, the image of the Weyl projection, with the
-        curves, and moves with the same actions. A letter b's pairing is
-        the height of b(v), <v, b^-1(omega)>: the basis pairings u[:16]
-        against its `omega_preimage`, tried sixteen letters to a big-int
-        sum by `scan` (`DescentScan`). Every letter is a certified
+        curves, and moves with the same actions; it starts, with the height
+        of the identity, at `descent_start`. A letter b's pairing is the
+        height of b(v), <v, b^-1(omega)>: the basis pairings u[:16] against
+        its `omega_preimage`, tried sixteen letters to a big-int sum by
+        `scan` (`DescentScan`). Every letter is a certified
         isometry, so the product's entries are capped by its height
         (`CurveFrame.entry_cap`). A letter whose action has no combinations
         permutes the curves, so b^-1 fixes omega, the sum of the twenty
@@ -651,15 +651,14 @@ class AutContext:
         frame = curve_frame()
         entry_cap = frame.entry_cap
         letters = (gamma,) if isinstance(gamma, Isometry) else gamma
-        v, product = self.omega, frame.identity_pairings.copy()
-        u = [sum([k * v[i] for i, k in terms]) for terms in frame.pairing_columns]
-        # dot stops at the shorter vector: the 16 basis pairings of u
-        h = exact.dot(u, self.omega)
+        product = frame.identity_pairings.copy()
+        u, h = self.descent_start
         bound = entry_cap(h)
         for b in letters:
             action = b.curve_action
             u = action(u)
             if action.combos:
+                # dot stops at the shorter vector: the 16 basis pairings of u
                 h = exact.dot(u, self.omega)
                 bound = entry_cap(h)
             product.act(action, bound)

@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from math import gcd
 
 from . import lattices, leech, weber
 from .checks import CertificationError
@@ -217,9 +218,8 @@ def curves_suite(seed: int) -> list:
            "Leech pairings equal the symmetric-difference rule")
     _check(checks, "curves.petersen", (3, 15, 5), petersen_graph_data(),
            "quotient meet graph is the Petersen graph")
-    proj = ctx.project_to_sh(weyl_vector())
     _check(checks, "curves.weyl-projection", True,
-           proj == tuple(Fraction(x) for x in ctx.omega_prime),
+           ctx.project(weyl_vector()) == (ctx.omega_prime, 1),
            "Weyl vector projects to the sum of all curves")
     _check(checks, "curves.weyl-square", 20, ctx.inner(ctx.omega_prime, ctx.omega_prime),
            "square of the projected Weyl vector")
@@ -242,8 +242,8 @@ def picard_suite(seed: int) -> list:
            lattices.fqf_isomorphic(q_sh, lattices.negated(_model_form())),
            "q(SH) matches the negated A2(-2)+U(2) form")
     _check(checks, "picard.eta-squares", (4, 4, 6),
-           (int(ctx.inner(ctx.eta_h, ctx.eta_h)), int(ctx.inner(ctx.eta_s, ctx.eta_s)),
-            int(ctx.inner(ctx.eta_h, ctx.eta_s))),
+           (ctx.inner(ctx.eta_h, ctx.eta_h), ctx.inner(ctx.eta_s, ctx.eta_s),
+            ctx.inner(ctx.eta_h, ctx.eta_s)),
            "hyperplane class intersections")
     return checks
 
@@ -360,23 +360,18 @@ def walls_suite(seed: int) -> list:
            "the three listed first-index octads")
     ctx = picard()
     norms = {
-        c: {ctx.inner(w.r1, w.r1) for w in ws} for c, ws in walls.items()
+        c: {Fraction(ctx.inner(w.vec, w.vec), w.den ** 2) for w in ws} for c, ws in walls.items()
     }
     _check(checks, "walls.projection-norms",
            {"1a": {Fraction(-2, 3)}, "2": {Fraction(-1)}, "3a": {Fraction(-2, 3)},
             "3b": {Fraction(-2, 3)}},
            norms, "squares of the wall projections")
-    from math import gcd
-    scaled_ok = True
-    for w in walls["1a"]:
-        v = [int(3 * x) for x in w.r1]
-        scaled_ok = scaled_ok and ctx.inner(v, v) == -6 and gcd(*map(abs, v)) == 1
-    for w in walls["2"]:
-        v = [int(2 * x) for x in w.r1]
-        scaled_ok = scaled_ok and ctx.inner(v, v) == -4
-    for w in walls["3a"]:
-        v = [int(6 * x) for x in w.r1]
-        scaled_ok = scaled_ok and ctx.inner(v, v) == -24 and gcd(*map(abs, v)) == 1
+    # (den, square of vec) by case; den least does not make vec primitive
+    scaled = {"1a": (3, -6), "2": (2, -4), "3a": (6, -24)}
+    scaled_ok = all(
+        (w.den, ctx.inner(w.vec, w.vec)) == scaled[c] and (c == "2" or gcd(*w.vec) == 1)
+        for c in scaled for w in walls[c]
+    )
     _check(checks, "walls.scaled-vectors", True, scaled_ok,
            "(-6)-roots, (-4)-roots, primitive (-24)-vectors")
     w1a = next(w for w in walls["1a"] if lam_octad(w) == WALL_1A_EXAMPLE_OCTAD)
@@ -401,10 +396,10 @@ def generators_suite(seed: int) -> list:
         ok = True
         for w, iso in pairs:
             ok = ok and compose(iso, iso).same_matrix(ident)
-            ok = ok and a._apply_q(iso, w.r1) == tuple(-x for x in w.r1)
-            ok = ok and a._apply_q(iso, a.omega) == tuple(
-                o + PUSH_MULTIPLES[case] * x for o, x in zip(a.omega, w.r1)
-            )
+            ok = ok and iso.apply(w.vec) == tuple(-x for x in w.vec)
+            # the push b(omega) = omega + m r1, times den
+            ok = ok and all(w.den * (y - o) == PUSH_MULTIPLES[case] * x
+                            for y, o, x in zip(iso.apply(a.omega), a.omega, w.vec))
             ok = ok and a.discriminant_action(iso) in ("+1", "-1")
         per_case[case] = ok
     _check(checks, "generators.wall-involutions",
@@ -423,7 +418,7 @@ def generators_suite(seed: int) -> list:
     f25 = ctx.type1_pencil("T25").fiber
     preserving = [
         n for n in NODE_NAMES
-        if a._apply_q(a.projections[n], f15) == f15 and a._apply_q(a.projections[n], f25) == f25
+        if a.projections[n].apply(f15) == f15 and a.projections[n].apply(f25) == f25
     ]
     _check(checks, "generators.two-pencil-projection", ["N56"], preserving,
            "only the shared-node projection preserves both pencils")
@@ -454,15 +449,15 @@ def generators_suite(seed: int) -> list:
            "every descent generator preserves the intersection form")
     w3a = next(w for w in a.walls["3a"] if w.key[1:] == (1, 5))
     t_sum = tuple(x + y for x, y in zip(ctx.curve("T26"), ctx.curve("T56")))
-    pushed = tuple(Fraction(x) + 6 * r for x, r in zip(t_sum, w3a.r1))
+    pushed = tuple(x + 6 * r for x, r in zip(t_sum, w3a.r1))
     _check(checks, "generators.inversion-asymmetry", (True, False),
-           (a._apply_q(a.g, t_sum) == pushed, a._apply_q(a.f, t_sum) == pushed),
+           (a.g.apply(t_sum) == pushed, a.f.apply(t_sum) == pushed),
            "only the symmetrized inversion pushes the line pair")
     from .autgroup import D1_EXPR, D3_EXPR
     n_sum = tuple(x + y for x, y in zip(ctx.curve("N16"), ctx.curve("N36")))
     d1d3 = tuple(x + y for x, y in zip(ctx.resolve(D1_EXPR), ctx.resolve(D3_EXPR)))
     _check(checks, "generators.section-sum", True,
-           d1d3 == tuple(Fraction(x) + 6 * r for x, r in zip(n_sum, w3a.r1)),
+           d1d3 == tuple(x + 6 * r for x, r in zip(n_sum, w3a.r1)),
            "the two moved sections sum to the pushed node pair")
     return checks
 

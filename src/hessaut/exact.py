@@ -49,12 +49,6 @@ def clear_denominators(v) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in v], d
 
 
-def clear_row_denominators(m) -> tuple[list[list[int]], int]:
-    """(n, d) with m = n / d, as `clear_denominators` for a matrix."""
-    d = math.lcm(*(x.denominator for row in m for x in row))
-    return [[x.numerator * (d // x.denominator) for x in row] for row in m], d
-
-
 def hermite_normal_form(m: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
     """Row-style Hermite normal form: returns (h, u) with u unimodular, u*m = h.
 

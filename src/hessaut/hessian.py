@@ -67,13 +67,14 @@ CURVE_OCTADS: dict[str, frozenset[int]] = {
     "T23": frozenset({oo, 0, 2, 6, 9, 13, 14, 18}),
 }
 
-ClassVec = tuple[Fraction, ...]
+ClassVec = tuple[int, ...]
 
 
 def curve_label(name: str) -> frozenset[int]:
     return frozenset(int(c) for c in name[1:])
 
 
+@cache
 def incidence(a: str, b: str) -> int:
     """Intersection number of two named curves from the index rule.
 
@@ -197,11 +198,11 @@ class Picard:
 
         self.NN = self.resolve({n: 1 for n in NODE_NAMES})
         self.TT = self.resolve({l: 1 for l in LINE_NAMES})
-        eta_h = tuple((3 * a + 2 * b) / 5 for a, b in zip(self.NN, self.TT))
-        eta_s = tuple((2 * a + 3 * b) / 5 for a, b in zip(self.NN, self.TT))
-        certify(all(x.denominator == 1 for x in eta_h + eta_s),
-                "the hyperplane classes must be integral")
-        self.eta_h, self.eta_s = eta_h, eta_s
+        eta_h = tuple(3 * a + 2 * b for a, b in zip(self.NN, self.TT))
+        eta_s = tuple(2 * a + 3 * b for a, b in zip(self.NN, self.TT))
+        certify(all(x % 5 == 0 for x in eta_h + eta_s), "the hyperplane classes must be integral")
+        self.eta_h = eta_h = tuple(x // 5 for x in eta_h)
+        self.eta_s = eta_s = tuple(x // 5 for x in eta_s)
         squares = (self.inner(eta_h, eta_h), self.inner(eta_s, eta_s), self.inner(eta_h, eta_s))
         certify(squares == (4, 4, 6), f"hyperplane class intersections {squares}, not (4, 4, 6)")
         for c in CURVE_NAMES:
@@ -228,19 +229,15 @@ class Picard:
     # --- basic queries --------------------------------------------------
 
     def curve(self, name: str) -> ClassVec:
-        return tuple(Fraction(x) for x in self.curve_coord[name])
+        return self.curve_coord[name]
 
     def tau_partner(self, name: str) -> str:
         return self._tau[name]
 
-    def inner(self, u, v) -> Fraction:
-        """Intersection number; an int when both vectors are integer-typed."""
-        nu, du = exact.clear_denominators(u)
-        nv, dv = exact.clear_denominators(v)
-        s = exact.dot(exact.vec_mat(nu, self._gram_rows), nv)
-        if all(type(x) is int for x in u) and all(type(x) is int for x in v):
-            return s
-        return Fraction(s, du * dv)
+    def inner(self, u, v):
+        """Intersection number u G v: an int on int vectors, a Fraction
+        when either vector holds a Fraction."""
+        return exact.dot(exact.vec_mat(u, self._gram_rows), v)
 
     def preserves_form(self, rows) -> bool:
         """M G M^T == G for the matrix M with these rows: M is an isometry."""
@@ -276,8 +273,11 @@ class Picard:
         return self.resolve(expr)
 
     def resolve(self, expr: dict) -> ClassVec:
-        """Evaluate a formal sum over curve names, etaH/etaS, NN/TT, Cxx, Rxx."""
-        terms = []
+        """Evaluate a formal sum over curve names, etaH/etaS, NN/TT, omega,
+        Cxx and Rxx as the sum of coeff * class. The classes are int tuples,
+        so int coefficients give an int tuple, and a Fraction coefficient
+        (as in the displayed wall projections) a Fraction tuple."""
+        out = (0,) * 16
         for key, coeff in expr.items():
             if key in self.curve_coord:
                 vec = self.curve_coord[key]
@@ -297,25 +297,24 @@ class Picard:
                 vec = self.cubic("N" + key[1:])
             else:
                 raise ValueError(f"unresolvable class name {key!r}")
-            nums, den = exact.clear_denominators(vec)
-            terms.append((Fraction(coeff) / den, nums))
-        # sum in integers over the common denominator of the coefficients
-        den = math.lcm(*(c.denominator for c, _ in terms))
-        out = [0] * 16
-        for c, nums in terms:
-            k = c.numerator * (den // c.denominator)
-            out = [a + k * b for a, b in zip(out, nums)]
-        return tuple(Fraction(x, den) for x in out)
+            out = tuple(a + coeff * b for a, b in zip(out, vec))
+        return out
 
     def verify_relation(self, lhs: dict, rhs: dict) -> bool:
         return self.resolve(lhs) == self.resolve(rhs)
 
-    def project_to_sh(self, v: LorentzVector) -> ClassVec:
-        """Orthogonal projection onto the Picard lattice, rationally."""
-        target = lattices.ambient().coords(v)
-        pairings = exact.mat_vec(self._basis_pairing, target)
-        den = self._gram_den
-        return tuple(Fraction(x, den) for x in exact.mat_vec(self._gram_adj, pairings))
+    def project(self, v: LorentzVector) -> tuple[ClassVec, int]:
+        """Orthogonal projection onto the Picard lattice as (nums, den):
+        the class nums / den, den the least positive denominator."""
+        pairings = exact.mat_vec(self._basis_pairing, lattices.ambient().coords(v))
+        nums = exact.mat_vec(self._gram_adj, pairings)
+        g = math.gcd(self._gram_den, *nums)
+        return tuple(x // g for x in nums), self._gram_den // g
+
+    def project_to_sh(self, v: LorentzVector) -> tuple[Fraction, ...]:
+        """`project` as a tuple of Fractions."""
+        nums, den = self.project(v)
+        return tuple(Fraction(x, den) for x in nums)
 
     # --- elliptic pencils -------------------------------------------------
 
@@ -597,16 +596,14 @@ def relation_checks() -> list[tuple[str, bool]]:
     for f in TYPE2_EXAMPLE["fibers_I4"]:
         comps |= set(f)
     for c in sorted(comps):
-        vert.add([int(x) for x in ctx.resolve({c: 1})])
+        vert.add(ctx.resolve({c: 1}))
     checks.append((
         "two-torsion-vertical",
-        vert.contains([int(x) for x in ctx.resolve({"N13": 2, "N46": -2})]),
+        vert.contains(ctx.resolve({"N13": 2, "N46": -2})),
     ))
     checks.append((
         "group-law-vertical",
-        vert.contains(
-            [int(x) for x in ctx.resolve({"N13": 1, "N35": 1, "N12": -1, "N46": -1})]
-        ),
+        vert.contains(ctx.resolve({"N13": 1, "N35": 1, "N12": -1, "N46": -1})),
     ))
     return checks
 

@@ -169,11 +169,12 @@ def _mod1(x: Fraction) -> Fraction:
     return x % 1
 
 
-def discriminant_form_from_gram(gram) -> tuple[FiniteQuadraticForm, list[list[Fraction]]]:
+def discriminant_form_from_gram(gram) -> tuple[FiniteQuadraticForm, tuple[list[list[int]], int]]:
     """Discriminant form of a nondegenerate Gram matrix.
 
-    Also returns generators of the discriminant group as rational
-    coordinate rows over the lattice basis, read off the Smith transform.
+    Also returns generators of the discriminant group, read off the Smith
+    transform, as (rows, den): generator i has the rational coordinates
+    rows[i] / den over the lattice basis.
     """
     if not gram or exact.det_rational(gram) == 0:
         raise ValueError("discriminant form requires a nondegenerate Gram matrix")
@@ -190,7 +191,7 @@ def discriminant_form_from_gram(gram) -> tuple[FiniteQuadraticForm, list[list[Fr
         tuple(_mod2(pair[k][k]) for k in range(len(keep))),
         tuple(tuple(_mod1(x) for x in row) for row in pair),
     )
-    return form, [[Fraction(x, den) for x in n] for n in nums]
+    return form, (nums, den)
 
 
 def discriminant_form(m: EmbeddedLattice) -> FiniteQuadraticForm:

@@ -215,8 +215,8 @@ class CurveFrame:
         self.adj_columns = sparse_columns(self.adj)
         self.adj_norm = column_norm(self.adj_columns)
         # the height constant c: |K_ic| <= c |<g omega, omega>| for every isometry g
-        omega = [int(x) for x in ctx.omega_prime]
-        certify(list(map(sum, zip(*self.coords))) == omega,
+        omega = ctx.omega_prime
+        certify(tuple(map(sum, zip(*self.coords))) == omega,
                 "the Weyl projection must be the sum of the twenty curves")
         heights = exact.mat_vec(ctx.gram, omega)
         n = exact.dot(heights, omega)

@@ -109,6 +109,7 @@ def matrix_bits(m: Sequence[Sequence[int]]) -> int:
 THETA_STEP = tuple(frozenset(s) for s in ((), (1, 6), (2, 6), (3, 6), (4, 6), (5, 6)))
 
 
+@cache
 def theta_contains(beta: Label, alpha: Label) -> bool:
     return add(alpha, beta) in THETA_STEP
 

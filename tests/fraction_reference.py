@@ -1,10 +1,13 @@
-"""Gauss-Jordan elimination on `Fraction`: the reference for `exact.eliminate`.
+"""Rational routines on `Fraction`: the references for the integer paths.
 
-These are the rational routines that `exact.solve_rational`,
+Gauss-Jordan elimination is what `exact.solve_rational`,
 `exact.invert_rational` and `exact.det_rational` ran before they moved
-onto the fraction-free integer kernel. Tests compare the kernel with them.
+onto the fraction-free integer kernel (`exact.eliminate`). `resolve` is
+the summation `hessian.Picard.resolve` ran while classes were Fraction
+tuples. Tests compare the integer paths with them.
 """
 
+import math
 from fractions import Fraction
 
 
@@ -85,3 +88,31 @@ def negative_definite(gram) -> bool:
     """Sylvester's criterion, one `det` per leading minor of -gram."""
     neg = [[-x for x in row] for row in gram]
     return all(det([row[:k] for row in neg[:k]]) > 0 for k in range(1, len(gram) + 1))
+
+
+def resolve(ctx, expr) -> tuple[Fraction, ...]:
+    """A formal sum of named classes of the Picard context ctx, as
+    `Picard.resolve` summed it on Fractions: each class as integers over
+    its least denominator, every term over the common denominator of the
+    scaled coefficients. Cxx and Rxx are `Picard.conic` and `Picard.cubic`."""
+    named = {"etaH": ctx.eta_h, "etaS": ctx.eta_s, "NN": ctx.NN, "TT": ctx.TT,
+             "omega": ctx.omega_prime}
+    terms = []
+    for key, coeff in expr.items():
+        if key in ctx.curve_coord:
+            vec = ctx.curve_coord[key]
+        elif key in named:
+            vec = named[key]
+        elif key[0] == "C":
+            vec = ctx.conic("T" + key[1:])
+        else:
+            vec = ctx.cubic("N" + key[1:])
+        vec = [Fraction(x) for x in vec]
+        den = math.lcm(*(x.denominator for x in vec))
+        terms.append((Fraction(coeff) / den, [x.numerator * (den // x.denominator) for x in vec]))
+    den = math.lcm(*(c.denominator for c, _ in terms))
+    out = [0] * 16
+    for c, nums in terms:
+        k = c.numerator * (den // c.denominator)
+        out = [a + k * b for a, b in zip(out, nums)]
+    return tuple(Fraction(x, den) for x in out)

@@ -229,7 +229,8 @@ def test_letters_phase_skip_matches_a_dot_per_letter(block, monkeypatch):
         word, residual, heights = a.descend(letters)
         monkeypatch.setattr(exact, "dot", real_dot)
         assert (word, residual.matrix, heights) == want, w
-        assert len(calls) == 1 + sum(1 for b in letters if b.curve_action.combos), w
+        # the start's height is `AutContext.descent_start`: a dot per wall letter only
+        assert len(calls) == sum(1 for b in letters if b.curve_action.combos), w
 
 
 # --- rejections --------------------------------------------------------------------

@@ -156,7 +156,7 @@ def test_no_dot_product_in_the_descent_steps(monkeypatch):
     monkeypatch.setattr(exact, "dot", lambda u, v: calls.append(1) or real(u, v))
     assert a.descend(gamma) == want
     assert gamma.curve_action.combos
-    assert len(calls) == 2  # the starting heights: of the identity, then of gamma
+    assert len(calls) == 1  # the height of gamma; the identity's is `descent_start`
 
 
 # --- the height cap -----------------------------------------------------------

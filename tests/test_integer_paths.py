@@ -145,7 +145,8 @@ def test_picard_inner_keeps_integer_type_on_integer_input():
     ctx = picard()
     n = ctx.curve_coord["N16"]
     assert type(ctx.inner(n, n)) is int
-    assert type(ctx.inner(ctx.eta_h, n)) is Fraction
+    eta = tuple(map(Fraction, ctx.eta_h))  # integral values, Fraction-typed
+    assert type(ctx.inner(eta, n)) is Fraction
 
 
 # --- AutContext.discriminant_action -----------------------------------------------------
@@ -153,7 +154,8 @@ def test_picard_inner_keeps_integer_type_on_integer_input():
 
 @cache
 def _discriminant_generators():
-    return lattices.discriminant_form_from_gram(picard().gram)[1]
+    rows, den = lattices.discriminant_form_from_gram(picard().gram)[1]
+    return [[Fraction(x, den) for x in row] for row in rows]
 
 
 def _reference_action(iso):

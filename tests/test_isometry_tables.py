@@ -84,7 +84,7 @@ def test_non_integral_images_are_rejected(in_basis):
     ctx = picard()
     c = next(n for n in CURVE_NAMES if (n in ctx.basis_names) == in_basis)
     images = _identity_images()
-    images[c] = tuple(x / 2 for x in images[c])
+    images[c] = tuple(Fraction(x, 2) for x in images[c])
     for build in (isometry_from_images, _reference):
         with pytest.raises(ValueError):
             build(images, "half")
