@@ -454,6 +454,8 @@ class AutContext:
         # `reduce.height-floor` still checks all 240 densely
         self.s5: dict[tuple, Isometry] = {}
         self.symmetries: dict[tuple, str] = {}
+        # the matrix of each symmetry, keyed on its `curve_action.src`
+        self._symmetry_by_src: dict[tuple, tuple] = {}
         by_faces = {faces_of[c]: c for faces_of in (ctx.node_faces, ctx.line_faces)
                     for c in faces_of}
         for perm in permutations(range(1, 6)):
@@ -466,6 +468,7 @@ class AutContext:
                 self.symmetries[m.matrix] = "id" if m.same_matrix(identity_isometry()) else (
                     "tau" if m.same_matrix(self.tau) else m.name
                 )
+                self._symmetry_by_src[m.curve_action.src] = m.matrix
 
         self.p16 = table_isometry(NODE_PROJECTION_TABLE, "p16")
         expected_eta = ctx.resolve(
@@ -647,6 +650,13 @@ class AutContext:
         permutes the curves, so b^-1 fixes omega, the sum of the twenty
         curves (certified in `CurveFrame`): <b(v), omega> = <v,
         b^-1(omega)> = h, and the height and its cap carry over.
+
+        The residual is read off K. Every |entry| stays below 2^(w-1) at the
+        width w, so packing at one width is injective: at the key width, if
+        each column c of K is the packed pairing column of curve src[c] with
+        src the `curve_action.src` of a certified symmetry s, then K = K(s)
+        and M = K_basis adj / den = s.matrix, with no check needed. Any other
+        K goes through `matrix_from_pairings` and its ValueErrors.
         """
         frame = curve_frame()
         entry_cap = frame.entry_cap
@@ -674,8 +684,16 @@ class AutContext:
             heights.append(h)
             if len(word) > cap:
                 raise RuntimeError("height descent failed to terminate")
-        residual = Isometry(matrix_from_pairings(product), "residual")
-        return word, residual, heights
+        return word, self.residual(product), heights
+
+    def residual(self, product: PackedProduct) -> Isometry:
+        """The isometry whose curve pairings K are packed: a symmetry's K at
+        the key width is one lookup (see `descend`). May consume product."""
+        frame = curve_frame()
+        src = None
+        if product.width == frame.key_width:
+            src = tuple(map(frame.curve_keys.get, product.cols))
+        return Isometry(self._symmetry_by_src.get(src) or matrix_from_pairings(product), "residual")
 
     def reduce_height(self, gamma: Isometry, cap: int = 10000):
         """(word, residual) of `descend`."""

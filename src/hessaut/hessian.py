@@ -195,6 +195,7 @@ class Picard:
             )
             self._tau[n] = partner
             self._tau[partner] = n
+        self._derived: dict[tuple[str, str], ClassVec] = {}  # conics and cubics, by first use
 
         self.NN = self.resolve({n: 1 for n in NODE_NAMES})
         self.TT = self.resolve({l: 1 for l in LINE_NAMES})
@@ -259,18 +260,18 @@ class Picard:
 
     def conic(self, line: str) -> ClassVec:
         """Class of the conic cut by the plane tangent along a line."""
-        expr = {"etaH": 1, line: -2}
-        for n in self.nodes_on(line):
-            expr[n] = -1
-        return self.resolve(expr)
+        if ("C", line) not in self._derived:
+            expr = {"etaH": 1, line: -2, **dict.fromkeys(self.nodes_on(line), -1)}
+            self._derived["C", line] = self.resolve(expr)
+        return self._derived["C", line]
 
     def cubic(self, node: str) -> ClassVec:
         """Class of the residual cubic through a node's opposite line."""
-        line = self.tau_partner(node)
-        expr = {"etaH": 1, line: -1, node: -1}
-        for n in self.nodes_on(line):
-            expr[n] = -1
-        return self.resolve(expr)
+        if ("R", node) not in self._derived:
+            line = self.tau_partner(node)
+            expr = {"etaH": 1, line: -1, node: -1, **dict.fromkeys(self.nodes_on(line), -1)}
+            self._derived["R", node] = self.resolve(expr)
+        return self._derived["R", node]
 
     def resolve(self, expr: dict) -> ClassVec:
         """Evaluate a formal sum over curve names, etaH/etaS, NN/TT, omega,

@@ -25,8 +25,9 @@ column c holds the pairings of the images of the basis vectors with curve
 c (Q: the curve coordinates). Appending a letter b sends column c to the
 old column of b^-1(c), a pure reindex when b^-1(c) is a curve and a short
 combination otherwise (`CurveAction`). The basis curves come first, so the
-first 16 columns are M G, and M = K_basis adj / den is recovered once, at
-the end (`matrix_from_pairings`).
+first 16 columns are M G. At the end a chamber symmetry is looked up by its
+columns (`CurveFrame.curve_keys`, `AutContext.residual`); any other M =
+K_basis adj / den is recovered by `matrix_from_pairings`.
 
 A descent step costs a few big-int operations more:
 
@@ -208,6 +209,9 @@ class CurveFrame:
         self.pairing_norm = column_norm(self.pairing_columns)
         # K of the identity, where every reduce word starts; `copy` it
         self.identity_pairings = PackedProduct(self.pairings)
+        # each curve's packed pairing column, fixed before anyone can touch the start
+        self.key_width = self.identity_pairings.width
+        self.curve_keys = {col: d for d, col in enumerate(self.identity_pairings.cols)}
         # each curve beyond the basis as (curve, basis curves, coefficients)
         self.relations = tuple((c, *_support(q)) for c, q in enumerate(self.coords[16:], 16))
         self.relation_norm = 1 + max(sum(map(abs, q)) for q in self.coords[16:])

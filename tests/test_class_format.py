@@ -10,6 +10,7 @@ recomputed here.
 """
 
 import ast
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from math import gcd
@@ -32,6 +33,7 @@ from hessaut.hessian import (
     CURVE_NAMES,
     LINE_NAMES,
     NODE_NAMES,
+    Picard,
     incidence,
     pencil_catalog,
     picard,
@@ -98,6 +100,28 @@ def test_named_classes_match_the_reference_sums():
         line = ctx.tau_partner(node)
         expr = {"etaH": 1, line: -1, node: -1, **dict.fromkeys(ctx.nodes_on(line), -1)}
         assert ctx.cubic(node) == ref.resolve(ctx, expr), node
+
+
+def test_conics_and_cubics_resolve_once_per_name(monkeypatch):
+    ctx = picard()
+    rules = {}
+    for line in LINE_NAMES:
+        rules["C" + line[1:]] = {"etaH": 1, line: -2, **dict.fromkeys(ctx.nodes_on(line), -1)}
+    for node in NODE_NAMES:
+        line = ctx.tau_partner(node)
+        rules["R" + node[1:]] = {"etaH": 1, line: -1, node: -1,
+                                 **dict.fromkeys(ctx.nodes_on(line), -1)}
+    fresh = Picard()
+    calls = Counter()
+    nodes_on = fresh.nodes_on
+    monkeypatch.setattr(fresh, "nodes_on", lambda line: calls.update([line]) or nodes_on(line))
+    for _ in range(2):
+        for key, rule in rules.items():
+            assert fresh.resolve({key: 1}) == ref.resolve(ctx, rule), key
+        assert [fresh.conic(l) for l in LINE_NAMES] == [ctx.conic(l) for l in LINE_NAMES]
+        assert [fresh.cubic(n) for n in NODE_NAMES] == [ctx.cubic(n) for n in NODE_NAMES]
+    # each rule reads the nodes of its line once: the conic's line, the cubic's partner
+    assert calls == Counter(LINE_NAMES * 2)
 
 
 def test_classes_hold_ints_and_fractions_only_where_documented():
