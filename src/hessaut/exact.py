@@ -277,43 +277,44 @@ class RowSpan:
 
     Rows are kept in echelon form with positive pivots, so both insertion
     and membership are cheap. Used wherever many generators feed one span.
+    The row with pivot c is stored from column c on, and a vector reduced
+    at column c is zero before it, so row operations run on that suffix.
     """
 
     def __init__(self, n: int):
         self.n = n
-        self._rows: dict[int, list[int]] = {}
+        self._rows: dict[int, list[int]] = {}  # pivot column -> row from it on
 
     def add(self, vec) -> bool:
         """Insert a vector; True when the span strictly grew."""
-        v = list(vec)
-        grew = False
+        v, start, grew = list(vec), 0, False  # v holds columns start..n-1
         for c in range(self.n):
-            if not v[c]:
+            if not v[c - start]:
                 continue
+            v, start = v[c - start:], c
             row = self._rows.get(c)
             if row is None:
-                if v[c] < 0:
-                    v = [-a for a in v]
-                self._rows[c] = v
+                self._rows[c] = v if v[0] > 0 else [-a for a in v]
                 return True
-            while v[c]:
-                q = v[c] // row[c]
+            while v[0]:
+                q = v[0] // row[0]
                 v = [a - q * b for a, b in zip(v, row)]
-                if v[c]:
+                if v[0]:
                     self._rows[c] = v
                     v, row = row, v
                     grew = True
         return grew
 
     def contains(self, vec) -> bool:
-        v = list(vec)
+        v, start = list(vec), 0
         for c in range(self.n):
-            if not v[c]:
+            if not v[c - start]:
                 continue
+            v, start = v[c - start:], c
             row = self._rows.get(c)
-            if row is None or v[c] % row[c]:
+            if row is None or v[0] % row[0]:
                 return False
-            q = v[c] // row[c]
+            q = v[0] // row[0]
             v = [a - q * b for a, b in zip(v, row)]
         return True
 
@@ -323,4 +324,4 @@ class RowSpan:
 
     def basis(self) -> list[list[int]]:
         """HNF-canonical basis rows of the current span."""
-        return hnf_rows([self._rows[c] for c in sorted(self._rows)])
+        return hnf_rows([[0] * c + self._rows[c] for c in sorted(self._rows)])

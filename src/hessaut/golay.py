@@ -17,6 +17,8 @@ from functools import cache
 from itertools import combinations
 from typing import Iterable
 
+from .checks import certify
+
 INFINITY = -1
 OMEGA: tuple[int, ...] = (INFINITY,) + tuple(range(23))
 
@@ -47,6 +49,7 @@ class SteinerSystem:
     def __init__(self, octads: tuple[frozenset[int], ...]):
         self.octads = octads
         self._members = frozenset(octads)
+        self.masks = tuple(set_mask(k) for k in octads)
 
     def __len__(self) -> int:
         return len(self.octads)
@@ -63,12 +66,29 @@ class SteinerSystem:
         return [k for k in self.octads if s <= k]
 
     def covering_counts(self) -> Counter:
-        """How often each 5-subset of Omega appears inside an octad."""
+        """How often each 5-subset of Omega appears inside an octad, keyed
+        by its 24-bit mask (`set_mask`): an octad's 56 five-subsets are its
+        mask minus three of its bits."""
         counts: Counter = Counter()
-        for k in self.octads:
-            for five in combinations(sorted(k), 5):
-                counts[five] += 1
+        for m in self.masks:
+            bits = [1 << i for i in range(24) if m >> i & 1]
+            counts.update([m ^ a ^ b ^ c for a, b, c in combinations(bits, 3)])
         return counts
+
+    def pair_intersection_sizes(self) -> set[int]:
+        """The sizes |A & B| over all pairs of distinct octads, read off the
+        base octad: the octads are its orbit under t -> t+1 and t -> -1/t
+        (`steiner_system`), so once they are certified closed under both
+        maps, every pair is the image of a pair (BASE_OCTAD, B)."""
+        members = set(self.masks)
+        base = set_mask(BASE_OCTAD)
+        maps = [[1 << point_index(g[p]) for p in OMEGA]
+                for g in (_translation(), _negated_inverse())]
+        certify(base in members and all(
+            sum([image[i] for i in range(24) if m >> i & 1]) in members
+            for image in maps for m in members
+        ), "the octads must contain the base octad and be closed under t -> t+1 and t -> -1/t")
+        return {(base & m).bit_count() for m in members if m != base}
 
 
 @cache
@@ -109,8 +129,7 @@ def set_mask(s: Iterable[int]) -> int:
 def golay_code() -> frozenset[int]:
     """The 4096 codewords (as 24-bit masks): the F_2-span of the octads."""
     basis: dict[int, int] = {}  # leading bit -> reduced word
-    for octad in steiner_system().octads:
-        w = set_mask(octad)
+    for w in steiner_system().masks:
         while w:
             lead = w.bit_length() - 1
             if lead in basis:

@@ -80,9 +80,6 @@ class Ambient:
         raw = exact.vec_mat(list(coords), self.rows)
         return LorentzVector(tuple(raw[:24]), raw[24], raw[25])
 
-    def pair(self, c1: Sequence, c2: Sequence):
-        return exact.dot(exact.vec_mat(list(c1), self.gram), list(c2))
-
 
 @cache
 def ambient() -> Ambient:
@@ -111,7 +108,7 @@ class EmbeddedLattice:
 def _from_rows(rows: list[list[int]]) -> EmbeddedLattice:
     amb = ambient()
     rows = exact.hnf_rows(rows)
-    gram = [[amb.pair(a, b) for b in rows] for a in rows]
+    gram = [[exact.dot(g, b) for b in rows] for g in [exact.vec_mat(a, amb.gram) for a in rows]]
     return EmbeddedLattice(
         tuple(tuple(r) for r in rows), tuple(tuple(g) for g in gram)
     )
@@ -233,14 +230,19 @@ def _element_order(orders, a) -> int:
     return out
 
 
-def _element_q(f: FiniteQuadraticForm, a) -> Fraction:
-    s = Fraction(0)
+def _invariants(f: FiniteQuadraticForm) -> dict:
+    """(order, q) of each element of f, with q summed over the integers: the
+    values of f times their least common denominator den."""
     k = len(f.orders)
-    for i in range(k):
-        s += a[i] * a[i] * f.qvals[i]
-        for j in range(i + 1, k):
-            s += 2 * a[i] * a[j] * f.pairings[i][j]
-    return _mod2(s)
+    den = math.lcm(*[x.denominator for x in f.qvals + sum(f.pairings, ())])
+    qs = [int(x * den) for x in f.qvals]
+    bs = [[int(2 * x * den) for x in row] for row in f.pairings]
+    out = {}
+    for a in _elements(f.orders):
+        s = sum(a[i] * (a[i] * qs[i] + sum(a[j] * bs[i][j] for j in range(i + 1, k)))
+                for i in range(k))
+        out[a] = (_element_order(f.orders, a), Fraction(s % (2 * den), den))
+    return out
 
 
 def _element_pair(f: FiniteQuadraticForm, a, b) -> Fraction:
@@ -256,16 +258,14 @@ def fqf_isomorphic(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm) -> bool:
     """Exhaustive isomorphism search; group orders in scope stay tiny."""
     if f1.group_order != f2.group_order:
         return False
-    els2 = list(_elements(f2.orders))
-    inv1 = Counter(
-        (_element_order(f1.orders, a), _element_q(f1, a)) for a in _elements(f1.orders)
-    )
-    inv2 = Counter((_element_order(f2.orders, a), _element_q(f2, a)) for a in els2)
-    if inv1 != inv2:
+    inv2 = _invariants(f2)
+    if Counter(_invariants(f1).values()) != Counter(inv2.values()):
         return False
 
     k = len(f1.orders)
-    gens1 = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    # the images of generator i: the elements of its order and q value
+    candidates = [[t for t, inv in inv2.items() if inv == (f1.orders[i], f1.qvals[i])]
+                  for i in range(k)]
 
     def closure_size(images) -> int:
         seen = {tuple([0] * len(f2.orders))}
@@ -284,13 +284,7 @@ def fqf_isomorphic(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm) -> bool:
     def dfs(i, chosen):
         if i == k:
             return closure_size(chosen) == f2.group_order
-        want_order = f1.orders[i]
-        want_q = f1.qvals[i]
-        for t in els2:
-            if _element_order(f2.orders, t) != want_order:
-                continue
-            if _element_q(f2, t) != want_q:
-                continue
+        for t in candidates[i]:
             if any(
                 _element_pair(f2, t, chosen[j]) != _mod1(f1.pairings[i][j])
                 for j in range(i)

@@ -206,7 +206,6 @@ class CurveFrame:
         # the intersection numbers of the twenty curves
         self.curve_gram = tuple(tuple(exact.dot(q, g) for g in self.pairings) for q in self.coords)
         self.pairing_columns = sparse_columns(tuple(zip(*self.pairings)))
-        self.pairing_norm = column_norm(self.pairing_columns)
         # K of the identity, where every reduce word starts; `copy` it
         self.identity_pairings = PackedProduct(self.pairings)
         # each curve's packed pairing column, fixed before anyone can touch the start
@@ -340,9 +339,12 @@ class CurveAction:
                 if tuple([sum(map(mul, x, col)) for col in cols]) != frame.coords[d]:
                     raise ValueError(f"{name}: not an isometry of the Picard lattice")
                 combos.append((d, *_support(x)))
-        # K of M: column d pairs the rows of M with curve d
-        k = PackedProduct(cols).times(frame.pairing_columns, frame.pairing_norm).columns()
-        if any(k[d] != frame.pairings[c] for d, c in enumerate(src) if c is not None):
+        # row i of M pairs with curve d as entry d of row a of the curve
+        # table when row i is curve a (src[a] is i), else by a dot product
+        rows = {i: frame.curve_gram[a] for a, i in enumerate(src) if i is not None and i < 16}
+        if any(tuple([rows[i][d] if i in rows else sum(map(mul, r, frame.pairings[d]))
+                      for i, r in enumerate(matrix)]) != frame.pairings[c]
+               for d, c in enumerate(src) if c is not None):
             raise ValueError(f"{name}: not an isometry of the Picard lattice")
         return cls(src, combos)
 

@@ -10,8 +10,10 @@ all live here.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cache
 from itertools import combinations, product
+from operator import itemgetter
 from typing import FrozenSet, Iterable, Sequence
 
 from .checks import certify
@@ -317,13 +319,10 @@ def affine_symplectic_group() -> tuple[tuple[int, ...], ...]:
 
 
 def hexad_orbit_and_stabilizer(h: frozenset[Label]) -> tuple[int, int]:
+    """Orbit size and stabilizer order of a hexad under the affine symplectic
+    group, each image a 16-bit mask of psi points."""
     psi_t = psi_table()
-    target = frozenset(psi_t[a] for a in h)
-    orbit = set()
-    stab = 0
-    for perm in affine_symplectic_group():
-        image = frozenset(perm[p] for p in target)
-        orbit.add(image)
-        if image == target:
-            stab += 1
-    return len(orbit), stab
+    points = [psi_t[a] for a in h]
+    take, bits = itemgetter(*points), [1 << p for p in range(16)].__getitem__
+    images = Counter(sum(map(bits, take(perm))) for perm in affine_symplectic_group())
+    return len(images), images[sum(map(bits, points))]

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_reference as ref
-from hessaut import lattices, weber
+from hessaut import exact, lattices, weber
 from hessaut.autgroup import (
     WALL_1A_EXPR,
     WALL_2_EXPR,
@@ -164,7 +164,7 @@ def _reference_projection(v):
     ctx = picard()
     amb = lattices.ambient()
     target = amb.coords(v)
-    pairings = [amb.pair(b, target) for b in ctx.basis_coords]
+    pairings = [exact.dot(exact.vec_mat(b, amb.gram), target) for b in ctx.basis_coords]
     return tuple(sum(map(Fraction.__mul__, row, pairings)) for row in _inverse_gram())
 
 

@@ -25,7 +25,7 @@ from hessaut.autgroup import (
     inversion_f,
 )
 from hessaut.hessian import picard
-from hessaut.products import curve_frame, matrix_from_pairings
+from hessaut.products import column_norm, curve_frame, matrix_from_pairings
 from product_reference import conjugate
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -66,7 +66,7 @@ def _non_registry_isometries():
 def _start(iso):
     """K = M G Q^T of an isometry, packed."""
     frame = curve_frame()
-    return iso.packed().times(frame.pairing_columns, frame.pairing_norm)
+    return iso.packed().times(frame.pairing_columns, column_norm(frame.pairing_columns))
 
 
 def _check_action(iso):

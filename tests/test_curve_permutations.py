@@ -32,7 +32,9 @@ from hessaut.autgroup import (
     isometry_from_images,
 )
 from hessaut.hessian import picard
-from hessaut.products import CurveAction, PackedProduct, curve_frame, matrix_from_pairings
+from hessaut.products import (
+    CurveAction, PackedProduct, column_norm, curve_frame, matrix_from_pairings,
+)
 
 from test_curve_pairings import _check_action
 
@@ -125,9 +127,9 @@ def _packed_accepts(matrix, src):
     """The packed check of `CurveAction.of`: K of M read off against the
     pairings of the curves the rows map to."""
     frame = curve_frame()
-    k = PackedProduct(tuple(zip(*matrix))).times(frame.pairing_columns, frame.pairing_norm)
-    k = k.columns()
-    return all(k[d] == frame.pairings[c] for d, c in enumerate(src))
+    cols = frame.pairing_columns
+    k = PackedProduct(tuple(zip(*matrix))).times(cols, column_norm(cols)).columns()
+    return all(k[d] == frame.pairings[c] for d, c in enumerate(src) if c is not None)
 
 
 def _built_symmetries():
@@ -187,6 +189,19 @@ def test_fast_path_and_packed_check_reject_the_same_curve_permutation():
     assert not _packed_accepts(rows, src)
     with pytest.raises(ValueError, match="isometry"):
         CurveAction.of(tuple(rows), "swap")
+
+
+def test_the_table_read_off_agrees_with_the_packed_check():
+    """The 64 descent generators and tau: the curves read off by
+    `CurveAction.of` pass the packed product check it made before."""
+    a = autctx()
+    letters = [iso for _, iso, _ in a.descent] + [a.tau]
+    assert len(letters) == 65
+    for iso in letters:
+        fresh = CurveAction.of(iso.matrix, iso.name)
+        assert fresh.src == iso.curve_action.src, iso.name
+        assert _packed_accepts(iso.matrix, fresh.src), iso.name
+    assert sum(None in iso.curve_action.src for iso in letters) == 64
 
 
 # --- letters-phase heights -------------------------------------------------------

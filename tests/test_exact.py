@@ -1,7 +1,8 @@
 import random
 from fractions import Fraction
 
-from hessaut import exact
+from hessaut import exact, leech
+from hessaut.golay import steiner_system
 
 
 def _unimodular(u) -> bool:
@@ -153,3 +154,78 @@ def test_degenerate_edges():
     assert h == [] and u == []
     assert exact.kernel_basis([[0, 0]]) == [[1]]
     assert exact.solve_rational([[0]], [1]) is None
+
+
+class _FullRowSpan:
+    """`RowSpan` as it was before its row operations ran on suffixes: full
+    rows of length n, reduced at every column."""
+
+    def __init__(self, n):
+        self.n = n
+        self._rows = {}
+
+    def add(self, vec):
+        v = list(vec)
+        grew = False
+        for c in range(self.n):
+            if not v[c]:
+                continue
+            row = self._rows.get(c)
+            if row is None:
+                if v[c] < 0:
+                    v = [-a for a in v]
+                self._rows[c] = v
+                return True
+            while v[c]:
+                q = v[c] // row[c]
+                v = [a - q * b for a, b in zip(v, row)]
+                if v[c]:
+                    self._rows[c] = v
+                    v, row = row, v
+                    grew = True
+        return grew
+
+    def contains(self, vec):
+        v = list(vec)
+        for c in range(self.n):
+            if not v[c]:
+                continue
+            row = self._rows.get(c)
+            if row is None or v[c] % row[c]:
+                return False
+            q = v[c] // row[c]
+            v = [a - q * b for a, b in zip(v, row)]
+        return True
+
+
+def _full_rows(span):
+    return {c: [0] * c + row for c, row in span._rows.items()}
+
+
+def test_row_span_matches_full_rows_on_the_leech_generators():
+    gens = [leech.generator_minus_three()] + [leech.two_nu(k) for k in steiner_system().octads]
+    assert len(gens) == 760
+    span, full = exact.RowSpan(24), _FullRowSpan(24)
+    assert [span.add(g) for g in gens] == [full.add(g) for g in gens]
+    assert _full_rows(span) == full._rows
+    rng = random.Random(5)
+    probes = []
+    for _ in range(40):
+        terms = [(rng.randint(-2, 2), g) for g in rng.sample(gens, 3)]
+        probes.append([sum(c * g[i] for c, g in terms) for i in range(24)])
+    probes += [[x + (i == j) for i, x in enumerate(p)] for j, p in enumerate(probes[:24])]
+    assert [span.contains(p) for p in probes] == [full.contains(p) for p in probes]
+    assert any(span.contains(p) for p in probes) and not all(span.contains(p) for p in probes)
+
+
+def test_row_span_matches_full_rows_random():
+    rng = random.Random(6)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        span, full = exact.RowSpan(n), _FullRowSpan(n)
+        for _ in range(rng.randint(1, 8)):
+            v = [rng.randint(-9, 9) * rng.randint(0, 1) for _ in range(n)]
+            assert span.add(v) == full.add(v)
+            w = [rng.randint(-9, 9) for _ in range(n)]
+            assert span.contains(w) == full.contains(w)
+        assert _full_rows(span) == full._rows

@@ -1,10 +1,14 @@
 from collections import Counter
 from itertools import combinations
 
+import pytest
+
+from hessaut.checks import CertificationError
 from hessaut.golay import (
     BASE_OCTAD,
     INFINITY,
     OMEGA,
+    SteinerSystem,
     golay_code,
     is_octad,
     octads_through,
@@ -12,6 +16,7 @@ from hessaut.golay import (
     set_mask,
     steiner_system,
 )
+from test_certification import _python_O
 
 oo = INFINITY
 
@@ -57,21 +62,27 @@ def test_octads_through_rejects_large_sets():
 
 
 def test_every_five_subset_covered_exactly_once():
-    counts = counts = steiner_system().covering_counts()
+    counts = steiner_system().covering_counts()
     assert len(counts) == 42504
     assert sum(1 for _ in combinations(OMEGA, 5)) == 42504
     assert set(counts.values()) == {1}
+    # the tuple-keyed count over all 42,504 five-sets, keyed by mask
+    reference = Counter()
+    for k in steiner_system().octads:
+        for five in combinations(sorted(k), 5):
+            reference[five] += 1
+    assert {set_mask(five): n for five, n in reference.items()} == counts
 
 
 def test_pairwise_intersection_sizes():
     octads = steiner_system().octads
     sizes = Counter()
-    for i in range(0, 759, 37):  # deterministic sample of rows
-        a = octads[i]
-        for b in octads:
-            if a is not b:
-                sizes[len(a & b)] += 1
+    for i, a in enumerate(octads):  # every pair
+        for b in octads[i + 1:]:
+            sizes[len(a & b)] += 1
     assert set(sizes) == {0, 2, 4}
+    assert sum(sizes.values()) == 759 * 758 // 2
+    assert steiner_system().pair_intersection_sizes() == set(sizes)
 
 
 def test_golay_code_weight_distribution():
@@ -85,3 +96,43 @@ def test_mask_round_trip():
     mask = set_mask(K1)
     assert frozenset(p for p in OMEGA if mask >> point_index(p) & 1) == frozenset(K1)
     assert mask.bit_count() == len(K1)
+
+
+NOT_AN_OCTAD = frozenset({oo, 0, 1, 2, 3, 4, 5, 6})
+
+
+def _broken_octads(change):
+    """The octads with one swapped for a non-octad 8-set, or one dropped."""
+    octads = list(steiner_system().octads)
+    if change == "swap":
+        octads[100] = NOT_AN_OCTAD
+    elif change == "drop":
+        del octads[100]
+    else:
+        octads.remove(BASE_OCTAD)
+    return SteinerSystem(tuple(octads))
+
+
+@pytest.mark.parametrize("change", ["swap", "drop", "drop-base"])
+def test_pair_intersections_certify_closure(change):
+    with pytest.raises(CertificationError, match="closed under"):
+        _broken_octads(change).pair_intersection_sizes()
+
+
+def test_pair_intersections_certify_closure_under_python_O():
+    code = (
+        "from hessaut.checks import CertificationError\n"
+        "from hessaut.golay import BASE_OCTAD, SteinerSystem, steiner_system\n"
+        "octads = steiner_system().octads\n"
+        f"swap = octads[:100] + ({set(NOT_AN_OCTAD)!r},) + octads[101:]\n"
+        "drop = octads[:100] + octads[101:]\n"
+        "drop_base = tuple(k for k in octads if k != BASE_OCTAD)\n"
+        "for change in (swap, drop, drop_base):\n"
+        "    try:\n"
+        "        SteinerSystem(tuple(map(frozenset, change))).pair_intersection_sizes()\n"
+        "    except CertificationError:\n"
+        "        print('raised')\n"
+    )
+    proc = _python_O(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["raised"] * 3

@@ -1,8 +1,13 @@
+import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from hessaut import lattices, leech
+from hessaut import cli, exact, lattices, leech
+from hessaut.exact import dot, vec_mat
+from hessaut.hessian import Picard, picard
 from hessaut.lorentz import LorentzVector, leech_root
 from hessaut.lattices import (
     ambient,
@@ -50,7 +55,7 @@ def test_coords_round_trip():
     v = _z()
     c = amb.coords(v)
     assert amb.vector(c) == v
-    assert amb.pair(c, c) == -2
+    assert dot(vec_mat(c, amb.gram), c) == -2
 
 
 def test_coords_membership_matches_congruence_test():
@@ -171,3 +176,126 @@ def test_hyperbolic_model_discriminant_product():
     for d in dets:
         product *= int(d)
     assert product // (2 ** 7) ** 2 == 48
+
+
+def test_from_rows_gram_matches_pairwise_gram_on_every_picard_lattice(monkeypatch):
+    built = []
+    from_rows = lattices._from_rows
+
+    def record(rows):
+        built.append(from_rows(rows))
+        return built[-1]
+
+    monkeypatch.setattr(lattices, "_from_rows", record)
+    ctx = Picard()  # R0, R, T and SH
+    assert len(built) == 4
+    assert is_primitive(ctx.lattice_T) and is_primitive(ctx.lattice_SH)  # and their saturations
+    g = ambient().gram
+    for m in built:  # each entry as the removed `Ambient.pair(a, b)` computed it
+        assert m.gram == tuple(tuple(dot(vec_mat(a, g), b) for b in m.rows) for a in m.rows)
+
+
+# --- the isomorphism search as it was before (order, q) were computed once ----
+
+
+def _reference_q(f, a):
+    s = Fraction(0)
+    k = len(f.orders)
+    for i in range(k):
+        s += a[i] * a[i] * f.qvals[i]
+        for j in range(i + 1, k):
+            s += 2 * a[i] * a[j] * f.pairings[i][j]
+    return s % 2
+
+
+def _reference_pair(f, a, b):
+    k = len(f.orders)
+    s = sum((a[i] * b[j] * f.pairings[i][j] for i in range(k) for j in range(k)), Fraction(0))
+    return s % 1
+
+
+def _reference_isomorphic(f1, f2):
+    if f1.group_order != f2.group_order:
+        return False
+    els1 = list(product(*[range(d) for d in f1.orders]))
+    els2 = list(product(*[range(d) for d in f2.orders]))
+    order = lattices._element_order
+    inv1 = Counter((order(f1.orders, a), _reference_q(f1, a)) for a in els1)
+    inv2 = Counter((order(f2.orders, a), _reference_q(f2, a)) for a in els2)
+    if inv1 != inv2:
+        return False
+    k = len(f1.orders)
+
+    def generated(images):
+        seen = {tuple([0] * len(f2.orders))}
+        frontier = list(seen)
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for g in images:
+                    y = tuple((a + b) % d for a, b, d in zip(x, g, f2.orders))
+                    if y not in seen:
+                        seen.add(y)
+                        nxt.append(y)
+            frontier = nxt
+        return len(seen)
+
+    def dfs(i, chosen):
+        if i == k:
+            return generated(chosen) == f2.group_order
+        for t in els2:
+            if order(f2.orders, t) != f1.orders[i] or _reference_q(f2, t) != f1.qvals[i]:
+                continue
+            if any(_reference_pair(f2, t, chosen[j]) != f1.pairings[i][j] % 1 for j in range(i)):
+                continue
+            if dfs(i + 1, chosen + [t]):
+                return True
+        return False
+
+    return dfs(0, [])
+
+
+def test_fqf_isomorphic_matches_the_reference_search_on_the_verify_calls():
+    q_sh = lattices.discriminant_form(picard().lattice_SH)
+    calls = [
+        (cli._disc_form_T(), cli._model_form()),
+        (q_sh, negated(cli._disc_form_T())),
+        (q_sh, negated(cli._model_form())),
+    ]
+    for f1, f2 in calls:
+        assert fqf_isomorphic(f1, f2) is _reference_isomorphic(f1, f2) is True
+    # and a non-isomorphic pair of the same group
+    model = cli._model_form()
+    assert fqf_isomorphic(q_sh, model) is _reference_isomorphic(q_sh, model) is False
+
+
+def _random_gram(rng, n):
+    while True:
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            g[i][i] = 2 * rng.randint(-3, 3)
+            for j in range(i + 1, n):
+                g[i][j] = g[j][i] = rng.randint(-2, 2)
+        d = abs(exact.det_rational(g))
+        if 1 < d <= 40:
+            return g
+
+
+def test_fqf_isomorphic_matches_the_reference_search_on_random_forms():
+    rng = random.Random(11)
+    agree = Counter()
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        g = _random_gram(rng, n)
+        f, _ = discriminant_form_from_gram(g)
+        # an isomorphic form from a change of basis, and an unrelated one
+        u = [[int(i == j) + (j == i + 1) * rng.randint(-2, 2) for j in range(n)] for i in range(n)]
+        moved, _ = discriminant_form_from_gram(
+            exact.mat_mul(exact.mat_mul(u, g), exact.transpose(u)))
+        other, _ = discriminant_form_from_gram(_random_gram(rng, rng.randint(1, 3)))
+        for f2 in (moved, negated(f), other):
+            got = fqf_isomorphic(f, f2)
+            assert got == _reference_isomorphic(f, f2)
+            agree[got] += 1
+        assert fqf_isomorphic(f, moved)
+    assert agree[True] >= 60 and agree[False] >= 20

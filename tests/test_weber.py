@@ -204,6 +204,25 @@ def test_group_order_orbit_and_stabilizer():
     assert stab == 60
 
 
+def _orbit_and_stabilizer_on_frozensets(h):
+    """`hexad_orbit_and_stabilizer` as it was before images became masks."""
+    psi_t = psi_table()
+    target = frozenset(psi_t[a] for a in h)
+    orbit, stab = set(), 0
+    for perm in affine_symplectic_group():
+        image = frozenset(perm[p] for p in target)
+        orbit.add(image)
+        stab += image == target
+    return len(orbit), stab
+
+
+def test_orbit_and_stabilizer_match_the_frozenset_scan():
+    sets = [PINNED_HEXAD] + list(weber_hexads()[::48]) + [frozenset(ALL_POINTS[:6])]
+    results = [hexad_orbit_and_stabilizer(h) for h in sets]
+    assert results == [_orbit_and_stabilizer_on_frozensets(h) for h in sets]
+    assert results[0] == (192, 60) and results[-1] != (192, 60)
+
+
 def test_packet_characteristics_sum_to_zero():
     for packet in PINNED_PACKETS:
         total = 0
