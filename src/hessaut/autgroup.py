@@ -515,10 +515,9 @@ class AutContext:
         first: dict[tuple, tuple] = {}
         for perm in sorted(self.s5):
             first.setdefault(self.s5[perm].apply(worked_3a.vec), perm)
-        self.orbit_3a: dict[tuple, tuple] = {}
         gens_3a = []
         for w in self.walls["3a"]:
-            perm = self.orbit_3a[w.r1] = first.get(w.vec)
+            perm = first.get(w.vec)
             certify(perm is not None, "pentahedral orbit must reach every wall")
             iso = self.s5_conjugate(self.g, perm, name=f"g[{w.key}]")
             gens_3a.append((w, iso))
@@ -626,7 +625,7 @@ class AutContext:
         """b^-1(omega), the descent vector of the letter b."""
         return preimage(iso.matrix, self.gram_omega, iso.name)
 
-    def descend(self, gamma, cap: int = 10000):
+    def descend(self, gamma):
         """Greedy descent to the chamber of the Weyl projection.
 
         gamma is a sequence of isometries whose product, left to right as
@@ -635,7 +634,7 @@ class AutContext:
         (ValueError otherwise). Returns (word, residual, heights): applying
         the word after gamma fixes the Weyl projection, the residual must
         land in the 240-element symmetry group, and heights[k] is the
-        height after k letters.
+        height after k letters. A word past 10000 letters raises RuntimeError.
 
         The product runs in curve-pairing coordinates: the packed pairings
         of the identity, moved by the `curve_action` of every letter. u
@@ -682,7 +681,7 @@ class AutContext:
             u = action(u)
             word.append(name)
             heights.append(h)
-            if len(word) > cap:
+            if len(word) > 10000:
                 raise RuntimeError("height descent failed to terminate")
         return word, self.residual(product), heights
 
@@ -695,9 +694,9 @@ class AutContext:
             src = tuple(map(frame.curve_keys.get, product.cols))
         return Isometry(self._symmetry_by_src.get(src) or matrix_from_pairings(product), "residual")
 
-    def reduce_height(self, gamma: Isometry, cap: int = 10000):
+    def reduce_height(self, gamma: Isometry):
         """(word, residual) of `descend`."""
-        return self.descend(gamma, cap)[:2]
+        return self.descend(gamma)[:2]
 
     def classify_symmetry(self, iso: Isometry) -> str | None:
         return self.symmetries.get(iso.matrix)
@@ -709,16 +708,6 @@ def autctx() -> AutContext:
 
 
 # --- module-level conveniences -------------------------------------------------
-
-
-def inversion_f(index: int = 1) -> Isometry:
-    """The pencil inversion of the i-th cone-pencil wall (1-based), obtained
-    from the worked table by the same conjugation as its symmetrized form."""
-    a = autctx()
-    w, _ = sorted(a.wall_generators["3a"], key=lambda t: t[0].key)[index - 1]
-    iso = a.s5_conjugate(a.f, a.orbit_3a[w.r1], name=f"f{index}")
-    certify(compose(iso, iso).same_matrix(identity_isometry()), f"f{index} must be an involution")
-    return iso
 
 
 def reduce_height(gamma: Isometry):

@@ -58,13 +58,6 @@ class SteinerSystem:
         s = frozenset(s)
         return len(s) == 8 and s in self._members
 
-    def octads_through(self, s: Iterable[int]) -> list[frozenset[int]]:
-        """All octads containing s; unique for a 5-point set."""
-        s = frozenset(s)
-        if len(s) > 5:
-            raise ValueError("octads_through expects at most 5 points")
-        return [k for k in self.octads if s <= k]
-
     def covering_counts(self) -> Counter:
         """How often each 5-subset of Omega appears inside an octad, keyed
         by its 24-bit mask (`set_mask`): an octad's 56 five-subsets are its
@@ -112,10 +105,6 @@ def steiner_system() -> SteinerSystem:
 
 def is_octad(s: Iterable[int]) -> bool:
     return steiner_system().is_octad(s)
-
-
-def octads_through(s: Iterable[int]) -> list[frozenset[int]]:
-    return steiner_system().octads_through(s)
 
 
 def set_mask(s: Iterable[int]) -> int:

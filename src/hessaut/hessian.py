@@ -142,7 +142,6 @@ class Picard:
         self.theta = _half(total)
         amb.coords(self.theta)  # glue vector must be integral in L
 
-        self.lattice_R0 = lattices.span([roots[k] for k in BASE_ROOT_ORDER if k != "r0"])
         self.lattice_R = lattices.span(roots.values())
         self.lattice_T = lattices.span(list(roots.values()) + [self.theta])
         certify(self.lattice_T.rank == 10, "T must have rank 10")

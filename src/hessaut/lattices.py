@@ -62,7 +62,6 @@ class Ambient:
         certify(all(leech.contains(r) for r in lam_rows), "Leech basis rows must be members")
         vectors = [LorentzVector(tuple(r), 0, 0) for r in lam_rows]
         vectors += [LorentzVector(leech.ZERO, 1, 0), LorentzVector(leech.ZERO, 0, 1)]
-        self.vectors = tuple(vectors)
         self.rows = [v.raw() for v in vectors]
         self.gram = [[bilinear(a, b) for b in vectors] for a in vectors]
         certify(exact.det_rational(self.gram) == -1, "L must be unimodular with det -1")
@@ -96,10 +95,6 @@ class EmbeddedLattice:
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-    def vectors(self) -> list[LorentzVector]:
-        amb = ambient()
-        return [amb.vector(r) for r in self.rows]
 
     def disc_order(self) -> int:
         return abs(int(exact.det_rational(self.gram)))

@@ -25,22 +25,11 @@ class LorentzVector:
     def __add__(self, other: "LorentzVector") -> "LorentzVector":
         return LorentzVector(leech.vadd(self.lam, other.lam), self.m + other.m, self.n + other.n)
 
-    def __sub__(self, other: "LorentzVector") -> "LorentzVector":
-        return LorentzVector(leech.vsub(self.lam, other.lam), self.m - other.m, self.n - other.n)
-
-    def __neg__(self) -> "LorentzVector":
-        return LorentzVector(leech.vscale(-1, self.lam), -self.m, -self.n)
-
-    def scaled(self, c: int) -> "LorentzVector":
-        return LorentzVector(leech.vscale(c, self.lam), c * self.m, c * self.n)
-
     def raw(self) -> list[int]:
         """26 integer coordinates: the 24 Leech slots followed by m, n."""
         return list(self.lam) + [self.m, self.n]
 
 
-ZERO = LorentzVector(leech.ZERO, 0, 0)
-F = LorentzVector(leech.ZERO, 1, 0)
 G = LorentzVector(leech.ZERO, 0, 1)
 
 
@@ -61,30 +50,6 @@ def leech_root(lam: LeechVector) -> LorentzVector:
     return r
 
 
-def is_leech_root(v: LorentzVector) -> bool:
-    return (
-        v.m == 1
-        and leech.contains(v.lam)
-        and v.n == -1 + leech.norm(v.lam) // 2
-    )
-
-
 def weyl_vector() -> LorentzVector:
     return G
 
-
-def root_pairing(r: LorentzVector, rp: LorentzVector) -> int:
-    """Pairing of two Leech roots, cross-checked against the norm rule.
-
-    For distinct roots the pairing is 0 when the difference of the Leech
-    parts has norm 4 and 1 when it has norm 6; a mismatch between the
-    direct value and the rule signals a bug.
-    """
-    if not (is_leech_root(r) and is_leech_root(rp)):
-        raise ValueError("root_pairing expects Leech roots")
-    value = bilinear(r, rp)
-    diff = leech.vsub(r.lam, rp.lam)
-    cls = leech.shape_class(diff)
-    rule = {"zero": -2, "norm4": 0, "norm6": 1}.get(cls)
-    certify(rule in (None, value), f"pairing {value} disagrees with the norm rule {rule}")
-    return value

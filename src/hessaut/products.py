@@ -308,10 +308,9 @@ class CurveAction:
 
         Row i of M is the image of basis curve i, and the other four curves
         are mapped, so every preimage that is a curve is read off without
-        an inverse. When all twenty are, M permutes the curves and is
-        checked by `permutation`. Otherwise `preimage` gives the rest,
-        exactly, and ValueError unless M is an isometry, that is M G M^T =
-        G. For each curve q_d this checks a preimage x_d with
+        an inverse. `preimage` gives the rest, exactly, and ValueError
+        unless M is an isometry, that is M G M^T = G. For each curve q_d
+        this checks a preimage x_d with
 
           (a) x_d M = q_d and (b) M G q_d = G x_d (column vectors).
 
@@ -330,8 +329,6 @@ class CurveAction:
             d = frame.index.get(image)
             if d is not None:
                 src[d] = c
-        if None not in src:
-            return cls.permutation([src.index(c) for c in range(len(src))], name)
         combos = []
         for d, c in enumerate(src):
             if c is None:

@@ -21,7 +21,6 @@ from .checks import certify
 Label = FrozenSet[int]
 
 EMPTY: Label = frozenset()
-HALF_BASIS = ({1, 6}, {2, 6}, {3, 6}, {4, 6}, {5, 6})
 
 
 def reduce_label(s: Iterable[int]) -> Label:
@@ -143,8 +142,6 @@ THETA_TABLE: tuple[tuple[Label, ...], ...] = (
     (EMPTY, frozenset({4, 5}), frozenset({3, 4}), frozenset({3, 5})),
     (frozenset({1, 6}), frozenset({2, 3}), frozenset({2, 5}), frozenset({2, 4})),
 )
-
-HUTCHINSON_COLUMNS = ((1, 1), (1, 0), (0, 1), (0, 0))
 
 
 # --- tetrads and Weber hexads ------------------------------------------------

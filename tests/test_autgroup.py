@@ -314,7 +314,7 @@ def test_plain_inversion_table_spot_values():
 
 
 def test_conjugated_plain_inversions_are_involutions():
-    from hessaut.autgroup import inversion_f
+    from product_reference import inversion_f
 
     for i in (1, 7, 15):
         iso = inversion_f(i)

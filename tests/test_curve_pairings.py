@@ -22,11 +22,10 @@ from hessaut.autgroup import (
     autctx,
     compose,
     identity_isometry,
-    inversion_f,
 )
 from hessaut.hessian import picard
 from hessaut.products import column_norm, curve_frame, matrix_from_pairings
-from product_reference import conjugate
+from product_reference import conjugate, inversion_f
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -118,6 +117,40 @@ def test_curve_action_rejects_non_isometries():
     shear = tuple(tuple(int(i == j) + int((i, j) == (0, 1)) for j in range(16)) for i in range(16))
     with pytest.raises(ValueError):
         Isometry(shear, "shear").curve_action
+
+
+# The node/line swap of the test above, with `products.preimage` replaced by
+# the exact inverse: its preimages of T25 and T34, the two curves the swap
+# sends to non-curves, are integral and map back, as they do for any
+# unimodular matrix, so the read-off check of the other eighteen is what
+# rejects the swap.
+READ_OFF_ALONE = (
+    "from hessaut import exact, products\n"
+    "from hessaut.hessian import picard\n"
+    "calls = []\n"
+    "def exact_preimage(matrix, pairing, name=''):\n"
+    "    q = exact.solve_rational(picard().gram, list(pairing))\n"
+    "    x = exact.solve_rational(exact.transpose(matrix), q)\n"
+    "    calls.append(all(v.denominator == 1 for v in x))\n"
+    "    return tuple(int(v) for v in x)\n"
+    "products.preimage = exact_preimage\n"
+    "rows = list(products.curve_frame().coords[:16])\n"
+    "rows[0], rows[10] = rows[10], rows[0]\n"
+    "try:\n"
+    "    products.CurveAction.of(tuple(rows), 'swap')\n"
+    "except ValueError as e:\n"
+    "    print('raised:', e)\n"
+    "print('integral preimages:', calls)\n"
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_the_read_off_check_alone_rejects_a_node_line_swap(flags):
+    proc = _run(flags, READ_OFF_ALONE)
+    assert proc.stdout == (
+        "raised: swap: not an isometry of the Picard lattice\n"
+        "integral preimages: [True, True]\n"
+    ), proc.stderr
 
 
 def test_omega_preimage_is_the_image_under_the_inverse():

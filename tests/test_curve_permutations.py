@@ -5,8 +5,8 @@ certified curve permutations, against the dense paths they replace.
 curves and certifies it on the curve intersection table
 (`CurveAction.permutation`). These tests check its matrices against
 `isometry_from_images` and `compose`, the S5 inverses used for
-conjugation, the permutation fast path of `CurveAction.of` against the
-packed check and the dense actions, the letters-phase heights that
+conjugation, `CurveAction.of` on curve permutations against the packed
+check and the dense actions, the letters-phase heights that
 permutation letters leave alone, the rejections (plain and `python -O`),
 and the construction budget of `AutContext`.
 """
@@ -112,15 +112,7 @@ def test_s5_conjugates_match_conjugation_by_the_inverse_matrix():
         assert a.s5_conjugate(a.g, perm).matrix == want, s.name
 
 
-def test_the_3a_orbit_index_is_the_first_sorted_match():
-    a = autctx()
-    worked = next(w for w in a.walls["3a"] if w.key[1:] == (1, autgroup.WALL_3A_EXAMPLE_K))
-    for w in a.walls["3a"]:
-        first = next(p for p in sorted(a.s5) if a._apply_q(a.s5[p], worked.r1) == w.r1)
-        assert a.orbit_3a[w.r1] == first, w.key
-
-
-# --- the permutation fast path of CurveAction.of ----------------------------------
+# --- CurveAction.of on curve permutations ---------------------------------------
 
 
 def _packed_accepts(matrix, src):
@@ -153,22 +145,6 @@ def test_the_permutation_fast_path_matches_the_packed_check_and_dense_actions():
         _check_action(Isometry(iso.matrix, iso.name))
 
 
-def test_a_curve_permuting_matrix_goes_through_the_table_check(monkeypatch):
-    checked = []
-    real = CurveAction.permutation.__func__
-
-    def spy(cls, pi, name=""):
-        checked.append(name)
-        return real(cls, pi, name)
-
-    monkeypatch.setattr(CurveAction, "permutation", classmethod(spy))
-    a = autctx()
-    for name in ("tau", "s23451", "id"):
-        CurveAction.of(a.registry[name].matrix, name)
-    CurveAction.of(a.registry["p16"].matrix, "p16")
-    assert checked == ["tau", "s23451", "id"]
-
-
 def test_the_builder_carries_the_action_of_its_map():
     frame = curve_frame()
     for images, name in ((TAU_MAP, "tau"), (_s5_map((2, 3, 4, 5, 1)), "s23451")):
@@ -178,17 +154,54 @@ def test_the_builder_carries_the_action_of_its_map():
             assert src[frame.name_index[d]] == frame.name_index[c]
 
 
-def test_fast_path_and_packed_check_reject_the_same_curve_permutation():
-    # rows are curves and every curve goes to a curve, but a node and a
-    # line change places, which breaks the intersection numbers
+def test_the_packed_and_preimage_checks_reject_a_node_line_swap():
+    # rows are curves, but a node and a line change places, which breaks the
+    # intersection numbers; T25 and T34 then go to non-curves, whose computed
+    # preimages fail
     frame = curve_frame()
     rows = list(frame.coords[:16])
     rows[0], rows[10] = rows[10], rows[0]
+    cols = tuple(zip(*rows))
+    images = [tuple(sum(a * b for a, b in zip(frame.coords[c], col)) for col in cols)
+              for c in (18, 19)]
+    assert [frame.names[c] for c in (18, 19)] == ["T25", "T34"]
+    assert not any(q in frame.index for q in images)
     src = list(range(20))
     src[0], src[10] = 10, 0
     assert not _packed_accepts(rows, src)
     with pytest.raises(ValueError, match="isometry"):
         CurveAction.of(tuple(rows), "swap")
+
+
+def test_every_linear_permutation_of_the_curves_is_a_symmetry():
+    """An integer matrix that permutes the twenty curves is one of the 240
+    symmetries, so on such a matrix, where `CurveAction.of` has only its
+    read-off check, that check cannot fail.
+
+    A permutation pi of the curves is the action of a linear map exactly when
+    it keeps the column space of Q, the 20x16 curve coordinates, that is when
+    P[pi i][pi j] = P[i][j] for the projection P = Q (Q^T Q)^-1 Q^T; the
+    curves span, so the map is then unique.
+    """
+    frame = curve_frame()
+    q = [list(c) for c in frame.coords]
+    qt = exact.transpose(q)
+    p = exact.mat_mul(exact.mat_mul(q, exact.invert_rational(exact.mat_mul(qt, q))), qt)
+    found = []
+
+    def extend(pi):
+        i = len(pi)
+        if i == len(q):
+            found.append(tuple(pi))
+            return
+        for t in range(len(q)):
+            if t not in pi and all(p[i][j] == p[t][d] for j, d in enumerate(pi + [t])):
+                extend(pi + [t])
+
+    extend([])
+    symmetries = {Isometry(m, "").curve_action.src for m in autctx().symmetries}
+    assert len(symmetries) == 240
+    assert set(found) == symmetries
 
 
 def test_the_table_read_off_agrees_with_the_packed_check():

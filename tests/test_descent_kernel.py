@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 import fraction_reference as ref
 from hessaut import exact
-from hessaut.autgroup import Isometry, autctx, compose, inversion_f
+from hessaut.autgroup import Isometry, autctx, compose
 from hessaut.hessian import picard
 from hessaut.products import (
     SCAN_CACHE_WIDTH,
@@ -40,7 +40,7 @@ from hessaut.products import (
     curve_frame,
     preimage,
 )
-from product_reference import conjugate
+from product_reference import conjugate, inversion_f
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"

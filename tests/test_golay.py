@@ -11,7 +11,6 @@ from hessaut.golay import (
     SteinerSystem,
     golay_code,
     is_octad,
-    octads_through,
     point_index,
     set_mask,
     steiner_system,
@@ -42,23 +41,24 @@ def test_wrong_cardinality_is_not_an_octad():
     assert not is_octad({oo, 0, 1, 2, 3, 4, 5})
 
 
+def _octads_through(s):
+    return [k for k in steiner_system().octads if s <= k]
+
+
 def test_unique_octad_through_five_points():
-    through = octads_through({oo, 0, 1, 2, 3})
+    through = _octads_through({oo, 0, 1, 2, 3})
     assert through == [frozenset(K1)]
 
 
 def test_octads_through_empty_and_pair():
-    assert len(octads_through(set())) == 759
-    assert len(octads_through({oo, 0})) == 77
+    assert len(_octads_through(set())) == 759
+    assert len(_octads_through({oo, 0})) == 77
 
 
-def test_octads_through_rejects_large_sets():
-    try:
-        octads_through({oo, 0, 1, 2, 3, 5})
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("expected ValueError for a 6-point query")
+def test_six_points_lie_in_at_most_one_octad():
+    # two octads meet in 0, 2 or 4 points, so six points fix the octad if any
+    assert _octads_through({oo, 0, 1, 2, 3, 5}) == [frozenset(K1)]
+    assert _octads_through({oo, 0, 1, 2, 3, 4}) == []
 
 
 def test_every_five_subset_covered_exactly_once():

@@ -34,10 +34,17 @@ def test_base_root_diagram():
     assert gram == expected_base_gram()
 
 
+def _lattice_r0():
+    """R0, the span of the nine base roots other than r0."""
+    roots = picard().roots
+    return lattices.span([roots[k] for k in BASE_ROOT_ORDER if k != "r0"])
+
+
 def test_complement_lattice_shapes():
     ctx = picard()
-    assert lattices.root_type(ctx.lattice_R0.gram) == "A3+6A1"
-    assert ctx.lattice_R0.rank == 9
+    r0 = _lattice_r0()
+    assert lattices.root_type(r0.gram) == "A3+6A1"
+    assert r0.rank == 9
     assert lattices.root_type(ctx.lattice_R.gram) == "A5+5A1"
     assert ctx.lattice_R.rank == 10
     assert lattices.root_count(ctx.lattice_R.gram) == 40
@@ -82,7 +89,7 @@ def test_discriminant_form_matches_transcendental_model():
 
 def test_complement_duality_and_kummer_overlattice():
     ctx = picard()
-    r0 = ctx.lattice_R0
+    r0 = _lattice_r0()
     # the glue vector theta lies in R0 tensor Q, so R0 itself is imprimitive
     assert not lattices.is_primitive(r0)
     sat = lattices.saturation(r0)

@@ -26,6 +26,8 @@ from hessaut.lattices import (
     standard_gram,
 )
 
+from test_hessian import _lattice_r0
+
 
 def _z():
     return leech_root(leech.ZERO)
@@ -82,7 +84,8 @@ def test_complement_of_root_has_corank_one():
 
 
 def test_saturation_and_primitivity():
-    doubled = span([_z().scaled(2)])
+    z = _z()
+    doubled = span([LorentzVector(tuple(2 * x for x in z.lam), 2 * z.m, 2 * z.n)])
     sat = saturation(doubled)
     assert sat.rank == 1 and sat.gram == ((-2,),)
     assert not is_primitive(doubled)
@@ -187,7 +190,9 @@ def test_from_rows_gram_matches_pairwise_gram_on_every_picard_lattice(monkeypatc
         return built[-1]
 
     monkeypatch.setattr(lattices, "_from_rows", record)
-    ctx = Picard()  # R0, R, T and SH
+    ctx = Picard()  # R, T and SH
+    assert len(built) == 3
+    _lattice_r0()
     assert len(built) == 4
     assert is_primitive(ctx.lattice_T) and is_primitive(ctx.lattice_SH)  # and their saturations
     g = ambient().gram

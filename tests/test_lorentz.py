@@ -6,9 +6,7 @@ from hessaut.leech import NU_OMEGA, nu, two_nu, vadd, vscale
 from hessaut.lorentz import (
     LorentzVector,
     bilinear,
-    is_leech_root,
     leech_root,
-    root_pairing,
     weyl_vector,
 )
 
@@ -68,18 +66,22 @@ def test_weyl_pairs_one_with_random_roots():
         r = leech_root(lam)
         assert bilinear(r, r) == -2
         assert bilinear(w, r) == 1
-        assert is_leech_root(r)
+        assert r.m == 1 and leech.contains(r.lam)
 
 
 def test_root_pairing_follows_norm_rule():
     octads = steiner_system().octads
     base = octads[0]
     r = leech_root(two_nu(base))
-    assert root_pairing(r, r) == -2
+    assert bilinear(r, r) == -2
     hits = set()
     for other in octads[1:200]:
         k = len(base & other)
-        value = root_pairing(r, leech_root(two_nu(other)))
+        rp = leech_root(two_nu(other))
+        value = bilinear(r, rp)
         assert value == {4: 0, 2: 1, 0: 2}[k]
+        # the rule: 0 when the Leech parts differ by a norm 4 vector, 1 by norm 6
+        rule = {"norm4": 0, "norm6": 1}.get(leech.shape_class(leech.vsub(r.lam, rp.lam)))
+        assert rule == (value if k else None)
         hits.add(k)
     assert {2, 4} <= hits

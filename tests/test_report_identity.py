@@ -32,13 +32,14 @@ def test_verify_all_json_is_pinned(capsys, seed):
     assert _sha256(capsys.readouterr().out) == VERIFY_ALL_JSON_SHA256
 
 
-def test_verify_all_json_is_pinned_under_python_O():
+@pytest.mark.parametrize("seed", ["1", "7"])
+def test_verify_all_json_is_pinned_under_python_O(seed):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, "-O", "-B", "-m", "hessaut.cli", "verify", "all", "--json", "--seed", "1"],
+        [sys.executable, "-O", "-B", "-m", "hessaut.cli", "verify", "all", "--json", "--seed", seed],
         env=env, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr

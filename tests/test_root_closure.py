@@ -35,6 +35,8 @@ from hessaut.lattices import (
     standard_gram,
 )
 
+from test_hessian import _lattice_r0
+
 
 def _negated(gram):
     return [[-x for x in row] for row in gram]
@@ -115,7 +117,7 @@ def test_closure_matches_fincke_pohst_on_base_roots():
 def test_hnf_grams_of_R_and_R0_match_their_root_bases():
     ctx = picard()
     base = _base_root_grams()
-    for name, lattice in (("R", ctx.lattice_R), ("R0", ctx.lattice_R0)):
+    for name, lattice in (("R", ctx.lattice_R), ("R0", _lattice_r0())):
         hnf = [list(row) for row in lattice.gram]
         assert any(hnf[i][i] != -2 for i in range(len(hnf)))  # the simple-system path
         assert len(short_vectors(hnf, -2)) == len(reflection_closure(base[name]))

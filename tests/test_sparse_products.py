@@ -19,10 +19,9 @@ from hessaut.autgroup import (
     autctx,
     compose,
     identity_isometry,
-    inversion_f,
 )
 from hessaut.products import sparse_columns
-from product_reference import column_product, conjugate
+from product_reference import column_product, conjugate, inversion_f
 
 BIG = 2**400
 

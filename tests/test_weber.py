@@ -4,7 +4,6 @@ from hessaut import weber
 from hessaut.weber import (
     ALL_POINTS,
     EMPTY,
-    HUTCHINSON_COLUMNS,
     MU_TABLE,
     PINNED_HEXAD,
     PINNED_PACKETS,
@@ -104,6 +103,9 @@ def test_the_two_tables_are_mutually_consistent():
                     alpha = MU_TABLE[c][d]
                     expected = (a == c or b == d) and (a, b) != (c, d)
                     assert theta_contains(beta, alpha) == expected
+
+
+HUTCHINSON_COLUMNS = ((1, 1), (1, 0), (0, 1), (0, 0))
 
 
 def test_hutchinson_columns_reproduce_both_tables():
