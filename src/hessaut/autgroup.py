@@ -124,6 +124,12 @@ def isometry_from_images(images: dict[str, ClassVec], name: str) -> Isometry:
     return iso
 
 
+def _acting(iso: Isometry, action: CurveAction) -> Isometry:
+    """iso with action, a certified action of this isometry, as its `curve_action`."""
+    object.__setattr__(iso, "curve_action", action)
+    return iso
+
+
 def curve_permutation(images: dict[str, str], name: str) -> Isometry:
     """The isometry sending each curve to the curve named in images, with its
     `CurveAction.permutation` as `curve_action`; ValueError unless it exists."""
@@ -132,9 +138,16 @@ def curve_permutation(images: dict[str, str], name: str) -> Isometry:
     if None in pi or len(images) != len(pi):
         raise ValueError(f"{name}: not a map of the twenty curves")
     action = CurveAction.permutation(pi, name)
-    iso = Isometry(tuple(frame.coords[d] for d in pi[:16]), name)
-    object.__setattr__(iso, "curve_action", action)
-    return iso
+    return _acting(Isometry(tuple(frame.coords[d] for d in pi[:16]), name), action)
+
+
+def relabel(b: Isometry, s: Isometry, name: str) -> Isometry:
+    """s o b o s^-1 for an involution b and a curve permutation s, with no
+    product: its action is b's with the curves renamed by s
+    (`CurveAction.conjugate`), and as it is an involution too, its matrix is
+    that action's `inverse_rows`."""
+    action = b.curve_action.conjugate(s.curve_action)
+    return _acting(Isometry(action.inverse_rows(), name), action)
 
 
 def table_isometry(table: dict[str, dict], name: str) -> Isometry:
@@ -476,22 +489,19 @@ class AutContext:
         )
         certify(self.p16.apply(ctx.eta_h) == expected_eta,
                 "p16 must send etaH to the projected hyperplane class")
+        self.f = table_isometry(PENCIL_INVERSION_TABLE, "f")
+        self.g = table_isometry(SYMMETRIZED_INVERSION_TABLE, "g")
+        # p16 and g are conjugated by `relabel`, which needs involutions
+        for iso in (self.p16, self.f, self.g):
+            certify(compose(iso, iso).same_matrix(identity_isometry()),
+                    f"{iso.name} must be an involution")
 
         self.projections: dict[str, Isometry] = {}
         base_faces = ctx.node_faces["N16"]
         for n in NODE_NAMES:
             perm = next(p for p in sorted(self.s5)
                         if frozenset(p[i - 1] for i in base_faces) == ctx.node_faces[n])
-            self.projections[n] = self.s5_conjugate(self.p16, perm, name=f"p{n[1:]}")
-
-        self.f = table_isometry(PENCIL_INVERSION_TABLE, "f")
-        self.g = table_isometry(SYMMETRIZED_INVERSION_TABLE, "g")
-        for iso in (self.f, self.g):
-            certify(compose(iso, iso).same_matrix(identity_isometry()),
-                    f"{iso.name} must be an involution")
-
-        # discriminant-group generators as integer rows over a common denominator
-        _, (self._disc_gens, self._disc_den) = lattices.discriminant_form_from_gram(ctx.gram)
+            self.projections[n] = relabel(self.p16, self.s5[perm], f"p{n[1:]}")
 
         self.walls = enumerate_wall_roots()
         self.wall_generators: dict[str, list[tuple[WallRoot, Isometry]]] = {}
@@ -519,21 +529,20 @@ class AutContext:
         for w in self.walls["3a"]:
             perm = first.get(w.vec)
             certify(perm is not None, "pentahedral orbit must reach every wall")
-            iso = self.s5_conjugate(self.g, perm, name=f"g[{w.key}]")
-            gens_3a.append((w, iso))
+            gens_3a.append((w, relabel(self.g, self.s5[perm], f"g[{w.key}]")))
         self.wall_generators["3a"] = gens_3a
 
         gens_1b = []
         for w, phi in gens_1a:
             wb = WallRoot("1b", None, self.tau.apply(w.vec), w.den, ("1b",) + w.key[1:])
-            gens_1b.append((wb, compose(self.tau, phi, self.tau)))
+            gens_1b.append((wb, relabel(phi, self.tau, f"tau*{phi.name}*tau")))
         self.wall_generators["1b"] = gens_1b
 
         gens_3b = []
         for w in self.walls["3b"]:
             image = self.tau.apply(w.vec)
             partner = next(gg for ww, gg in gens_3a if ww.vec == image)
-            gens_3b.append((w, compose(self.tau, partner, self.tau)))
+            gens_3b.append((w, relabel(partner, self.tau, f"tau*{partner.name}*tau")))
         self.wall_generators["3b"] = gens_3b
         # `hessaut verify generators` certifies every wall generator: involution,
         # wall reflection, push identity and discriminant action
@@ -551,7 +560,7 @@ class AutContext:
         self.descent: list[tuple[str, Isometry, list]] = []
 
         def _add(name, iso):
-            iso = Isometry(iso.matrix, name)
+            iso = _acting(Isometry(iso.matrix, name), iso.curve_action)
             self.registry[name] = iso
             self.descent.append((name, iso, self.omega_preimage(iso)))
 
@@ -575,8 +584,9 @@ class AutContext:
         return tuple(map(Fraction, iso.apply(vec)))
 
     def s5_conjugate(self, g: Isometry, perm: tuple, name: str = "") -> Isometry:
-        """s o g o s^-1 for s = s5[perm], without `Isometry.inverse`: s^-1 is the S5
-        element of the inverse permutation, as both agree on the spanning curves."""
+        """s o g o s^-1 for s = s5[perm] and any isometry g, as a product: s^-1
+        is the S5 element of the inverse permutation, as both agree on the
+        spanning curves. The generators use `relabel` instead."""
         s, s_inv = self.s5[perm], self.s5[tuple(perm.index(i) + 1 for i in range(1, 6))]
         return Isometry(compose(s_inv, g, s).matrix, name or f"{s.name}.{g.name}.{s.name}^-1")
 
@@ -598,15 +608,26 @@ class AutContext:
             img = [p // 3 * x for x in alpha]
             img[i] += 1
             rows.append(tuple(img))
-        iso = Isometry(tuple(rows), "phi")
-        certify(self.ctx.preserves_form(rows), "a reflection must preserve the intersection form")
+        rows = tuple(rows)
+        try:
+            action = CurveAction.of(rows, "phi")
+        except ValueError:
+            action = None
+        certify(action is not None, "a reflection must preserve the intersection form")
+        iso = _acting(Isometry(rows, "phi"), action)
         certify(iso.apply(alpha) == tuple(-x for x in alpha), "a reflection must negate its vector")
         return iso
 
+    @cached_property
+    def _discriminant_generators(self) -> tuple[list[list[int]], int]:
+        """Generators of the discriminant group as integer rows over a common
+        denominator, built on first use: only `discriminant_action` reads them."""
+        return lattices.discriminant_form_from_gram(self.ctx.gram)[1]
+
     def discriminant_action(self, iso: Isometry) -> str:
-        den = self._disc_den
+        gens, den = self._discriminant_generators
         plus = minus = True
-        for gvec in self._disc_gens:
+        for gvec in gens:
             image = iso.apply(gvec)
             if any((a - b) % den for a, b in zip(image, gvec)):
                 plus = False

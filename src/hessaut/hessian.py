@@ -153,13 +153,14 @@ class Picard:
             name: leech_root(two_nu(octad)) for name, octad in CURVE_OCTADS.items()
         }
         sh_rows = [list(r) for r in self.lattice_SH.rows]
-        sh_cols = exact.transpose(sh_rows)
+        solved = exact.solve_integer(
+            exact.transpose(sh_rows), [amb.coords(self.curve_roots[n]) for n in CURVE_NAMES]
+        )
         raw_coords = {}
-        for name in CURVE_NAMES:
-            c = exact.solve_rational(sh_cols, list(amb.coords(self.curve_roots[name])))
-            if c is None or any(x.denominator != 1 for x in c):
+        for name, c in zip(CURVE_NAMES, solved):
+            if c is None:
                 raise ValueError(f"curve {name} does not lie in the Picard lattice")
-            raw_coords[name] = [int(x) for x in c]
+            raw_coords[name] = c
 
         self.basis_names = self._pick_unimodular_basis(raw_coords)
         self.basis_coords = [

@@ -47,16 +47,33 @@ from .golay import steiner_system
 from .lorentz import LorentzVector, bilinear
 
 
+# the step through the sorted octads: consecutive octads are close, so in
+# sorted order 255 generators reach the full Leech index, in this stride 25
+LEECH_STRIDE = 37
+
+
+def _leech_generators():
+    """nu_Omega - 4 nu_oo, then the doubled octads in steps of LEECH_STRIDE
+    (prime to 759, so every octad comes once)."""
+    octads = steiner_system().octads
+    yield leech.generator_minus_three()
+    for k in range(len(octads)):
+        yield leech.two_nu(octads[k * LEECH_STRIDE % len(octads)])
+
+
 class Ambient:
     """The fixed coordinate frame: basis rows, Gram matrix and inverse."""
 
     def __init__(self):
-        # rank saturates early but the index keeps dropping, so feed every
-        # generator through the reducer
+        # At this scaling the Leech lattice has index 8^12 in Z^24 (its Gram
+        # matrix, dot products over -8, is unimodular), so once the pivots of
+        # the span of members multiply to 8^12 the span is all of it. Feeding
+        # stops there; the membership and det -1 certificates below decide.
         span = exact.RowSpan(24)
-        span.add(list(leech.generator_minus_three()))
-        for octad in steiner_system().octads:
-            span.add(list(leech.two_nu(octad)))
+        for gen in _leech_generators():
+            span.add(gen)
+            if span.rank == 24 and span.pivot_product == 8 ** 12:
+                break
         lam_rows = span.basis()
         certify(len(lam_rows) == 24, "the Leech generators must have rank 24")
         certify(all(leech.contains(r) for r in lam_rows), "Leech basis rows must be members")
@@ -240,15 +257,6 @@ def _invariants(f: FiniteQuadraticForm) -> dict:
     return out
 
 
-def _element_pair(f: FiniteQuadraticForm, a, b) -> Fraction:
-    s = Fraction(0)
-    k = len(f.orders)
-    for i in range(k):
-        for j in range(k):
-            s += a[i] * b[j] * f.pairings[i][j]
-    return _mod1(s)
-
-
 def fqf_isomorphic(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm) -> bool:
     """Exhaustive isomorphism search; group orders in scope stay tiny."""
     if f1.group_order != f2.group_order:
@@ -257,10 +265,17 @@ def fqf_isomorphic(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm) -> bool:
     if Counter(_invariants(f1).values()) != Counter(inv2.values()):
         return False
 
-    k = len(f1.orders)
+    k, k2 = len(f1.orders), len(f2.orders)
     # the images of generator i: the elements of its order and q value
     candidates = [[t for t, inv in inv2.items() if inv == (f1.orders[i], f1.qvals[i])]
                   for i in range(k)]
+    # pairings mod 1 as integers mod den, den their least common denominator
+    den = math.lcm(*[x.denominator for f in (f1, f2) for x in sum(f.pairings, ())])
+    want = [[int(x * den) % den for x in row] for row in f1.pairings]
+    b2 = [[int(x * den) for x in row] for row in f2.pairings]
+
+    def pair(a, b) -> int:
+        return sum(a[i] * b[j] * b2[i][j] for i in range(k2) for j in range(k2)) % den
 
     def closure_size(images) -> int:
         seen = {tuple([0] * len(f2.orders))}
@@ -280,10 +295,7 @@ def fqf_isomorphic(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm) -> bool:
         if i == k:
             return closure_size(chosen) == f2.group_order
         for t in candidates[i]:
-            if any(
-                _element_pair(f2, t, chosen[j]) != _mod1(f1.pairings[i][j])
-                for j in range(i)
-            ):
+            if any(pair(t, chosen[j]) != want[i][j] for j in range(i)):
                 continue
             if dfs(i + 1, chosen + [t]):
                 return True

@@ -10,6 +10,7 @@ generators themselves can be checked against it.
 from __future__ import annotations
 
 from collections import Counter
+from operator import mul
 from typing import Iterable, Sequence
 
 from .golay import INFINITY, OMEGA, golay_code, point_index
@@ -63,7 +64,7 @@ def contains(v: Sequence[int]) -> bool:
 
 
 def raw_dot(v: Sequence[int], w: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(v, w))
+    return sum(map(mul, v, w))
 
 
 def inner(v: Sequence[int], w: Sequence[int]) -> int:

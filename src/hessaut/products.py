@@ -12,7 +12,9 @@ unique while every |entry| < 2^(w-1). The product tracks a bound on its
 entries, and before a factor could break that condition it decodes,
 measures its actual largest entry and re-packs wider. `autgroup.compose`
 goes through it and decodes once at the end; the dense `exact.mat_mul`
-remains for the Gram check (`hessian.Picard.preserves_form`).
+remains for the Gram check of the image tables
+(`hessian.Picard.preserves_form`). Every descent letter is certified by
+its `CurveAction` instead.
 
 A reduce word runs in curve-pairing coordinates instead. Tau, the 120
 pentahedral permutations and the 240 chamber symmetries are dense in the
@@ -344,6 +346,45 @@ class CurveAction:
                for d, c in enumerate(src) if c is not None):
             raise ValueError(f"{name}: not an isometry of the Picard lattice")
         return cls(src, combos)
+
+    def conjugate(self, perm: "CurveAction") -> "CurveAction":
+        """The action of s b s^-1, b this isometry and s the curve permutation
+        whose action is perm: this action with every curve d renamed s(d),
+        as (s b s^-1)^-1 (s(d)) = s(b^-1(d)), and each combination expanded
+        over the basis again, as `of` gives it. Certified when both are."""
+        if perm.combos:
+            raise ValueError("conjugation needs a permutation of the curves")
+        coords = curve_frame().coords
+        rename = [0] * len(perm.src)
+        for c, d in enumerate(perm.src):  # s^-1(c) = d
+            rename[d] = c
+        src = [None] * len(self.src)
+        for c, d in enumerate(self.src):
+            src[rename[c]] = None if d is None else rename[d]
+        combos = []
+        for c, curves, coeffs in self.combos:
+            x = [0] * 16
+            for d, a in zip(curves, coeffs):
+                d = rename[d]
+                if d < 16:
+                    x[d] += a
+                else:
+                    x = [u + a * v for u, v in zip(x, coords[d])]
+            combos.append((rename[c], *_support(x)))
+        return CurveAction(src, sorted(combos))
+
+    def inverse_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The matrix of b^-1: row i is b^-1 of basis curve i, a curve or a
+        combination of basis curves. For an involution b it is the matrix of b."""
+        coords = curve_frame().coords
+        rows = [None if d is None else coords[d] for d in self.src[:16]]
+        for c, pos, vals in self.combos:
+            if c < 16:
+                row = [0] * 16
+                for i, a in zip(pos, vals):
+                    row[i] = a
+                rows[c] = tuple(row)
+        return tuple(rows)
 
     def __call__(self, vals) -> list:
         out = list(self._take(vals))

@@ -304,13 +304,16 @@ def affine_symplectic_group() -> tuple[tuple[int, ...], ...]:
         linear = [cols + (c,) for cols in linear for c in range(16)
                   if [pairs[d][c] for d in cols] == want]
     certify(len(linear) == 720, "Sp(4,2) has order 720")
+    # translate t sends point p to p ^ t; a linear part's 16 translates are
+    # its images looked up in each translation
+    translations = [tuple(p ^ t for p in range(16)) for t in range(16)]
     perms = []
     for cols in linear:
         images = [0] * 16
         for p in range(1, 16):
             low = p & -p  # p is p ^ low plus the unit vector low
             images[p] = images[p ^ low] ^ cols[low.bit_length() - 1]
-        perms += [tuple(img ^ t for img in images) for t in range(16)]
+        perms += map(itemgetter(*images), translations)
     certify(len(set(perms)) == 11520, "the affine symplectic group has order 11520")
     return tuple(perms)
 
@@ -320,6 +323,7 @@ def hexad_orbit_and_stabilizer(h: frozenset[Label]) -> tuple[int, int]:
     group, each image a 16-bit mask of psi points."""
     psi_t = psi_table()
     points = [psi_t[a] for a in h]
-    take, bits = itemgetter(*points), [1 << p for p in range(16)].__getitem__
-    images = Counter(sum(map(bits, take(perm))) for perm in affine_symplectic_group())
+    group, bits = affine_symplectic_group(), [1 << p for p in range(16)].__getitem__
+    # the image masks, summed point by point over the whole group
+    images = Counter(map(sum, zip(*[map(bits, map(itemgetter(p), group)) for p in points])))
     return len(images), images[sum(map(bits, points))]

@@ -4,6 +4,7 @@ from itertools import permutations
 
 import pytest
 
+from hessaut import autgroup, cli, lattices
 from hessaut.autgroup import (
     CASE_CORRECTIONS,
     SKEW_LINE_TABLE,
@@ -16,6 +17,8 @@ from hessaut.autgroup import (
     WALL_3A_KS_FIRST,
     WALL_3B_OCTADS_FIRST,
     REFLECTION_ROOT_EXPR,
+    AutContext,
+    Isometry,
     autctx,
     classify_wall_root,
     compose,
@@ -243,6 +246,57 @@ def test_push_identities_and_involutions_for_all_generators():
             )
             assert a.discriminant_action(iso) in ("+1", "-1")
     assert total == 64
+
+
+def test_every_descent_generator_preserves_the_form_densely():
+    """The dense M G M^T = G that `generators.gram-preserved` ran before it
+    read the curve-action certificates, and what it reads now."""
+    a = autctx()
+    ctx = picard()
+    assert len(a.descent) == 64
+    for name, iso, _ in a.descent:
+        assert ctx.preserves_form(iso.matrix), name
+        assert iso.curve_action.inverse_rows() == iso.matrix, name
+
+
+def test_gram_preserved_fails_on_a_matrix_its_action_does_not_certify(monkeypatch):
+    a = autctx()
+    name, iso, y = a.descent[0]
+    rows = [list(r) for r in iso.matrix]
+    rows[0] = [2 * x for x in rows[0]]
+    bad = Isometry(tuple(map(tuple, rows)), name)
+    object.__setattr__(bad, "curve_action", iso.curve_action)
+    assert not picard().preserves_form(bad.matrix)
+    monkeypatch.setattr(a, "descent", [(name, bad, y)] + a.descent[1:])
+    status = {c.id: c.status for c in cli.generators_suite(0)}
+    assert status["generators.gram-preserved"] == "fail"
+    assert status["generators.wall-involutions"] == "pass"
+
+
+def test_a_reflection_is_certified_through_its_curve_action(monkeypatch):
+    a = autctx()
+    w = a.walls["1a"][0]
+    assert a.reflection_phi(w.vec).curve_action.combos
+
+    def refuse(cls, matrix, name=""):
+        raise ValueError(f"{name}: not an isometry of the Picard lattice")
+
+    monkeypatch.setattr(autgroup.CurveAction, "of", classmethod(refuse))
+    with pytest.raises(CertificationError, match="must preserve the intersection form"):
+        a.reflection_phi(w.vec)
+
+
+def test_discriminant_generators_are_built_on_first_use(monkeypatch):
+    autctx()  # the Picard context, walls and frame are cached
+    calls = []
+    real = lattices.discriminant_form_from_gram
+    monkeypatch.setattr(lattices, "discriminant_form_from_gram",
+                        lambda gram: calls.append(1) or real(gram))
+    a = AutContext()
+    assert calls == []
+    assert a.discriminant_action(a.tau) == "-1"
+    assert a.discriminant_action(a.g) == "-1"
+    assert len(calls) == 1
 
 
 def test_discriminant_actions():

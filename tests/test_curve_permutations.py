@@ -6,12 +6,14 @@ curves and certifies it on the curve intersection table
 (`CurveAction.permutation`). These tests check its matrices against
 `isometry_from_images` and `compose`, the S5 inverses used for
 conjugation, `CurveAction.of` on curve permutations against the packed
-check and the dense actions, the letters-phase heights that
-permutation letters leave alone, the rejections (plain and `python -O`),
-and the construction budget of `AutContext`.
+check and the dense actions, the conjugate generators that `relabel`
+reads off renamed curve actions against their products, the letters-phase
+heights that permutation letters leave alone, the rejections (plain and
+`python -O`), and the construction budget of `AutContext`.
 """
 
 import os
+import random
 import subprocess
 import sys
 from functools import cache
@@ -23,6 +25,7 @@ import pytest
 from hessaut import autgroup, exact
 from hessaut.autgroup import (
     TAU_PAIRS,
+    WALL_3A_EXAMPLE_K,
     AutContext,
     Isometry,
     autctx,
@@ -30,13 +33,15 @@ from hessaut.autgroup import (
     curve_permutation,
     identity_isometry,
     isometry_from_images,
+    relabel,
 )
-from hessaut.hessian import picard
+from hessaut.hessian import NODE_NAMES, picard
 from hessaut.products import (
     CurveAction, PackedProduct, column_norm, curve_frame, matrix_from_pairings,
 )
 
-from test_curve_pairings import _check_action
+from product_reference import conjugate
+from test_curve_pairings import _check_action, _non_registry_isometries, _pairings
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -112,6 +117,75 @@ def test_s5_conjugates_match_conjugation_by_the_inverse_matrix():
         assert a.s5_conjugate(a.g, perm).matrix == want, s.name
 
 
+# --- conjugates by relabelling -------------------------------------------------------
+
+
+def _conjugates_by_product():
+    """The 52 conjugate wall generators, each as `AutContext` chooses it,
+    paired with its matrix as the product s^-1 * b * s (`compose`)."""
+    a = autctx()
+    ctx = picard()
+    out = []
+    base_faces = ctx.node_faces["N16"]
+    for n in NODE_NAMES:
+        perm = next(p for p in sorted(a.s5)
+                    if frozenset(p[i - 1] for i in base_faces) == ctx.node_faces[n])
+        out.append((a.projections[n], a.s5_conjugate(a.p16, perm).matrix))
+    worked = next(w for w in a.walls["3a"] if w.key[1:] == (1, WALL_3A_EXAMPLE_K))
+    first = {}
+    for perm in sorted(a.s5):
+        first.setdefault(a.s5[perm].apply(worked.vec), perm)
+    gens_3a = a.wall_generators["3a"]
+    for w, iso in gens_3a:
+        out.append((iso, a.s5_conjugate(a.g, first[w.vec]).matrix))
+    for (_, phi), (_, iso) in zip(a.wall_generators["1a"], a.wall_generators["1b"]):
+        out.append((iso, compose(a.tau, phi, a.tau).matrix))
+    for w, iso in a.wall_generators["3b"]:
+        partner = next(g for v, g in gens_3a if v.vec == a.tau.apply(w.vec))
+        out.append((iso, compose(a.tau, partner, a.tau).matrix))
+    return out
+
+
+def test_relabelled_conjugates_equal_their_products():
+    pairs = _conjugates_by_product()
+    assert len(pairs) == 52
+    for iso, want in pairs:
+        assert iso.matrix == want, iso.name
+
+
+def test_relabelled_actions_agree_with_the_actions_of_their_matrices():
+    rng = random.Random(5)
+    xs = [[rng.randint(-9, 9) for _ in range(16)] for _ in range(8)]
+    for iso, _ in _conjugates_by_product():
+        fresh = CurveAction.of(iso.matrix, iso.name)
+        action = iso.curve_action
+        assert (action.src, action.combos, action.norm) == (fresh.src, fresh.combos, fresh.norm)
+        for x in xs:
+            assert action(_pairings(x)) == fresh(_pairings(x)) == _pairings(iso.apply(x))
+
+
+def test_conjugating_any_isometry_renames_its_curves():
+    """`CurveAction.conjugate` on isometries that are not involutions: the
+    action of s b s^-1 from the product, and `inverse_rows` its inverse."""
+    a = autctx()
+    for key, b in sorted(_non_registry_isometries().items()):
+        for s in (a.tau, a.registry["s23451"], a.registry["s31452"]):
+            h = conjugate(b, s)
+            fresh = CurveAction.of(h.matrix, key)
+            action = b.curve_action.conjugate(s.curve_action)
+            assert (action.src, action.combos, action.norm) == (
+                fresh.src, fresh.combos, fresh.norm), (key, s.name)
+            assert action.inverse_rows() == h.inverse().matrix, (key, s.name)
+    # for an involution the inverse rows are the matrix itself
+    assert relabel(a.g, a.tau, "g^tau").matrix == compose(a.tau, a.g, a.tau).matrix
+
+
+def test_conjugation_needs_a_curve_permutation():
+    a = autctx()
+    with pytest.raises(ValueError, match="permutation of the curves"):
+        a.g.curve_action.conjugate(a.registry["p16"].curve_action)
+
+
 # --- CurveAction.of on curve permutations ---------------------------------------
 
 
@@ -134,7 +208,7 @@ def _built_symmetries():
     return out
 
 
-def test_the_permutation_fast_path_matches_the_packed_check_and_dense_actions():
+def test_curve_action_of_gives_each_symmetry_its_builders_permutation():
     isos = _built_symmetries()
     assert len({iso.matrix for iso in isos}) == 240
     for iso in isos:
@@ -327,8 +401,9 @@ def test_construction_takes_no_inverse_and_few_products(monkeypatch):
             target = getattr(target, part)
         assert callable(target), path
     autctx()  # picard, the walls and the curve frame are cached
-    calls = {"inverse": 0, "compose": 0}
+    calls = {"inverse": 0, "compose": 0, "of": 0}
     real_inverse, real_compose = Isometry.inverse, autgroup.compose
+    real_of = CurveAction.of.__func__
 
     def inverse(self, name=""):
         calls["inverse"] += 1
@@ -338,8 +413,17 @@ def test_construction_takes_no_inverse_and_few_products(monkeypatch):
         calls["compose"] += 1
         return real_compose(*isos)
 
+    def of(cls, matrix, name=""):
+        calls["of"] += 1
+        return real_of(cls, matrix, name)
+
     monkeypatch.setattr(Isometry, "inverse", inverse)
     monkeypatch.setattr(autgroup, "compose", counted)
-    AutContext()
+    monkeypatch.setattr(CurveAction, "of", classmethod(of))
+    a = AutContext()
     assert calls["inverse"] == 0
-    assert 0 < calls["compose"] <= 60
+    # the involution certificates of p16, f and g; the conjugates are relabelled
+    assert calls["compose"] == 3
+    # the twelve reflections, p16 and g; every descent letter has its action
+    assert calls["of"] == 14
+    assert all("curve_action" in vars(iso) for _, iso, _ in a.descent)

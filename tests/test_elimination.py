@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fraction_reference as ref
@@ -112,6 +112,46 @@ def test_solve_matches_fraction_reference(system):
         return
     assert all(type(x) is Fraction for x in got)
     assert [sum(p * q for p, q in zip(row, got)) for row in a] == b
+
+
+@st.composite
+def full_rank_systems(draw):
+    """A matrix of full column rank and a few integer right-hand sides:
+    images a*x of rational x cleared of denominators, whose solutions may be
+    fractions, and random vectors (mostly inconsistent)."""
+    nc = draw(st.integers(1, 5))
+    nr = draw(st.integers(nc, 7))
+    a = [[draw(small) for _ in range(nc)] for _ in range(nr)]
+    assume(_rank(a) == nc)
+    bs = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            x = [draw(st.one_of(small, rationals)) for _ in range(nc)]
+            b = [sum((p * q for p, q in zip(row, x)), Fraction(0)) for row in a]
+            bs.append(exact.clear_denominators(b)[0])
+        else:
+            bs.append([draw(small) for _ in a])
+    return a, bs
+
+
+@settings(max_examples=300, deadline=None)
+@given(full_rank_systems())
+def test_solve_integer_matches_one_solve_per_vector(system):
+    a, bs = system
+    got = exact.solve_integer(a, bs)
+    assert len(got) == len(bs)
+    for b, x in zip(bs, got):
+        want = exact.solve_rational(a, b)
+        if want is None or any(y.denominator != 1 for y in want):
+            assert x is None
+        else:
+            assert x == want and all(type(y) is int for y in x)
+
+
+def test_solve_integer_needs_full_column_rank():
+    with pytest.raises(ValueError, match="full column rank"):
+        exact.solve_integer([[1, 2], [2, 4]], [[1, 2]])
+    assert exact.solve_integer([[2], [4]], [[2, 4], [1, 2], [2, 5]]) == [[1], None, None]
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,11 +1,13 @@
+import inspect
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
 from hessaut import cli, exact, lattices, leech
+from hessaut.checks import CertificationError
 from hessaut.exact import dot, vec_mat
 from hessaut.hessian import Picard, picard
 from hessaut.lorentz import LorentzVector, leech_root
@@ -26,6 +28,7 @@ from hessaut.lattices import (
     standard_gram,
 )
 
+from test_certification import _python_O
 from test_hessian import _lattice_r0
 
 
@@ -50,6 +53,63 @@ def test_ambient_frame_is_even_unimodular():
     g = amb.gram
     assert all(g[i][i] % 2 == 0 for i in range(26))
     assert all(g[i][j] == g[j][i] for i in range(26) for j in range(26))
+
+
+def _leech_span_of_every_generator():
+    """The span `Ambient` took before it stopped at the full index: all 760
+    generators fed through `RowSpan`."""
+    span = exact.RowSpan(24)
+    for gen in lattices._leech_generators():
+        span.add(gen)
+    return span
+
+
+def test_the_leech_frame_equals_the_span_of_every_generator():
+    gens = list(lattices._leech_generators())
+    assert len(gens) == 760 and len(set(gens)) == 760
+    full = _leech_span_of_every_generator()
+    assert full.rank == 24 and full.pivot_product == 8 ** 12
+    assert [list(r[:24]) for r in ambient().rows[:24]] == full.basis()
+
+
+def _leech_generators_one_short(generators=lattices._leech_generators):
+    """The generators `Ambient` feeds, minus the last one it needs."""
+    fed, span = 0, exact.RowSpan(24)
+    for gen in generators():
+        fed += 1
+        span.add(gen)
+        if span.rank == 24 and span.pivot_product == 8 ** 12:
+            break
+    return islice(generators(), fed - 1)
+
+
+def test_a_leech_frame_one_generator_short_is_refused(monkeypatch):
+    fed = []
+    real = lattices._leech_generators
+    monkeypatch.setattr(lattices, "_leech_generators", lambda: (fed.append(g) or g for g in real()))
+    lattices.Ambient()
+    assert len(fed) == 25  # of 760
+    monkeypatch.setattr(lattices, "_leech_generators", _leech_generators_one_short)
+    with pytest.raises(CertificationError, match="unimodular"):
+        lattices.Ambient()
+
+
+def test_a_leech_frame_one_generator_short_is_refused_under_python_O():
+    code = (
+        "from itertools import islice\n"
+        "from hessaut import exact, lattices\n"
+        "from hessaut.checks import CertificationError\n"
+        + inspect.getsource(_leech_generators_one_short)
+        + "gens = list(_leech_generators_one_short())\n"
+        "lattices._leech_generators = lambda: iter(gens)\n"
+        "try:\n"
+        "    lattices.Ambient()\n"
+        "except CertificationError as e:\n"
+        "    print('rejected:', e)\n"
+    )
+    proc = _python_O(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "rejected: L must be unimodular with det -1\n"
 
 
 def test_coords_round_trip():
@@ -182,6 +242,7 @@ def test_hyperbolic_model_discriminant_product():
 
 
 def test_from_rows_gram_matches_pairwise_gram_on_every_picard_lattice(monkeypatch):
+    picard()  # built before the patch: `_lattice_r0` reads the cached context
     built = []
     from_rows = lattices._from_rows
 
