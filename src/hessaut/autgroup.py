@@ -44,11 +44,9 @@ from .products import (
     CurveAction,
     DescentScan,
     PackedProduct,
-    column_norm,
     curve_frame,
     matrix_from_pairings,
     preimage,
-    sparse_columns,
 )
 
 oo = INFINITY
@@ -60,34 +58,22 @@ class Isometry:
     name: str = ""
 
     @cached_property
-    def sparse_columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        return sparse_columns(self.matrix)
-
-    @cached_property
-    def norm(self) -> int:
-        return column_norm(self.sparse_columns)
-
-    @cached_property
     def curve_action(self) -> CurveAction:
-        """This isometry on curve pairings (`CurveAction.of`), built on first use."""
+        """This isometry on curve pairings (`CurveAction.of`), built on first use:
+        the certificate that M is an isometry, ValueError otherwise."""
         return CurveAction.of(self.matrix, self.name)
-
-    def packed(self) -> PackedProduct:
-        return PackedProduct(tuple(zip(*self.matrix)))
 
     def apply(self, vec) -> tuple:
         return tuple(sum(map(mul, vec, col)) for col in zip(*self.matrix))
 
     def inverse(self, name: str = "") -> "Isometry":
-        """M^-1, whose row j is b^-1(e_j) = `preimage`(M, G e_j). Raises
-        ValueError when an entry is not integral or M M^-1 is not I."""
-        inv = Isometry(
-            tuple(preimage(self.matrix, col, self.name) for col in picard().gram),
-            name or f"{self.name}^-1",
-        )
-        if not compose(self, inv).same_matrix(identity_isometry()):
-            raise ValueError(f"{self.name}: not an isometry of the Picard lattice")
-        return inv
+        """M^-1, read off the certified action (`CurveAction.inverse_rows`);
+        ValueError unless M is an isometry."""
+        return Isometry(self.curve_action.inverse_rows(), name or f"{self.name}^-1")
+
+    def is_involution(self) -> bool:
+        """b o b = id, that is b^-1 = b: the inverse rows are the matrix."""
+        return self.curve_action.inverse_rows() == self.matrix
 
     def same_matrix(self, other: "Isometry") -> bool:
         return self.matrix == other.matrix
@@ -99,18 +85,22 @@ def identity_isometry() -> Isometry:
 
 
 def compose(*isos: Isometry) -> Isometry:
-    """Apply left to right: compose(a, b)(x) = b(a(x))."""
-    if not isos:
-        return Isometry(identity_isometry().matrix, "")
-    product = isos[0].packed()
-    for iso in isos[1:]:
-        product.times(iso.sparse_columns, iso.norm)
-    return Isometry(tuple(zip(*product.columns())), "*".join(i.name for i in isos))
+    """Apply left to right: compose(a, b)(x) = b(a(x)).
+
+    The identity's curve pairings are moved by each factor's certified
+    `curve_action`, and the matrix is read off the result
+    (`matrix_from_pairings`); ValueError if a factor is not an isometry.
+    """
+    product = curve_frame().identity_pairings.copy()
+    for iso in isos:
+        product.act(iso.curve_action)
+    return Isometry(matrix_from_pairings(product), "*".join(i.name for i in isos))
 
 
 def isometry_from_images(images: dict[str, ClassVec], name: str) -> Isometry:
-    """Linear extension of curve images; rejects ill-defined or non-isometric
-    tables (the redundant rows beyond a basis are checked, never assumed)."""
+    """Linear extension of curve images, certified by its `CurveAction.of`;
+    rejects ill-defined or non-isometric tables (the redundant rows beyond a
+    basis are checked, never assumed)."""
     ctx = picard()
     for c, target in images.items():
         if any(x % 1 for x in target):
@@ -119,9 +109,11 @@ def isometry_from_images(images: dict[str, ClassVec], name: str) -> Isometry:
     for c, target in images.items():
         if iso.apply(ctx.curve_coord[c]) != target:
             raise ValueError(f"{name}: images violate the curve relations at {c}")
-    if not ctx.preserves_form(iso.matrix):
-        raise ValueError(f"{name}: table is not an isometry")
-    return iso
+    try:
+        action = CurveAction.of(iso.matrix, name)
+    except ValueError:
+        raise ValueError(f"{name}: table is not an isometry") from None
+    return _acting(iso, action)
 
 
 def _acting(iso: Isometry, action: CurveAction) -> Isometry:
@@ -145,7 +137,8 @@ def relabel(b: Isometry, s: Isometry, name: str) -> Isometry:
     """s o b o s^-1 for an involution b and a curve permutation s, with no
     product: its action is b's with the curves renamed by s
     (`CurveAction.conjugate`), and as it is an involution too, its matrix is
-    that action's `inverse_rows`."""
+    that action's `inverse_rows`. Certifies that b is an involution."""
+    certify(b.is_involution(), f"{b.name} must be an involution")
     action = b.curve_action.conjugate(s.curve_action)
     return _acting(Isometry(action.inverse_rows(), name), action)
 
@@ -491,10 +484,8 @@ class AutContext:
                 "p16 must send etaH to the projected hyperplane class")
         self.f = table_isometry(PENCIL_INVERSION_TABLE, "f")
         self.g = table_isometry(SYMMETRIZED_INVERSION_TABLE, "g")
-        # p16 and g are conjugated by `relabel`, which needs involutions
-        for iso in (self.p16, self.f, self.g):
-            certify(compose(iso, iso).same_matrix(identity_isometry()),
-                    f"{iso.name} must be an involution")
+        # `relabel` certifies p16 and g as involutions when it conjugates them
+        certify(self.f.is_involution(), "f must be an involution")
 
         self.projections: dict[str, Isometry] = {}
         base_faces = ctx.node_faces["N16"]
@@ -582,13 +573,6 @@ class AutContext:
     def _apply_q(iso: Isometry, vec) -> tuple:
         """Image of a rational class vector, as a tuple of Fractions."""
         return tuple(map(Fraction, iso.apply(vec)))
-
-    def s5_conjugate(self, g: Isometry, perm: tuple, name: str = "") -> Isometry:
-        """s o g o s^-1 for s = s5[perm] and any isometry g, as a product: s^-1
-        is the S5 element of the inverse permutation, as both agree on the
-        spanning curves. The generators use `relabel` instead."""
-        s, s_inv = self.s5[perm], self.s5[tuple(perm.index(i) + 1 for i in range(1, 6))]
-        return Isometry(compose(s_inv, g, s).matrix, name or f"{s.name}.{g.name}.{s.name}^-1")
 
     def reflection_phi(self, alpha) -> Isometry:
         """Reflection in a primitive (-6)-vector of ints, checked integral.

@@ -240,11 +240,6 @@ class Picard:
         when either vector holds a Fraction."""
         return exact.dot(exact.vec_mat(u, self._gram_rows), v)
 
-    def preserves_form(self, rows) -> bool:
-        """M G M^T == G for the matrix M with these rows: M is an isometry."""
-        g = self._gram_rows
-        return exact.mat_mul(exact.mat_mul(rows, g), exact.transpose(rows)) == g
-
     def lines_through(self, node: str) -> list[str]:
         return [l for l in LINE_NAMES if incidence(node, l) == 1]
 

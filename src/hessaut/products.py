@@ -1,35 +1,35 @@
-"""Products of lattice isometries: packed columns and curve-pairing coordinates.
+"""Products of lattice isometries: packed columns in curve-pairing coordinates.
 
-Products of isometries run on packed columns (Kronecker substitution).
-Each `autgroup.Isometry` caches its sparse columns, the nonzero (row,
-coefficient) pairs of every column (49 of 256 entries on average), and
-the largest L1 norm of a column. A running product, `PackedProduct`, holds each column
-as one Python int of 16 balanced w-bit slots, so column j of M*L is the
-sum of c times packed column i over the terms (i, c) of column j of L:
-one big-int multiply-add per nonzero. This is exact because packing is a
-ring map from integer columns to integers, and reading the slots back is
+Every product of isometries runs on one kernel. A running product,
+`PackedProduct`, holds each column as one Python int of balanced w-bit
+slots (Kronecker substitution). This is exact because packing is a ring
+map from integer columns to integers, and reading the slots back is
 unique while every |entry| < 2^(w-1). The product tracks a bound on its
 entries, and before a factor could break that condition it decodes,
-measures its actual largest entry and re-packs wider. `autgroup.compose`
-goes through it and decodes once at the end; the dense `exact.mat_mul`
-remains for the Gram check of the image tables
-(`hessian.Picard.preserves_form`). Every descent letter is certified by
-its `CurveAction` instead.
+measures its actual largest entry and re-packs wider.
 
-A reduce word runs in curve-pairing coordinates instead. Tau, the 120
-pentahedral permutations and the 240 chamber symmetries are dense in the
-curve basis, but they permute the twenty node and line curves: each is
-built from its curve map (`autgroup.curve_permutation`) and certified on
-the table of curve intersection numbers, with no product
+The packed columns are curve pairings. Tau, the 120 pentahedral
+permutations and the 240 chamber symmetries are dense in the curve
+basis, but they permute the twenty node and line curves: each is built
+from its curve map (`autgroup.curve_permutation`) and certified on the
+table of curve intersection numbers, with no product
 (`CurveAction.permutation`). Each wall generator sends 15-18 of the
-curves to curves. So `AutContext.descend` keeps K = M G Q^T, whose
-column c holds the pairings of the images of the basis vectors with curve
-c (Q: the curve coordinates). Appending a letter b sends column c to the
-old column of b^-1(c), a pure reindex when b^-1(c) is a curve and a short
-combination otherwise (`CurveAction`). The basis curves come first, so the
-first 16 columns are M G. At the end a chamber symmetry is looked up by its
-columns (`CurveFrame.curve_keys`, `AutContext.residual`); any other M =
-K_basis adj / den is recovered by `matrix_from_pairings`.
+curves to curves. So a product keeps K = M G Q^T, whose column c holds
+the pairings of the images of the basis vectors with curve c (Q: the
+curve coordinates), starting from the identity's
+(`CurveFrame.identity_pairings`). Appending a letter b sends column c to
+the old column of b^-1(c), a pure reindex when b^-1(c) is a curve and a
+short combination otherwise (`CurveAction`). The basis curves come
+first, so the first 16 columns are M G. `autgroup.compose` reads M =
+K_basis adj / den off the end (`matrix_from_pairings`); at the end of a
+descent, `AutContext.descend` first looks a chamber symmetry up by its
+columns (`CurveFrame.curve_keys`, `AutContext.residual`).
+
+An isometry's `CurveAction` is its one certificate: `CurveAction.of`
+certifies M G M^T = G from the curve table and exact preimages, and
+`CurveAction.inverse_rows` reads the matrix of b^-1 off it, so an
+inverse, an involution test or a conjugate (`CurveAction.conjugate`)
+needs no product.
 
 A descent step costs a few big-int operations more:
 
@@ -70,17 +70,9 @@ from .checks import certify
 from .hessian import CURVE_NAMES, picard
 
 
-@cache
-def _term(i: int, c: int) -> tuple[int, int]:
-    """One interned (row, coefficient) pair, shared by every sparse column."""
-    return (i, c)
-
-
 def sparse_columns(rows) -> tuple[tuple[tuple[int, int], ...], ...]:
     """For each column j of a matrix, the pairs (i, c) with rows[i][j] == c != 0."""
-    return tuple(
-        tuple(_term(i, c) for i, c in enumerate(col) if c) for col in zip(*rows)
-    )
+    return tuple(tuple((i, c) for i, c in enumerate(col) if c) for col in zip(*rows))
 
 
 def column_norm(sparse) -> int:

@@ -1,19 +1,26 @@
-"""The dense column product that `autgroup.PackedProduct` replaced, and
-conjugation through `Isometry.inverse`.
+"""Reference paths that the certified curve action replaced in `hessaut`.
 
-Column j of A*B is the sum, over the terms (i, c) of column j of B, of c
-times column i of A, one entry at a time. It is the reference the packed
-kernel is tested against, and is itself tested against `exact.mat_mul`.
-`conjugate` is the reference for `AutContext.s5_conjugate`, which reads
-s^-1 off the S5 element of the inverse permutation instead. `inversion_f`
-builds the pencil inversions f_i that tests use as isometries outside the
-registry.
+`column_product` is the dense column product that `PackedProduct`
+replaced. Column j of A*B is the sum, over the terms (i, c) of column j
+of B, of c times column i of A, one entry at a time. It is the reference
+the packed kernel is tested against, and is itself tested against
+`exact.mat_mul`. `packed_compose` is the product of isometry matrices on
+packed columns that `autgroup.compose` ran before it moved to curve
+pairings. `preserves_form` is the dense M G M^T = G test that
+`CurveAction.of` replaced. `conjugate` conjugates through
+`Isometry.inverse`, and `s5_conjugate` through the S5 element of the
+inverse permutation; `autgroup.relabel` renames curves instead.
+`inversion_f` builds the pencil inversions f_i that tests use as
+isometries outside the registry.
 """
 
 from itertools import repeat
 from operator import add, mul, neg
 
+from hessaut import exact
 from hessaut.autgroup import WALL_3A_EXAMPLE_K, Isometry, autctx, compose
+from hessaut.hessian import picard
+from hessaut.products import PackedProduct, column_norm, sparse_columns
 
 
 def column_product(cols, sparse) -> tuple[tuple[int, ...], ...]:
@@ -42,6 +49,21 @@ def column_product(cols, sparse) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def packed_compose(*isos: Isometry) -> Isometry:
+    """Apply left to right, as `compose`, as one packed matrix product."""
+    product = PackedProduct(tuple(zip(*isos[0].matrix)))
+    for iso in isos[1:]:
+        sparse = sparse_columns(iso.matrix)
+        product.times(sparse, column_norm(sparse))
+    return Isometry(tuple(zip(*product.columns())), "*".join(i.name for i in isos))
+
+
+def preserves_form(rows) -> bool:
+    """M G M^T == G for the matrix M with these rows: M is an isometry."""
+    g = picard()._gram_rows
+    return exact.mat_mul(exact.mat_mul(rows, g), exact.transpose(rows)) == g
+
+
 def conjugate(g: Isometry, s: Isometry, name: str = "") -> Isometry:
     """s o g o s^-1 (apply s^-1, then g, then s)."""
     out = compose(s.inverse(), g, s)
@@ -56,4 +78,13 @@ def inversion_f(index: int) -> Isometry:
     worked = next(w for w in a.walls["3a"] if w.key[1:] == (1, WALL_3A_EXAMPLE_K))
     wall = sorted(a.walls["3a"], key=lambda w: w.key)[index - 1]
     perm = next(p for p in sorted(a.s5) if a.s5[p].apply(worked.vec) == wall.vec)
-    return a.s5_conjugate(a.f, perm, name=f"f{index}")
+    return s5_conjugate(a.f, perm, name=f"f{index}")
+
+
+def s5_conjugate(g: Isometry, perm: tuple, name: str = "") -> Isometry:
+    """s o g o s^-1 for s = s5[perm] and any isometry g, as a packed matrix
+    product: s^-1 is the S5 element of the inverse permutation, as both
+    agree on the spanning curves."""
+    a = autctx()
+    s, s_inv = a.s5[perm], a.s5[tuple(perm.index(i) + 1 for i in range(1, 6))]
+    return Isometry(packed_compose(s_inv, g, s).matrix, name or f"{s.name}.{g.name}.{s.name}^-1")

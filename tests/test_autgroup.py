@@ -30,7 +30,7 @@ from hessaut.autgroup import (
 from hessaut.checks import CertificationError
 from hessaut.hessian import CURVE_NAMES, NODE_NAMES, picard
 from hessaut.lorentz import bilinear
-from product_reference import conjugate
+from product_reference import conjugate, preserves_form
 
 
 def lam_octad(w, values=(-1, 3)):
@@ -255,7 +255,7 @@ def test_every_descent_generator_preserves_the_form_densely():
     ctx = picard()
     assert len(a.descent) == 64
     for name, iso, _ in a.descent:
-        assert ctx.preserves_form(iso.matrix), name
+        assert preserves_form(iso.matrix), name
         assert iso.curve_action.inverse_rows() == iso.matrix, name
 
 
@@ -266,7 +266,7 @@ def test_gram_preserved_fails_on_a_matrix_its_action_does_not_certify(monkeypatc
     rows[0] = [2 * x for x in rows[0]]
     bad = Isometry(tuple(map(tuple, rows)), name)
     object.__setattr__(bad, "curve_action", iso.curve_action)
-    assert not picard().preserves_form(bad.matrix)
+    assert not preserves_form(bad.matrix)
     monkeypatch.setattr(a, "descent", [(name, bad, y)] + a.descent[1:])
     status = {c.id: c.status for c in cli.generators_suite(0)}
     assert status["generators.gram-preserved"] == "fail"

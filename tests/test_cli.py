@@ -8,6 +8,10 @@ from hessaut import autgroup, cli
 def test_unknown_suite_gives_usage_error(capsys):
     assert cli.main(["verify", "nonsense"]) == 2
     assert "unknown suite" in capsys.readouterr().err
+    assert cli.main(["verify", "--suite", "nosuch", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert "unknown suite 'nosuch'" in captured.err
+    assert captured.out == ""
 
 
 def test_missing_subcommand_exits_2():
@@ -60,6 +64,19 @@ def test_failing_check_exits_one(monkeypatch, capsys):
     monkeypatch.setitem(cli.SUITES, "golay", broken)
     assert cli.main(["verify", "golay"]) == 1
     assert "[FAIL] fake.broken" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("suite", ["all", "golay"])
+def test_a_key_error_inside_a_suite_is_not_a_usage_error(monkeypatch, capsys, suite):
+    """The suite name is checked before the run, so an internal KeyError
+    propagates instead of being reported as an unknown suite."""
+    def broken(seed):
+        return {}["missing"]
+
+    monkeypatch.setitem(cli.SUITES, "golay", broken)
+    with pytest.raises(KeyError, match="missing"):
+        cli.main(["verify", suite])
+    assert "unknown suite" not in capsys.readouterr().err
 
 
 def test_reduce_cap_exits_one_with_message(monkeypatch, capsys):

@@ -24,7 +24,7 @@ from hessaut.autgroup import (
     identity_isometry,
 )
 from hessaut.hessian import picard
-from hessaut.products import column_norm, curve_frame, matrix_from_pairings
+from hessaut.products import PackedProduct, column_norm, curve_frame, matrix_from_pairings
 from product_reference import conjugate, inversion_f
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -65,7 +65,8 @@ def _non_registry_isometries():
 def _start(iso):
     """K = M G Q^T of an isometry, packed."""
     frame = curve_frame()
-    return iso.packed().times(frame.pairing_columns, column_norm(frame.pairing_columns))
+    return PackedProduct(tuple(zip(*iso.matrix))).times(
+        frame.pairing_columns, column_norm(frame.pairing_columns))
 
 
 def _check_action(iso):

@@ -40,7 +40,7 @@ from hessaut.products import (
     CurveAction, PackedProduct, column_norm, curve_frame, matrix_from_pairings,
 )
 
-from product_reference import conjugate
+from product_reference import conjugate, s5_conjugate
 from test_curve_pairings import _check_action, _non_registry_isometries, _pairings
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -114,7 +114,7 @@ def test_s5_conjugates_match_conjugation_by_the_inverse_matrix():
     for perm in sorted(a.s5)[::11]:
         s = a.s5[perm]
         want = compose(s.inverse(), a.g, s).matrix
-        assert a.s5_conjugate(a.g, perm).matrix == want, s.name
+        assert s5_conjugate(a.g, perm).matrix == want, s.name
 
 
 # --- conjugates by relabelling -------------------------------------------------------
@@ -130,14 +130,14 @@ def _conjugates_by_product():
     for n in NODE_NAMES:
         perm = next(p for p in sorted(a.s5)
                     if frozenset(p[i - 1] for i in base_faces) == ctx.node_faces[n])
-        out.append((a.projections[n], a.s5_conjugate(a.p16, perm).matrix))
+        out.append((a.projections[n], s5_conjugate(a.p16, perm).matrix))
     worked = next(w for w in a.walls["3a"] if w.key[1:] == (1, WALL_3A_EXAMPLE_K))
     first = {}
     for perm in sorted(a.s5):
         first.setdefault(a.s5[perm].apply(worked.vec), perm)
     gens_3a = a.wall_generators["3a"]
     for w, iso in gens_3a:
-        out.append((iso, a.s5_conjugate(a.g, first[w.vec]).matrix))
+        out.append((iso, s5_conjugate(a.g, first[w.vec]).matrix))
     for (_, phi), (_, iso) in zip(a.wall_generators["1a"], a.wall_generators["1b"]):
         out.append((iso, compose(a.tau, phi, a.tau).matrix))
     for w, iso in a.wall_generators["3b"]:
@@ -422,8 +422,9 @@ def test_construction_takes_no_inverse_and_few_products(monkeypatch):
     monkeypatch.setattr(CurveAction, "of", classmethod(of))
     a = AutContext()
     assert calls["inverse"] == 0
-    # the involution certificates of p16, f and g; the conjugates are relabelled
-    assert calls["compose"] == 3
-    # the twelve reflections, p16 and g; every descent letter has its action
-    assert calls["of"] == 14
+    # the conjugates are relabelled and involutions read off their actions
+    assert calls["compose"] == 0
+    # the twelve reflections and the tables p16, f and g; every descent
+    # letter has its action
+    assert calls["of"] == 15
     assert all("curve_action" in vars(iso) for _, iso, _ in a.descent)

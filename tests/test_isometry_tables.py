@@ -18,6 +18,7 @@ from hessaut.autgroup import (
     isometry_from_images,
 )
 from hessaut.hessian import CURVE_NAMES, LINE_NAMES, NODE_NAMES, picard
+from product_reference import preserves_form
 
 
 def _reference(images, name):
@@ -104,7 +105,7 @@ def test_images_off_the_basis_must_follow_the_curve_relations():
 
 def test_a_linear_table_that_breaks_the_form_is_rejected():
     """2 times every curve is integral and keeps the curve relations, so
-    only the M G M^T = G test (`Picard.preserves_form`) can reject it."""
+    only the isometry certificate (`CurveAction.of`) can reject it."""
     images = {c: tuple(2 * x for x in v) for c, v in _identity_images().items()}
     for build in (isometry_from_images, _reference):
         with pytest.raises(ValueError, match="table is not an isometry"):
@@ -118,5 +119,5 @@ def test_preserves_form_against_the_dense_product():
     for rows in [iso.matrix for iso in autctx().registry.values()] + [shear, doubled]:
         m = [list(r) for r in rows]
         want = exact.mat_mul(exact.mat_mul(m, ctx.gram), exact.transpose(m)) == ctx._gram_rows
-        assert ctx.preserves_form(rows) is want
-    assert not ctx.preserves_form(shear) and not ctx.preserves_form(doubled)
+        assert preserves_form(rows) is want
+    assert not preserves_form(shear) and not preserves_form(doubled)

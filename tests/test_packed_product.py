@@ -107,7 +107,7 @@ def test_isometry_norm_is_the_largest_column_sum():
     for name, iso in autctx().registry.items():
         m = iso.matrix
         want = max(sum(abs(row[j]) for row in m) for j in range(16))
-        assert iso.norm == want, name
+        assert column_norm(sparse_columns(m)) == want, name
 
 
 def test_widths_grow_across_repacks_on_a_long_word():
@@ -115,13 +115,12 @@ def test_widths_grow_across_repacks_on_a_long_word():
     names = sorted(a.registry)
     rng = random.Random("packed-600")
     isos = [a.registry[rng.choice(names)] for _ in range(600)]
-    product = isos[0].packed()
+    product = PackedProduct(_columns(isos[0].matrix))
     widths = {product.width}
-    for iso in isos[1:]:
-        widths.add(product.times(iso.sparse_columns, iso.norm).width)
-    want = reduce(
-        column_product, (iso.sparse_columns for iso in isos[1:]), _columns(isos[0].matrix)
-    )
+    sparse = [sparse_columns(iso.matrix) for iso in isos[1:]]
+    for terms in sparse:
+        widths.add(product.times(terms, column_norm(terms)).width)
+    want = reduce(column_product, sparse, _columns(isos[0].matrix))
     assert product.columns() == want
     assert len(widths) > 10
     assert max(abs(x) for col in want for x in col).bit_length() > 200

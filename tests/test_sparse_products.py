@@ -1,9 +1,9 @@
 """Word products and the height descent against the dense products.
 
-`compose` runs on the packed product kernel and `AutContext.descend` in
-curve-pairing coordinates; the dense `exact.mat_mul`, the old dense
-descent loop and the reference `column_product` stay here, and must give
-the same matrices, words, residuals and heights.
+`compose` and `AutContext.descend` run in curve-pairing coordinates; the
+dense `exact.mat_mul`, the old dense descent loop and the reference
+`column_product` stay here, and must give the same matrices, words,
+residuals and heights.
 """
 
 import random
