@@ -19,7 +19,6 @@ Products of isometries and reduce words run on the kernels of `products`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import permutations
@@ -27,7 +26,7 @@ from math import gcd
 from operator import mul
 
 from . import exact, lattices
-from .checks import certify
+from .checks import CertificationError, certify
 from .golay import INFINITY, steiner_system
 from .hessian import (
     BASE_ROOT_ORDER,
@@ -52,10 +51,20 @@ from .products import (
 oo = INFINITY
 
 
-@dataclass(frozen=True)
 class Isometry:
-    matrix: tuple[tuple[int, ...], ...]
-    name: str = ""
+    """A 16x16 integer matrix over the curve basis, with a name; equal and
+    hashed as (matrix, name)."""
+
+    def __init__(self, matrix: tuple[tuple[int, ...], ...], name: str = ""):
+        self.matrix, self.name = matrix, name
+
+    def __eq__(self, other):
+        if other.__class__ is not Isometry:
+            return NotImplemented
+        return (self.matrix, self.name) == (other.matrix, other.name)
+
+    def __hash__(self) -> int:
+        return hash((self.matrix, self.name))
 
     @cached_property
     def curve_action(self) -> CurveAction:
@@ -118,7 +127,7 @@ def isometry_from_images(images: dict[str, ClassVec], name: str) -> Isometry:
 
 def _acting(iso: Isometry, action: CurveAction) -> Isometry:
     """iso with action, a certified action of this isometry, as its `curve_action`."""
-    object.__setattr__(iso, "curve_action", action)
+    iso.curve_action = action
     return iso
 
 
@@ -143,11 +152,21 @@ def relabel(b: Isometry, s: Isometry, name: str) -> Isometry:
     return _acting(Isometry(action.inverse_rows(), name), action)
 
 
+def _certified(build, *args):
+    """build(*args) on the program's own tables, where a ValueError is a
+    failed certificate (CertificationError), not bad input."""
+    try:
+        return build(*args)
+    except ValueError as e:
+        raise CertificationError(str(e)) from None
+
+
 def table_isometry(table: dict[str, dict], name: str) -> Isometry:
+    """The isometry of one of the image tables below (`isometry_from_images`),
+    certified."""
     ctx = picard()
-    return isometry_from_images(
-        {c: ctx.resolve(expr) for c, expr in table.items()}, name
-    )
+    images = {c: ctx.resolve(expr) for c, expr in table.items()}
+    return _certified(isometry_from_images, images, name)
 
 
 # --- fixed image tables -------------------------------------------------------
@@ -301,17 +320,25 @@ CASE_ROOT_TYPES = {
 PUSH_MULTIPLES = {"1a": 15, "1b": 15, "2": 4, "3a": 12, "3b": 12}
 
 
-@dataclass(frozen=True)
 class WallRoot:
     """A wall root (None for the case 1b walls, which tau carries from 1a)
     and its projection r1 = vec / den into the Picard lattice, den the
-    least positive denominator."""
+    least positive denominator; equal and hashed as (case, root, vec, den,
+    key)."""
 
-    case: str
-    root: LorentzVector | None
-    vec: ClassVec
-    den: int
-    key: tuple
+    def __init__(self, case: str, root: LorentzVector | None, vec: ClassVec, den: int, key: tuple):
+        self.case, self.root, self.vec, self.den, self.key = case, root, vec, den, key
+
+    def _values(self) -> tuple:
+        return self.case, self.root, self.vec, self.den, self.key
+
+    def __eq__(self, other):
+        if other.__class__ is not WallRoot:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
     @cached_property
     def r1(self) -> tuple[Fraction, ...]:
@@ -450,7 +477,7 @@ class AutContext:
 
         # tau, the S5 elements and their products permute the curves
         tau_map = {a: b for pair in TAU_PAIRS for a, b in (pair, pair[::-1])}
-        self.tau = curve_permutation(tau_map, "tau")
+        self.tau = _certified(curve_permutation, tau_map, "tau")
         certify(all(ctx.tau_partner(a) == b for a, b in TAU_PAIRS),
                 "the tau table must pair each node with its tau partner")
 
@@ -467,9 +494,10 @@ class AutContext:
         for perm in permutations(range(1, 6)):
             images = {c: by_faces[frozenset(perm[i - 1] for i in faces_of[c])]
                       for faces_of in (ctx.node_faces, ctx.line_faces) for c in faces_of}
-            s = self.s5[perm] = curve_permutation(images, "s" + "".join(map(str, perm)))
+            s = self.s5[perm] = _certified(curve_permutation, images, "s" + "".join(map(str, perm)))
             # tau*s from the composed map, first tau, then s: no product
-            tau_s = curve_permutation({a: images[b] for a, b in tau_map.items()}, f"tau*{s.name}")
+            tau_s = _certified(curve_permutation, {a: images[b] for a, b in tau_map.items()},
+                               f"tau*{s.name}")
             for m in (s, tau_s):
                 self.symmetries[m.matrix] = "id" if m.same_matrix(identity_isometry()) else (
                     "tau" if m.same_matrix(self.tau) else m.name

@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cache
 from itertools import combinations
+from math import comb
 from typing import Iterable
 
 from .checks import certify
@@ -61,12 +62,22 @@ class SteinerSystem:
     def covering_counts(self) -> Counter:
         """How often each 5-subset of Omega appears inside an octad, keyed
         by its 24-bit mask (`set_mask`): an octad's 56 five-subsets are its
-        mask minus three of its bits."""
+        mask minus three of its bits. `five_subset_cover` counts instead."""
         counts: Counter = Counter()
         for m in self.masks:
             bits = [1 << i for i in range(24) if m >> i & 1]
             counts.update([m ^ a ^ b ^ c for a, b, c in combinations(bits, 3)])
         return counts
+
+    def five_subset_cover(self, sizes: set[int]) -> tuple[int, set[int]] | None:
+        """(how many 5-subsets of Omega lie in an octad, how many octads hold
+        each), by counting: when the octads are distinct and any two meet
+        in at most 4 points (sizes, from `pair_intersection_sizes`), no
+        5-subset lies in two of them, so each octad adds its C(|octad|, 5)
+        five-subsets, all new. None when that does not hold."""
+        if len(set(self.masks)) < len(self.masks) or max(sizes, default=0) > 4:
+            return None
+        return sum(comb(m.bit_count(), 5) for m in self.masks), {1}
 
     def pair_intersection_sizes(self) -> set[int]:
         """The sizes |A & B| over all pairs of distinct octads, read off the

@@ -14,7 +14,6 @@ identity over a Z-basis chosen among the curves themselves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -361,25 +360,21 @@ class Picard:
         return Pencil(self, f"type3[{l1},{l2}]", fiber, [("I2", {"C" + l1[1:]: 1, "C" + l2[1:]: 1})], [], [])
 
 
-@dataclass
 class Pencil:
     """An elliptic pencil class together with verified reducible fibers."""
 
-    ctx: "Picard"
-    name: str
-    fiber: ClassVec
-    reducible: list[tuple[str, dict]]
-    sections: list[str]
-    bisections: list[str]
+    __slots__ = ("ctx", "name", "fiber", "reducible", "sections", "bisections")
 
-    def __post_init__(self):
-        ctx, name, fiber = self.ctx, self.name, self.fiber
+    def __init__(self, ctx: "Picard", name: str, fiber: ClassVec,
+                 reducible: list[tuple[str, dict]], sections: list[str], bisections: list[str]):
+        self.ctx, self.name, self.fiber = ctx, name, fiber
+        self.reducible, self.sections, self.bisections = reducible, sections, bisections
         certify(ctx.inner(fiber, fiber) == 0, f"{name}: fiber class has nonzero square")
-        for tag, comps in self.reducible:
+        for tag, comps in reducible:
             certify(ctx.resolve(comps) == fiber, f"{name}: {tag} fiber does not sum to the class")
-        for s in self.sections:
+        for s in sections:
             certify(ctx.inner(ctx.resolve({s: 1}), fiber) == 1, f"{name}: {s} is not a section")
-        for b in self.bisections:
+        for b in bisections:
             certify(ctx.inner(ctx.resolve({b: 1}), fiber) == 2, f"{name}: {b} is not a bisection")
 
 

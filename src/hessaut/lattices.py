@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -81,9 +80,13 @@ class Ambient:
         vectors += [LorentzVector(leech.ZERO, 1, 0), LorentzVector(leech.ZERO, 0, 1)]
         self.rows = [v.raw() for v in vectors]
         self.gram = [[bilinear(a, b) for b in vectors] for a in vectors]
-        certify(exact.det_rational(self.gram) == -1, "L must be unimodular with det -1")
-        # inverse of the basis rows as adj / den, with adj an integer matrix
-        self._adj, self._den = exact.invert_integer(self.rows)
+        # the 24 Hermite rows and the two unit rows are upper triangular: their
+        # inverse as adj / den, with adj an integer matrix
+        self._adj, self._den = exact.invert_upper_triangular(self.rows)
+        # the raw form is (-1/8) I_24 + [[0, 1], [1, 0]], so det(gram) is
+        # -(product of the pivots)^2 / 8^24
+        certify(math.prod(r[i] for i, r in enumerate(lam_rows)) == 8 ** 12,
+                "L must be unimodular with det -1")
 
     def coords(self, v: LorentzVector) -> tuple[int, ...]:
         """Integer coordinates over the L basis; fails off the lattice."""
@@ -102,12 +105,22 @@ def ambient() -> Ambient:
     return Ambient()
 
 
-@dataclass(frozen=True)
 class EmbeddedLattice:
-    """A sublattice of L given by HNF-canonical coordinate rows."""
+    """A sublattice of L given by HNF-canonical coordinate rows; equal and
+    hashed as (rows, gram)."""
 
-    rows: tuple[tuple[int, ...], ...]
-    gram: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows", "gram")
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...], gram: tuple[tuple[int, ...], ...]):
+        self.rows, self.gram = rows, gram
+
+    def __eq__(self, other):
+        if other.__class__ is not EmbeddedLattice:
+            return NotImplemented
+        return (self.rows, self.gram) == (other.rows, other.gram)
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.gram))
 
     @property
     def rank(self) -> int:
@@ -157,13 +170,24 @@ def is_primitive(m: EmbeddedLattice) -> bool:
     return saturation(m).rows == m.rows
 
 
-@dataclass(frozen=True)
 class FiniteQuadraticForm:
-    """Discriminant group with quadratic values mod 2Z and pairings mod Z."""
+    """Discriminant group with quadratic values mod 2Z and pairings mod Z;
+    equal and hashed as (orders, qvals, pairings)."""
 
-    orders: tuple[int, ...]
-    qvals: tuple[Fraction, ...]
-    pairings: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("orders", "qvals", "pairings")
+
+    def __init__(self, orders: tuple[int, ...], qvals: tuple[Fraction, ...],
+                 pairings: tuple[tuple[Fraction, ...], ...]):
+        self.orders, self.qvals, self.pairings = orders, qvals, pairings
+
+    def __eq__(self, other):
+        if other.__class__ is not FiniteQuadraticForm:
+            return NotImplemented
+        return ((self.orders, self.qvals, self.pairings)
+                == (other.orders, other.qvals, other.pairings))
+
+    def __hash__(self) -> int:
+        return hash((self.orders, self.qvals, self.pairings))
 
     @property
     def group_order(self) -> int:

@@ -9,18 +9,26 @@ norm -2 vectors (lambda, 1, -1 - <lambda,lambda>/2); the Weyl vector
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import leech
 from .checks import certify
 from .leech import LeechVector
 
 
-@dataclass(frozen=True)
 class LorentzVector:
-    lam: LeechVector
-    m: int
-    n: int
+    """lam + m f + n g; equal and hashed as the triple (lam, m, n)."""
+
+    __slots__ = ("lam", "m", "n")
+
+    def __init__(self, lam: LeechVector, m: int, n: int):
+        self.lam, self.m, self.n = lam, m, n
+
+    def __eq__(self, other):
+        if other.__class__ is not LorentzVector:
+            return NotImplemented
+        return (self.lam, self.m, self.n) == (other.lam, other.m, other.n)
+
+    def __hash__(self) -> int:
+        return hash((self.lam, self.m, self.n))
 
     def __add__(self, other: "LorentzVector") -> "LorentzVector":
         return LorentzVector(leech.vadd(self.lam, other.lam), self.m + other.m, self.n + other.n)

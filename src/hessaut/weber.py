@@ -288,13 +288,13 @@ def pentahedral_dictionary(
 
 
 @cache
-def affine_symplectic_group() -> tuple[tuple[int, ...], ...]:
-    """All 11520 affine symplectic permutations of the 16 points (as ints).
+def symplectic_linear_parts() -> tuple[tuple[int, ...], ...]:
+    """The 720 elements of Sp(4,2), each as its images of the four unit vectors.
 
-    The images of the four unit vectors are chosen one at a time, each
-    among the columns with the right pairings against those already
-    chosen. Each partial choice is extended in increasing order, so the
-    linear parts come in lexicographic order.
+    The images are chosen one at a time, each among the columns with the
+    right pairings against those already chosen; the pairing matrix is
+    nondegenerate, so every such choice is invertible. Each partial choice is
+    extended in increasing order, so the tuples come in lexicographic order.
     """
     units = (1, 2, 4, 8)
     pairs = [[pair_bits(v, w) for w in range(16)] for v in range(16)]
@@ -304,26 +304,59 @@ def affine_symplectic_group() -> tuple[tuple[int, ...], ...]:
         linear = [cols + (c,) for cols in linear for c in range(16)
                   if [pairs[d][c] for d in cols] == want]
     certify(len(linear) == 720, "Sp(4,2) has order 720")
+    return tuple(linear)
+
+
+def affine_group_order() -> int:
+    """The order of the affine symplectic group, 16 * |Sp(4,2)|: (L, t) ->
+    (p -> Lp + t) is a bijection onto the group, as t is the image of 0 and
+    L's columns are the images of the unit vectors plus t."""
+    return 16 * len(symplectic_linear_parts())
+
+
+@cache
+def affine_symplectic_group() -> tuple[tuple[int, ...], ...]:
+    """All 11520 affine symplectic permutations of the 16 points (as ints),
+    the 16 translates of each linear part in turn."""
     # translate t sends point p to p ^ t; a linear part's 16 translates are
     # its images looked up in each translation
     translations = [tuple(p ^ t for p in range(16)) for t in range(16)]
     perms = []
-    for cols in linear:
+    for cols in symplectic_linear_parts():
         images = [0] * 16
         for p in range(1, 16):
             low = p & -p  # p is p ^ low plus the unit vector low
             images[p] = images[p ^ low] ^ cols[low.bit_length() - 1]
         perms += map(itemgetter(*images), translations)
-    certify(len(set(perms)) == 11520, "the affine symplectic group has order 11520")
+    certify(len(set(perms)) == affine_group_order(),
+            "the affine symplectic group has order 11520")
     return tuple(perms)
 
 
 def hexad_orbit_and_stabilizer(h: frozenset[Label]) -> tuple[int, int]:
-    """Orbit size and stabilizer order of a hexad under the affine symplectic
-    group, each image a 16-bit mask of psi points."""
+    """Orbit size and stabilizer order of a set of points under the affine
+    symplectic group, with no table of the group.
+
+    (L, t) fixes h exactly when L(h) is the translate h + t, so the
+    stabilizer order is the sum over the 720 linear parts L of the number
+    of translations t with h + t = L(h); the orbit is the group order over
+    it (orbit-stabilizer).
+    """
     psi_t = psi_table()
     points = [psi_t[a] for a in h]
-    group, bits = affine_symplectic_group(), [1 << p for p in range(16)].__getitem__
-    # the image masks, summed point by point over the whole group
-    images = Counter(map(sum, zip(*[map(bits, map(itemgetter(p), group)) for p in points])))
-    return len(images), images[sum(map(bits, points))]
+    # the 16-bit mask of each translate h + t, with the number of t giving it
+    translates = Counter(sum(1 << (p ^ t) for p in points) for t in range(16))
+    # L(p) is the sum of the columns of L at the set bits of p
+    bits = [[i for i in range(4) if p >> i & 1] for p in points]
+    stab = 0
+    for cols in symplectic_linear_parts():
+        image = 0
+        for b in bits:
+            x = 0
+            for i in b:
+                x ^= cols[i]
+            image |= 1 << x
+        stab += translates[image]
+    order = affine_group_order()
+    certify(stab and order % stab == 0, "a stabilizer order must divide the group order")
+    return order // stab, stab

@@ -100,3 +100,23 @@ def test_the_greedy_curve_basis_is_certified_under_python_O():
     proc = _python_O(code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("rejected:") and "unimodular basis" in proc.stdout
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("command", [["reduce", "--word", "tau"], ["verify", "walls"]])
+def test_a_broken_built_in_table_is_a_failed_certification(flags, command):
+    # N56 and N24 fixed instead of swapped: p16 violates the curve relations
+    code = (
+        "import sys\n"
+        "from hessaut import autgroup, cli\n"
+        "autgroup.NODE_PROJECTION_TABLE.update({'N56': {'N56': 1}, 'N24': {'N24': 1}})\n"
+        f"sys.exit(cli.main({command!r}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "certification failed: p16: images violate the curve relations at T34"
+    ]
+

@@ -1,5 +1,8 @@
+import math
 import random
 from fractions import Fraction
+
+import pytest
 
 from hessaut import exact, leech
 from hessaut.golay import steiner_system
@@ -229,3 +232,30 @@ def test_row_span_matches_full_rows_random():
             w = [rng.randint(-9, 9) for _ in range(n)]
             assert span.contains(w) == full.contains(w)
         assert _full_rows(span) == full._rows
+
+
+def test_back_substitution_matches_the_general_inverse_random():
+    rng = random.Random(20)
+    for n in range(1, 8):
+        for _ in range(60):
+            a = [[rng.randint(-6, 6) if j > i else 0 for j in range(n)] for i in range(n)]
+            for i in range(n):
+                a[i][i] = rng.choice([-4, -3, -2, -1, 1, 2, 3, 8])
+            assert exact.invert_upper_triangular(a) == exact.invert_integer(a)
+
+
+def test_back_substitution_refuses_other_matrices():
+    for a in ([[1, 0], [1, 1]], [[1, 2], [0, 0]], [[0]]):
+        with pytest.raises(ValueError, match="upper triangular"):
+            exact.invert_upper_triangular(a)
+
+
+def test_the_ambient_frame_is_inverted_by_back_substitution():
+    from hessaut.lattices import ambient
+
+    amb = ambient()
+    assert (amb._adj, amb._den) == exact.invert_integer(amb.rows)
+    assert exact.det_rational(amb.gram) == -1
+    # the pivots that the det certificate reads
+    assert all(not any(row[:i]) for i, row in enumerate(amb.rows))
+    assert math.prod(amb.rows[i][i] for i in range(24)) == 8 ** 12

@@ -1,8 +1,10 @@
+import inspect
 from collections import Counter
 from itertools import combinations
 
 import pytest
 
+from hessaut import cli
 from hessaut.checks import CertificationError
 from hessaut.golay import (
     BASE_OCTAD,
@@ -136,3 +138,63 @@ def test_pair_intersections_certify_closure_under_python_O():
     proc = _python_O(code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["raised"] * 3
+
+
+def test_five_subset_cover_by_counting_matches_the_cover_table():
+    system = steiner_system()
+    counts = system.covering_counts()
+    cover = system.five_subset_cover(system.pair_intersection_sizes())
+    assert cover == (len(counts), set(counts.values())) == (42504, {1})
+
+
+def _all_pair_sizes(system):
+    """|A & B| over every pair of entries of the octad list, with no use of
+    the orbit structure."""
+    masks = system.masks
+    return {(a & b).bit_count() for i, a in enumerate(masks) for b in masks[i + 1:]}
+
+
+@pytest.mark.parametrize("change", ["swap", "duplicate"])
+def test_five_subset_cover_refuses_octads_sharing_five_points(change):
+    octads = list(steiner_system().octads)
+    # NOT_AN_OCTAD shares {oo, 0, 1, 2, 3, 5} with the octad K1
+    octads[100] = NOT_AN_OCTAD if change == "swap" else octads[101]
+    system = SteinerSystem(tuple(octads))
+    counts = system.covering_counts()
+    assert max(counts.values()) > 1  # the cover table agrees: some 5-set twice
+    assert max(_all_pair_sizes(system)) >= 5
+    assert system.five_subset_cover(_all_pair_sizes(system)) is None
+
+
+def _golay_suite_on_an_octad_meeting_another_in_five_points():
+    """The golay suite's five-subset-cover check on the octads with one
+    swapped for an 8-set that meets the octad K1 in six points; the sizes
+    are read off every pair, as the closure certificate refuses this set."""
+    from hessaut import cli
+    from hessaut.golay import INFINITY as oo, SteinerSystem, steiner_system
+
+    octads = list(steiner_system().octads)
+    octads[100] = frozenset({oo, 0, 1, 2, 3, 4, 5, 6})
+    broken = SteinerSystem(tuple(octads))
+    masks = broken.masks
+    sizes = {(a & b).bit_count() for i, a in enumerate(masks) for b in masks[i + 1:]}
+    cli.steiner_system = lambda: broken
+    SteinerSystem.pair_intersection_sizes = lambda self: sizes
+    check = next(c for c in cli.golay_suite(0) if c.id == "golay.five-subset-cover")
+    return check.status, check.actual
+
+
+def test_golay_suite_fails_the_cover_on_octads_sharing_five_points(monkeypatch):
+    # set to themselves, so that monkeypatch undoes the helper's patches
+    monkeypatch.setattr(cli, "steiner_system", cli.steiner_system)
+    monkeypatch.setattr(SteinerSystem, "pair_intersection_sizes",
+                        SteinerSystem.pair_intersection_sizes)
+    assert _golay_suite_on_an_octad_meeting_another_in_five_points() == ("fail", "None")
+
+
+def test_golay_suite_fails_the_cover_on_octads_sharing_five_points_under_python_O():
+    code = (inspect.getsource(_golay_suite_on_an_octad_meeting_another_in_five_points)
+            + "print(*_golay_suite_on_an_octad_meeting_another_in_five_points())\n")
+    proc = _python_O(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["fail", "None"]

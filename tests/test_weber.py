@@ -1,4 +1,9 @@
+from collections import Counter
 from itertools import combinations, product
+from operator import itemgetter
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hessaut import weber
 from hessaut.weber import (
@@ -9,6 +14,7 @@ from hessaut.weber import (
     PINNED_PACKETS,
     THETA_TABLE,
     add,
+    affine_group_order,
     affine_symplectic_group,
     hexad_orbit_and_stabilizer,
     hexad_profile,
@@ -19,6 +25,7 @@ from hessaut.weber import (
     psi_table,
     reduce_label,
     symplectic,
+    symplectic_linear_parts,
     tetrads,
     theta_characteristic,
     theta_characteristic_of_label,
@@ -223,6 +230,34 @@ def test_orbit_and_stabilizer_match_the_frozenset_scan():
     results = [hexad_orbit_and_stabilizer(h) for h in sets]
     assert results == [_orbit_and_stabilizer_on_frozensets(h) for h in sets]
     assert results[0] == (192, 60) and results[-1] != (192, 60)
+
+
+def _orbit_and_stabilizer_on_masks(h):
+    """`hexad_orbit_and_stabilizer` as it was before it counted: every
+    image of h as a 16-bit mask, summed point by point over the whole
+    materialized group."""
+    psi_t = psi_table()
+    points = [psi_t[a] for a in h]
+    group, bits = affine_symplectic_group(), [1 << p for p in range(16)].__getitem__
+    images = Counter(map(sum, zip(*[map(bits, map(itemgetter(p), group)) for p in points])))
+    return len(images), images[sum(map(bits, points))]
+
+
+def test_linear_parts_give_the_group_order():
+    assert len(set(symplectic_linear_parts())) == 720
+    assert affine_group_order() == 16 * len(symplectic_linear_parts())
+    assert affine_group_order() == len(set(affine_symplectic_group())) == 11520
+
+
+def test_counted_orbit_and_stabilizer_match_the_group_on_every_hexad():
+    for h in weber_hexads():
+        assert hexad_orbit_and_stabilizer(h) == _orbit_and_stabilizer_on_masks(h) == (192, 60)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sets(st.sampled_from(ALL_POINTS), min_size=6, max_size=6))
+def test_counted_orbit_and_stabilizer_match_the_group_on_six_sets(h):
+    assert hexad_orbit_and_stabilizer(frozenset(h)) == _orbit_and_stabilizer_on_masks(h)
 
 
 def test_packet_characteristics_sum_to_zero():
