@@ -14,13 +14,13 @@ pairing with the Weyl projection certifies that the generators cut the
 symmetry group down to the 240-element group generated by tau and the
 pentahedral permutations.
 
-Products of isometries and reduce words run on the kernels of `products`.
+Reduce words run on the kernels of `products`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from itertools import permutations
 from math import gcd
 from operator import mul
@@ -96,14 +96,15 @@ def identity_isometry() -> Isometry:
 def compose(*isos: Isometry) -> Isometry:
     """Apply left to right: compose(a, b)(x) = b(a(x)).
 
-    The identity's curve pairings are moved by each factor's certified
-    `curve_action`, and the matrix is read off the result
-    (`matrix_from_pairings`); ValueError if a factor is not an isometry.
+    Each factor's certified `curve_action` is read first, so a factor that
+    is not an isometry raises ValueError. Rows are the images of the basis
+    vectors, so compose(a, b) has the matrix M_a M_b: one `exact.mat_mul`
+    per factor, from the identity.
     """
-    product = curve_frame().identity_pairings.copy()
     for iso in isos:
-        product.act(iso.curve_action)
-    return Isometry(matrix_from_pairings(product), "*".join(i.name for i in isos))
+        iso.curve_action  # the certificate
+    matrix = reduce(exact.mat_mul, [iso.matrix for iso in isos], identity_isometry().matrix)
+    return Isometry(tuple(map(tuple, matrix)), "*".join(i.name for i in isos))
 
 
 def isometry_from_images(images: dict[str, ClassVec], name: str) -> Isometry:
@@ -471,8 +472,7 @@ class AutContext:
         self.gram_omega = exact.mat_vec(ctx._gram_rows, self.omega)
         # where every descent starts: the pairings of omega with the twenty
         # curves, and its height
-        u = tuple(sum([k * self.omega[i] for i, k in terms])
-                  for terms in curve_frame().pairing_columns)
+        u = tuple(exact.dot(self.omega, g) for g in curve_frame().pairings)
         self.descent_start = (u, exact.dot(u, self.omega))
 
         # tau, the S5 elements and their products permute the curves
@@ -676,34 +676,30 @@ class AutContext:
         of the identity, at `descent_start`. A letter b's pairing is the
         height of b(v), <v, b^-1(omega)>: the basis pairings u[:16] against
         its `omega_preimage`, tried sixteen letters to a big-int sum by
-        `scan` (`DescentScan`). Every letter is a certified
-        isometry, so the product's entries are capped by its height
-        (`CurveFrame.entry_cap`). A letter whose action has no combinations
-        permutes the curves, so b^-1 fixes omega, the sum of the twenty
-        curves (certified in `CurveFrame`): <b(v), omega> = <v,
-        b^-1(omega)> = h, and the height and its cap carry over.
+        `scan` (`DescentScan`). Every letter is a certified isometry, so
+        the product's entries are capped by its height
+        (`CurveFrame.entry_cap`), and that cap alone sizes its slots. A
+        letter whose action has no combinations permutes the curves, so
+        b^-1 fixes omega, the sum of the twenty curves (certified in
+        `CurveFrame`): <b(v), omega> = <v, b^-1(omega)> = h, and the height
+        and its cap carry over.
 
-        The residual is read off K. Every |entry| stays below 2^(w-1) at the
-        width w, so packing at one width is injective: at the key width, if
-        each column c of K is the packed pairing column of curve src[c] with
-        src the `curve_action.src` of a certified symmetry s, then K = K(s)
-        and M = K_basis adj / den = s.matrix, with no check needed. Any other
-        K goes through `matrix_from_pairings` and its ValueErrors.
+        The residual is read off K and the final height (`residual`).
         """
         frame = curve_frame()
         entry_cap = frame.entry_cap
         letters = (gamma,) if isinstance(gamma, Isometry) else gamma
         product = frame.identity_pairings.copy()
         u, h = self.descent_start
-        bound = entry_cap(h)
+        cap = entry_cap(h)
         for b in letters:
             action = b.curve_action
             u = action(u)
             if action.combos:
                 # dot stops at the shorter vector: the 16 basis pairings of u
                 h = exact.dot(u, self.omega)
-                bound = entry_cap(h)
-            product.act(action, bound)
+                cap = entry_cap(h)
+            product.act(action, cap)
         heights = [h]
         word: list[str] = []
         while (hit := self.scan.first_hit(u, h)) is not None:
@@ -716,15 +712,23 @@ class AutContext:
             heights.append(h)
             if len(word) > 10000:
                 raise RuntimeError("height descent failed to terminate")
-        return word, self.residual(product), heights
+        return word, self.residual(product, h), heights
 
-    def residual(self, product: PackedProduct) -> Isometry:
-        """The isometry whose curve pairings K are packed: a symmetry's K at
-        the key width is one lookup (see `descend`). May consume product."""
+    def residual(self, product: PackedProduct, height: int) -> Isometry:
+        """The isometry whose curve pairings K are packed, given its height.
+
+        Off the key width, K is first re-packed at the cap of its height. A
+        symmetry fixes omega, so it then sits at the key width, where packing
+        is injective: if column c of K is the key of curve src[c] for the
+        `curve_action.src` of a certified symmetry s, then K = K(s) and M =
+        s.matrix, one lookup. Any other K goes through `matrix_from_pairings`
+        and its ValueErrors. product is left as it is.
+        """
         frame = curve_frame()
-        src = None
-        if product.width == frame.key_width:
-            src = tuple(map(frame.curve_keys.get, product.cols))
+        if product.width != frame.key_width:
+            product = PackedProduct(product.columns(), frame.entry_cap(height))
+        keyed = product.width == frame.key_width
+        src = tuple(map(frame.curve_keys.get, product.cols)) if keyed else None
         return Isometry(self._symmetry_by_src.get(src) or matrix_from_pairings(product), "residual")
 
     def reduce_height(self, gamma: Isometry):

@@ -558,6 +558,9 @@ def _print_report(report: Report, as_json: bool) -> None:
 
 
 def _cmd_verify(args) -> int:
+    if args.suite and args.suite_opt and args.suite != args.suite_opt:
+        print(f"two suites given: {args.suite!r} and --suite {args.suite_opt!r}", file=sys.stderr)
+        return 2
     suite = args.suite_opt or args.suite or "all"
     if suite != "all" and suite not in SUITES:
         print(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)} or all",

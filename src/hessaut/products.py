@@ -1,12 +1,13 @@
 """Products of lattice isometries: packed columns in curve-pairing coordinates.
 
-Every product of isometries runs on one kernel. A running product,
-`PackedProduct`, holds each column as one Python int of balanced w-bit
-slots (Kronecker substitution). This is exact because packing is a ring
-map from integer columns to integers, and reading the slots back is
-unique while every |entry| < 2^(w-1). The product tracks a bound on its
-entries, and before a factor could break that condition it decodes,
-measures its actual largest entry and re-packs wider.
+A reduce word runs on one kernel. A running product, `PackedProduct`,
+holds each column as one Python int of balanced w-bit slots (Kronecker
+substitution). This is exact because packing is a ring map from integer
+columns to integers, and reading the slots back is unique while every
+|entry| < 2^(w-1). One rule sizes the slots: every entry is a curve
+pairing of a certified isometry, at most the height cap below, so a
+product is packed at the cap's bit length plus SLOT_MARGIN and re-packs
+only when a cap reaches 2^(w-1).
 
 The packed columns are curve pairings. Tau, the 120 pentahedral
 permutations and the 240 chamber symmetries are dense in the curve
@@ -20,10 +21,11 @@ curve coordinates), starting from the identity's
 (`CurveFrame.identity_pairings`). Appending a letter b sends column c to
 the old column of b^-1(c), a pure reindex when b^-1(c) is a curve and a
 short combination otherwise (`CurveAction`). The basis curves come
-first, so the first 16 columns are M G. `autgroup.compose` reads M =
-K_basis adj / den off the end (`matrix_from_pairings`); at the end of a
-descent, `AutContext.descend` first looks a chamber symmetry up by its
-columns (`CurveFrame.curve_keys`, `AutContext.residual`).
+first, so the first 16 columns are M G. At the end of a descent,
+`AutContext.residual` looks a chamber symmetry up by its columns
+(`CurveFrame.curve_keys`) and reads any other M = K_basis adj / den off
+them (`matrix_from_pairings`). A product of a few given isometries,
+`autgroup.compose`, is a dense matrix product.
 
 An isometry's `CurveAction` is its one certificate: `CurveAction.of`
 certifies M G M^T = G from the curve table and exact preimages, and
@@ -70,57 +72,31 @@ from .checks import certify
 from .hessian import CURVE_NAMES, picard
 
 
-def sparse_columns(rows) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """For each column j of a matrix, the pairs (i, c) with rows[i][j] == c != 0."""
-    return tuple(tuple((i, c) for i, c in enumerate(col) if c) for col in zip(*rows))
-
-
-def column_norm(sparse) -> int:
-    """Largest L1 norm of a column: no entry of M*B exceeds it times the
-    largest entry of M."""
-    return max((sum([abs(c) for _, c in terms]) for terms in sparse), default=0)
-
-
-# spare bits per slot at a re-pack: about fifteen descent letters before the next
+# spare bits per slot above the packing cap: how far caps may grow before a re-pack
 SLOT_MARGIN = 64
 
 
 class PackedProduct:
-    """A running product M*B1*B2*..., each column of it one Python int.
+    """A running product on packed curve pairings, each column one Python int.
 
-    Column j is packed as the sum of M[i][j] * 2^(w*i) over its n rows, so
-    column j of M*B is the sum of c times packed column i over the sparse
-    terms (i, c) of column j of B: one big-int multiply-add per nonzero.
-    The packing is a ring map, so the sums are exact whatever the carries;
-    reading the slots back (balanced, each in [-2^(w-1), 2^(w-1))) is
-    unique while every |entry| < 2^(w-1). `bound` caps every |entry|, and
-    multiplying by B raises it at most `column_norm(B)`-fold.
-
-    `act` may also be given a cap, a bound on the entries of the product
-    it makes. On curve pairings K = M G Q^T of an isometry M with height H
-    this is `CurveFrame.entry_cap(H)`, as |K_ic| <= c |H| (see the module
-    docstring), and the bound becomes the smaller of the two. Before a
-    factor would let the bound reach 2^(w-1), the columns are decoded, the
-    actual largest entry m is measured, and the product is re-packed at
-    the bit length of min(m times the factor's norm, cap), plus SLOT_MARGIN.
-    Along a descent the heights, hence the caps, fall, so the bound falls
-    with them and no re-pack is needed.
+    Column j is packed as the sum of K[i][j] * 2^(w*i) over its n rows; a
+    letter's `CurveAction` moves the columns by big-int multiply-adds, exact
+    whatever the carries, as packing is a ring map. Reading the slots back
+    (balanced, in [-2^(w-1), 2^(w-1))) is unique while every |entry| <
+    2^(w-1). cap bounds every |entry|: `CurveFrame.entry_cap(H)` for an
+    isometry of height H (see the module docstring). The product is packed
+    at width cap.bit_length() + SLOT_MARGIN, and `act` re-packs at its cap's
+    width only when that cap reaches 2^(w-1); along a descent caps fall.
     """
 
-    __slots__ = ("cols", "rows", "width", "bound")
+    __slots__ = ("cols", "rows", "width")
 
-    def __init__(self, cols):
+    def __init__(self, cols, cap: int):
         self.rows = len(cols[0]) if cols else 0
-        self._pack(cols, 1)
+        self._pack(cols, cap)
 
-    def _grown(self, norm: int, cap: int | None) -> int:
-        """The bound after a factor of this norm, and of cap if given."""
-        grown = self.bound * norm
-        return grown if cap is None or grown < cap else cap
-
-    def _pack(self, cols, norm: int, cap: int | None = None) -> None:
-        self.bound = max(map(abs, chain.from_iterable(cols)), default=0)
-        self.width = w = self._grown(norm, cap).bit_length() + SLOT_MARGIN
+    def _pack(self, cols, cap: int) -> None:
+        self.width = w = cap.bit_length() + SLOT_MARGIN
         shifts = range(0, w * self.rows, w)
         self.cols = [sum([x << s for x, s in zip(col, shifts)]) for col in cols]
 
@@ -128,28 +104,15 @@ class PackedProduct:
         """An independent product; the column list is shared, as no method
         changes it in place."""
         out = object.__new__(PackedProduct)
-        out.cols, out.rows, out.width, out.bound = self.cols, self.rows, self.width, self.bound
+        out.cols, out.rows, out.width = self.cols, self.rows, self.width
         return out
 
-    def _fit(self, norm: int, cap: int | None = None) -> None:
-        """Re-pack, if needed, so that the next factor's entries fit in a slot."""
-        if self._grown(norm, cap) >= 1 << (self.width - 1):
-            self._pack(self.columns(), norm, cap)
-
-    def times(self, sparse, norm: int) -> "PackedProduct":
-        """Multiply on the right by B, given its sparse columns and column norm."""
-        self._fit(norm)
-        cols = self.cols
-        self.cols = [sum([c * cols[i] for i, c in terms]) for terms in sparse]
-        self.bound *= norm
-        return self
-
-    def act(self, action: "CurveAction", cap: int | None = None) -> "PackedProduct":
-        """Apply a letter to packed curve pairings (see `CurveAction`); cap,
-        if given, must bound every |entry| of the result."""
-        self._fit(action.norm, cap)
+    def act(self, action: "CurveAction", cap: int) -> "PackedProduct":
+        """Apply a letter to packed curve pairings (see `CurveAction`); cap
+        must bound every |entry| of the result."""
+        if cap >= 1 << (self.width - 1):
+            self._pack(self.columns(), cap)
         self.cols = action(self.cols)
-        self.bound = self._grown(action.norm, cap)
         return self
 
     def columns(self) -> tuple[tuple[int, ...], ...]:
@@ -199,18 +162,9 @@ class CurveFrame:
         self.pairings = tuple(tuple(exact.mat_vec(ctx.gram, q)) for q in self.coords)
         # the intersection numbers of the twenty curves
         self.curve_gram = tuple(tuple(exact.dot(q, g) for g in self.pairings) for q in self.coords)
-        self.pairing_columns = sparse_columns(tuple(zip(*self.pairings)))
-        # K of the identity, where every reduce word starts; `copy` it
-        self.identity_pairings = PackedProduct(self.pairings)
-        # each curve's packed pairing column, fixed before anyone can touch the start
-        self.key_width = self.identity_pairings.width
-        self.curve_keys = {col: d for d, col in enumerate(self.identity_pairings.cols)}
         # each curve beyond the basis as (curve, basis curves, coefficients)
         self.relations = tuple((c, *_support(q)) for c, q in enumerate(self.coords[16:], 16))
-        self.relation_norm = 1 + max(sum(map(abs, q)) for q in self.coords[16:])
         self.adj, self.den = ctx._gram_adj, ctx._gram_den
-        self.adj_columns = sparse_columns(self.adj)
-        self.adj_norm = column_norm(self.adj_columns)
         # the height constant c: |K_ic| <= c |<g omega, omega>| for every isometry g
         omega = ctx.omega_prime
         certify(tuple(map(sum, zip(*self.coords))) == omega,
@@ -226,6 +180,11 @@ class CurveFrame:
         self.height_constant = c = ceil_sqrt(4 * basis * curves) / n
         certify(c * c * n * n >= 4 * basis * curves, "the height constant must bound the pairings")
         self._cap_num, self._cap_den = c.numerator, c.denominator
+        # K of the identity, at the cap of its height n; every reduce word `copy`s it
+        self.identity_pairings = PackedProduct(self.pairings, self.entry_cap(n))
+        # each curve's packed pairing column, fixed before anyone can touch the start
+        self.key_width = self.identity_pairings.width
+        self.curve_keys = {col: d for d, col in enumerate(self.identity_pairings.cols)}
 
     def entry_cap(self, height: int) -> int:
         """ceil(c |height|), a bound on every curve pairing K_ic of an
@@ -263,17 +222,14 @@ class CurveAction:
     the pairings of b(x): entry c is <b(x), c> = <x, b^-1(c)>. `src[c]` is
     the curve b^-1(c), or None where b^-1(c) is not a curve; for those c,
     `combos` holds (c, curves, coefficients) with b^-1(c) the sum of the
-    coefficients times the curves. `norm` is the largest L1 norm of a
-    combination (1 for a permutation), so no output exceeds `norm` times
-    the largest input.
+    coefficients times the curves.
     """
 
-    __slots__ = ("src", "combos", "norm", "_take")
+    __slots__ = ("src", "combos", "_take")
 
     def __init__(self, src, combos):
         self.src = tuple(src)
         self.combos = tuple(combos)
-        self.norm = max([sum(map(abs, coeffs)) for _, _, coeffs in self.combos], default=1)
         self._take = itemgetter(*(0 if d is None else d for d in self.src))
 
     @classmethod
@@ -390,21 +346,18 @@ def matrix_from_pairings(product: PackedProduct) -> tuple[tuple[int, ...], ...]:
     """Rows of the integer matrix M whose curve pairings K = M G Q^T are packed.
 
     The curves beyond the basis are integer combinations of the basis
-    curves, so their columns of K must be the same combinations of the
-    basis columns; these are compared as packed ints, re-packed first so
-    that no slot of a difference can overflow. The basis columns are M G,
-    so M = K_basis adj / den, and every entry must divide. Raises
-    ValueError unless both hold. Consumes `product`.
+    curves, so on every decoded row of K their pairings must be the same
+    combinations of the basis pairings. The basis columns are M G, so M =
+    K_basis adj / den, and every entry must divide. Raises ValueError
+    unless both hold.
     """
     frame = curve_frame()
-    product._fit(frame.relation_norm)
-    cols = product.cols
-    get = cols.__getitem__
+    rows = tuple(zip(*product.columns()))
     for c, curves, coeffs in frame.relations:
-        if cols[c] != sum(map(mul, coeffs, map(get, curves))):
+        if any([r[c] != sum([a * r[d] for d, a in zip(curves, coeffs)]) for r in rows]):
             raise ValueError(f"curve pairings break the relation of {frame.names[c]}")
-    cols = product.times(frame.adj_columns, frame.adj_norm).columns()
-    return tuple(zip(*exact_quotient(cols, frame.den, "curve pairings of no integer matrix")))
+    m = exact.mat_mul([r[:16] for r in rows], frame.adj)
+    return exact_quotient(m, frame.den, "curve pairings of no integer matrix")
 
 
 # letters per group of the packed first-hit scan

@@ -2,14 +2,15 @@
 
 `column_product` is the dense column product that `PackedProduct`
 replaced. Column j of A*B is the sum, over the terms (i, c) of column j
-of B, of c times column i of A, one entry at a time. It is the reference
-the packed kernel is tested against, and is itself tested against
-`exact.mat_mul`. `packed_compose` is the product of isometry matrices on
-packed columns that `autgroup.compose` ran before it moved to curve
-pairings. `preserves_form` is the dense M G M^T = G test that
-`CurveAction.of` replaced. `conjugate` conjugates through
-`Isometry.inverse`, and `s5_conjugate` through the S5 element of the
-inverse permutation; `autgroup.relabel` renames curves instead.
+of B (`sparse_columns`), of c times column i of A, one entry at a time.
+It is the reference the packed kernel is tested against, and is itself
+tested against `exact.mat_mul`. `column_compose` is the product of
+isometry matrices on those columns, so the cross-check of
+`autgroup.compose` shares no code with `exact.mat_mul`. `preserves_form`
+is the dense M G M^T = G test that `CurveAction.of` replaced.
+`conjugate` conjugates through `Isometry.inverse`, and `s5_conjugate`
+through the S5 element of the inverse permutation; `autgroup.relabel`
+renames curves instead.
 `inversion_f` builds the pencil inversions f_i that tests use as
 isometries outside the registry.
 """
@@ -20,7 +21,11 @@ from operator import add, mul, neg
 from hessaut import exact
 from hessaut.autgroup import WALL_3A_EXAMPLE_K, Isometry, autctx, compose
 from hessaut.hessian import picard
-from hessaut.products import PackedProduct, column_norm, sparse_columns
+
+
+def sparse_columns(rows) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each column j of a matrix, the pairs (i, c) with rows[i][j] == c != 0."""
+    return tuple(tuple((i, c) for i, c in enumerate(col) if c) for col in zip(*rows))
 
 
 def column_product(cols, sparse) -> tuple[tuple[int, ...], ...]:
@@ -49,13 +54,12 @@ def column_product(cols, sparse) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def packed_compose(*isos: Isometry) -> Isometry:
-    """Apply left to right, as `compose`, as one packed matrix product."""
-    product = PackedProduct(tuple(zip(*isos[0].matrix)))
+def column_compose(*isos: Isometry) -> Isometry:
+    """Apply left to right, as `compose`, by `column_product`."""
+    cols = tuple(zip(*isos[0].matrix))
     for iso in isos[1:]:
-        sparse = sparse_columns(iso.matrix)
-        product.times(sparse, column_norm(sparse))
-    return Isometry(tuple(zip(*product.columns())), "*".join(i.name for i in isos))
+        cols = column_product(cols, sparse_columns(iso.matrix))
+    return Isometry(tuple(zip(*cols)), "*".join(i.name for i in isos))
 
 
 def preserves_form(rows) -> bool:
@@ -82,9 +86,9 @@ def inversion_f(index: int) -> Isometry:
 
 
 def s5_conjugate(g: Isometry, perm: tuple, name: str = "") -> Isometry:
-    """s o g o s^-1 for s = s5[perm] and any isometry g, as a packed matrix
+    """s o g o s^-1 for s = s5[perm] and any isometry g, as a column
     product: s^-1 is the S5 element of the inverse permutation, as both
     agree on the spanning curves."""
     a = autctx()
     s, s_inv = a.s5[perm], a.s5[tuple(perm.index(i) + 1 for i in range(1, 6))]
-    return Isometry(packed_compose(s_inv, g, s).matrix, name or f"{s.name}.{g.name}.{s.name}^-1")
+    return Isometry(column_compose(s_inv, g, s).matrix, name or f"{s.name}.{g.name}.{s.name}^-1")

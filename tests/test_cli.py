@@ -44,6 +44,19 @@ def test_suite_option_spelling(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_two_different_suite_names_are_a_usage_error(capsys, json_flag):
+    assert cli.main(["verify", "golay", "--suite", "curves", *json_flag]) == 2
+    captured = capsys.readouterr()
+    assert "'golay'" in captured.err and "'curves'" in captured.err
+    assert captured.out == ""
+
+
+def test_the_same_suite_name_twice_runs(capsys):
+    assert cli.main(["verify", "golay", "--suite", "golay"]) == 0
+    assert "[PASS] golay.octad-count" in capsys.readouterr().out
+
+
 def test_reduce_word_command(capsys):
     assert cli.main(["reduce", "--word", "p16,tau", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -5,7 +5,7 @@ certified curve permutations, against the dense paths they replace.
 curves and certifies it on the curve intersection table
 (`CurveAction.permutation`). These tests check its matrices against
 `isometry_from_images` and `compose`, the S5 inverses used for
-conjugation, `CurveAction.of` on curve permutations against the packed
+conjugation, `CurveAction.of` on curve permutations against the pairing
 check and the dense actions, the conjugate generators that `relabel`
 reads off renamed curve actions against their products, the letters-phase
 heights that permutation letters leave alone, the rejections (plain and
@@ -36,9 +36,7 @@ from hessaut.autgroup import (
     relabel,
 )
 from hessaut.hessian import NODE_NAMES, picard
-from hessaut.products import (
-    CurveAction, PackedProduct, column_norm, curve_frame, matrix_from_pairings,
-)
+from hessaut.products import CurveAction, curve_frame, matrix_from_pairings
 
 from product_reference import conjugate, s5_conjugate
 from test_curve_pairings import _check_action, _non_registry_isometries, _pairings
@@ -159,7 +157,7 @@ def test_relabelled_actions_agree_with_the_actions_of_their_matrices():
     for iso, _ in _conjugates_by_product():
         fresh = CurveAction.of(iso.matrix, iso.name)
         action = iso.curve_action
-        assert (action.src, action.combos, action.norm) == (fresh.src, fresh.combos, fresh.norm)
+        assert (action.src, action.combos) == (fresh.src, fresh.combos)
         for x in xs:
             assert action(_pairings(x)) == fresh(_pairings(x)) == _pairings(iso.apply(x))
 
@@ -173,8 +171,7 @@ def test_conjugating_any_isometry_renames_its_curves():
             h = conjugate(b, s)
             fresh = CurveAction.of(h.matrix, key)
             action = b.curve_action.conjugate(s.curve_action)
-            assert (action.src, action.combos, action.norm) == (
-                fresh.src, fresh.combos, fresh.norm), (key, s.name)
+            assert (action.src, action.combos) == (fresh.src, fresh.combos), (key, s.name)
             assert action.inverse_rows() == h.inverse().matrix, (key, s.name)
     # for an involution the inverse rows are the matrix itself
     assert relabel(a.g, a.tau, "g^tau").matrix == compose(a.tau, a.g, a.tau).matrix
@@ -189,12 +186,12 @@ def test_conjugation_needs_a_curve_permutation():
 # --- CurveAction.of on curve permutations ---------------------------------------
 
 
-def _packed_accepts(matrix, src):
-    """The packed check of `CurveAction.of`: K of M read off against the
-    pairings of the curves the rows map to."""
+def _pairings_accept(matrix, src):
+    """The pairing check that `CurveAction.of` once ran on packed columns:
+    K of M, from dense products, read off against the pairings of the
+    curves the rows map to."""
     frame = curve_frame()
-    cols = frame.pairing_columns
-    k = PackedProduct(tuple(zip(*matrix))).times(cols, column_norm(cols)).columns()
+    k = [tuple(exact.mat_vec(matrix, g)) for g in frame.pairings]
     return all(k[d] == frame.pairings[c] for d, c in enumerate(src) if c is not None)
 
 
@@ -213,9 +210,9 @@ def test_curve_action_of_gives_each_symmetry_its_builders_permutation():
     assert len({iso.matrix for iso in isos}) == 240
     for iso in isos:
         fresh = CurveAction.of(iso.matrix, iso.name)
-        assert not fresh.combos and fresh.norm == 1
+        assert not fresh.combos
         assert fresh.src == iso.curve_action.src, iso.name
-        assert _packed_accepts(iso.matrix, fresh.src), iso.name
+        assert _pairings_accept(iso.matrix, fresh.src), iso.name
         _check_action(Isometry(iso.matrix, iso.name))
 
 
@@ -242,7 +239,7 @@ def test_the_packed_and_preimage_checks_reject_a_node_line_swap():
     assert not any(q in frame.index for q in images)
     src = list(range(20))
     src[0], src[10] = 10, 0
-    assert not _packed_accepts(rows, src)
+    assert not _pairings_accept(rows, src)
     with pytest.raises(ValueError, match="isometry"):
         CurveAction.of(tuple(rows), "swap")
 
@@ -287,7 +284,7 @@ def test_the_table_read_off_agrees_with_the_packed_check():
     for iso in letters:
         fresh = CurveAction.of(iso.matrix, iso.name)
         assert fresh.src == iso.curve_action.src, iso.name
-        assert _packed_accepts(iso.matrix, fresh.src), iso.name
+        assert _pairings_accept(iso.matrix, fresh.src), iso.name
     assert sum(None in iso.curve_action.src for iso in letters) == 64
 
 
@@ -299,7 +296,7 @@ def _descend_dot_per_letter(a, letters):
     one entry cap after every letter."""
     frame = curve_frame()
     product = frame.identity_pairings.copy()
-    u = [sum([k * a.omega[i] for i, k in terms]) for terms in frame.pairing_columns]
+    u = _pairings(a.omega)
     h = exact.dot(u, a.omega)
     for b in letters:
         before = h

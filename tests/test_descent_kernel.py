@@ -4,11 +4,12 @@
 sign bits; it must agree with one dot product per letter, at group edges
 (k = 0, 15, 16, 63), with ties (the test is a strict <) and with no hit.
 `CurveFrame.entry_cap` bounds the curve pairings K of an isometry by its
-height; the bound is checked on real words and a re-pack under it is
-forced. An `Isometry` start is descended as its one-letter word, so a
-non-isometry is rejected. The bound rests on `CurveAction.of` accepting
-isometries only, and the 240 symmetries must act on the curves as a group
-of permutations.
+height, and alone sizes the packed slots; the bound is checked against
+dense products on real words, and re-packs at the cap's width are forced
+in the letters phase, none in the descent. An `Isometry` start is
+descended as its one-letter word, so a non-isometry is rejected. The
+bound rests on `CurveAction.of` accepting isometries only, and the 240
+symmetries must act on the curves as a group of permutations.
 """
 
 import inspect
@@ -27,7 +28,7 @@ from hypothesis import strategies as st
 
 import fraction_reference as ref
 from hessaut import exact
-from hessaut.autgroup import Isometry, autctx, compose
+from hessaut.autgroup import AutContext, Isometry, autctx, compose, identity_isometry
 from hessaut.hessian import picard
 from hessaut.products import (
     SCAN_CACHE_WIDTH,
@@ -198,17 +199,18 @@ def test_entry_cap_is_the_ceiling(height):
 
 
 def _replay_bounds(a, names):
-    """Run a word and its descent uncapped, decoding K after every letter
-    and step; return the (largest |K_ic|, height) pairs."""
+    """Replay a word and its descent on dense matrix products, taking K =
+    M G Q^T after every letter and step; return the (largest |K_ic|,
+    height) pairs."""
     frame = curve_frame()
-    product = frame.identity_pairings.copy()
-    v, seen = a.omega, []
+    pairings = exact.transpose(frame.pairings)
+    m, v, seen = identity_isometry().matrix, a.omega, []
     isos = [a.registry[n] for n in names]
     word, _, heights = a.descend(isos)
     for iso in isos + [a.registry[n] for n in word]:
-        product.act(iso.curve_action)
+        m = exact.mat_mul(m, iso.matrix)
         v = iso.apply(v)
-        seen.append((max(map(abs, sum(product.columns(), ()))), a.height(v)))
+        seen.append((max(abs(x) for row in exact.mat_mul(m, pairings) for x in row), a.height(v)))
     assert [h for _, h in seen[len(isos) - 1:]] == heights
     return seen
 
@@ -227,20 +229,37 @@ def test_letters_phase_repacks_under_the_cap(monkeypatch):
     walls = [name for name, _, _ in a.descent]
     names = [rng.choice(walls) for _ in range(200)]
     isos = [a.registry[n] for n in names]
-    events = []
-    real = PackedProduct._pack
+    # the phase a re-pack happens in: the letters until the first scan, the
+    # descent until the residual
+    phase, events = ["letters"], []
+    real_pack, real_scan, real_residual = (
+        PackedProduct._pack, DescentScan.first_hit, AutContext.residual)
 
-    def spy(self, cols, norm, cap=None):
-        real(self, cols, norm, cap)
-        events.append((self.bound * norm, cap, self.width))
+    def pack(self, cols, cap):
+        real_pack(self, cols, cap)
+        events.append((phase[0], cap, self.width))
 
-    monkeypatch.setattr(PackedProduct, "_pack", spy)
+    def scan(self, u, h):
+        phase[0] = "descent"
+        return real_scan(self, u, h)
+
+    def residual(self, product, height):
+        phase[0] = "residual"
+        return real_residual(self, product, height)
+
+    monkeypatch.setattr(PackedProduct, "_pack", pack)
+    monkeypatch.setattr(DescentScan, "first_hit", scan)
+    monkeypatch.setattr(AutContext, "residual", residual)
     got = a.descend(isos)
-    under = [(grown, cap, w) for grown, cap, w in events if cap is not None and cap < grown]
-    assert len(under) >= 3
-    for _, cap, w in under:
+    monkeypatch.undo()
+    assert len([e for e in events if e[0] == "letters"]) >= 3
+    assert [e for e in events if e[0] == "descent"] == []
+    # the residual, a symmetry, is re-packed once, at the key width
+    assert [e[1:] for e in events if e[0] == "residual"] == [
+        (curve_frame().entry_cap(20), curve_frame().key_width)]
+    for _, cap, w in events:
         assert w == cap.bit_length() + SLOT_MARGIN
-    monkeypatch.setattr(PackedProduct, "_pack", real)
+    assert a.classify_symmetry(got[1]) is not None
     assert got == a.descend(compose(*isos))
 
 

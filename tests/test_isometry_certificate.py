@@ -3,8 +3,8 @@ under `python -O`.
 
 `isometry_from_images` attaches the `CurveAction.of` it certifies with,
 `relabel` refuses a conjugand that its action does not certify as an
-involution, and `compose` acts each factor's action on the identity's
-curve pairings, so it refuses a non-isometry. Each probe below returns
+involution, and `compose` reads each factor's action before it
+multiplies the matrices, so it refuses a non-isometry. Each probe below returns
 plain data and uses no `assert`, so the same probe runs in process and in
 a fresh `python -O`, and both must give the expected value.
 """
@@ -57,22 +57,21 @@ def compose_of_non_isometries():
 
 def table_actions():
     """The tables whose attached action differs from a fresh
-    `CurveAction.of` of their matrix, in src, combos or norm."""
+    `CurveAction.of` of their matrix, in src or combos."""
     a = autctx()
     tables = {"p16": a.p16, "f": a.f, "g": a.g, "skew": table_isometry(SKEW_LINE_TABLE, "skew")}
     differ = []
     for name, iso in tables.items():
         action = vars(iso).get("curve_action")
         fresh = CurveAction.of(iso.matrix, name)
-        if action is None or (action.src, action.combos, action.norm) != (
-                fresh.src, fresh.combos, fresh.norm):
+        if action is None or (action.src, action.combos) != (fresh.src, fresh.combos):
             differ.append(name)
     return differ
 
 
 def relabelled_skew():
     """How many of the 120 S5 elements s give relabel(skew, s) equal to the
-    packed product s o skew o s^-1."""
+    column product s o skew o s^-1."""
     a = autctx()
     skew = table_isometry(SKEW_LINE_TABLE, "skew")
     return sum(

@@ -1,13 +1,14 @@
 """The residual of a descent, read off its packed curve pairings.
 
 A descent that succeeds ends in one of the 240 chamber symmetries.
-`AutContext.residual` returns the stored matrix of the symmetry whose
-packed curve pairings K equal the product's at `CurveFrame.key_width`;
-any other K is recovered by `matrix_from_pairings`. These tests check the
-lookup on every symmetry and, against `_descend_dot_per_letter` (which
-always recovers), on pool and suite words; a spy on `matrix_from_pairings`
-counts the recoveries. Products off the key width, or at it but not a
-symmetry, must be recovered.
+`AutContext.residual` re-packs a product that is off `CurveFrame.key_width`
+at the cap of its height, so a symmetry (height 20) always sits at the key
+width, and returns the stored matrix of the symmetry whose packed curve
+pairings K equal the product's; any other K is recovered by
+`matrix_from_pairings`. These tests check the lookup on every symmetry
+and, against `_descend_dot_per_letter` (which always recovers), on pool
+and suite words; a spy on `matrix_from_pairings` counts the recoveries,
+and only non-symmetries are recovered.
 """
 
 import pytest
@@ -38,7 +39,9 @@ def _symmetries():
 
 def _start(iso):
     """K of an isometry: the identity's packed pairings moved by its action."""
-    return curve_frame().identity_pairings.copy().act(iso.curve_action)
+    a, frame = autctx(), curve_frame()
+    cap = frame.entry_cap(a.height(iso.apply(a.omega)))
+    return frame.identity_pairings.copy().act(iso.curve_action, cap)
 
 
 def test_every_symmetry_is_looked_up_not_recovered(monkeypatch):
@@ -57,6 +60,8 @@ WORDS = {
     "pool blocks 0-1": lambda: [w.split(",") for b in words.pool()[:2] for w in b],
     "suite seeds 0-9": lambda: [w for seed in range(10) for w in cli.suite_words(seed)],
 }
+# how many of those words end with a product re-packed off the key width
+OFF_KEY = {"pool blocks 0-1": 4, "suite seeds 0-9": 0}
 
 
 @pytest.mark.parametrize("source", sorted(WORDS))
@@ -70,10 +75,10 @@ def test_words_match_a_recovered_residual(source, monkeypatch):
         word, residual, heights = a.descend(letters)
         assert (word, residual.matrix, heights) == want, w
         assert a.classify_symmetry(residual) is not None, w
-    # exactly the products that re-packed away from the key width are recovered
-    key = curve_frame().key_width
-    assert recovered == [w for w in final_widths if w != key]
-    assert len(recovered) < len(final_widths)
+    # every residual is a symmetry, so none is recovered, also of the
+    # products that re-packed away from the key width
+    assert recovered == []
+    assert len([w for w in final_widths if w != curve_frame().key_width]) == OFF_KEY[source]
 
 
 def test_a_non_symmetry_at_the_key_width_is_recovered(monkeypatch):
@@ -82,31 +87,34 @@ def test_a_non_symmetry_at_the_key_width_is_recovered(monkeypatch):
     product = _start(p16)
     assert product.width == curve_frame().key_width
     recovered = _recoveries(monkeypatch, autgroup)
-    residual = a.residual(product)
+    residual = a.residual(product, a.height(p16.apply(a.omega)))
     assert residual.matrix == p16.matrix
     assert a.classify_symmetry(residual) is None
     assert recovered == [curve_frame().key_width]
 
 
-def test_a_symmetry_repacked_wider_is_recovered_with_its_label(monkeypatch):
+def test_a_symmetry_repacked_wider_is_looked_up_under_its_label(monkeypatch):
     a = autctx()
     recovered = _recoveries(monkeypatch, autgroup)
-    symmetries = _symmetries()
-    for s in symmetries:
+    for s in _symmetries():
         product = _start(s)
-        product._pack(product.columns(), 1 << 8)
+        product._pack(product.columns(), 1 << 200)
+        cols = product.cols
         assert product.width > curve_frame().key_width
-        residual = a.residual(product)
+        residual = a.residual(product, 20)
         assert residual.matrix == s.matrix
         assert a.classify_symmetry(residual) == s.name
-    assert len(recovered) == len(symmetries)
+        # the product is left as it is
+        assert product.cols is cols and product.width > curve_frame().key_width
+    assert recovered == []
 
 
 def test_columns_read_at_another_width_are_not_taken_for_a_symmetry():
-    # the packed columns of tau, declared one bit wider, hold the pairings
-    # of no integer matrix: only a product at the key width is looked up
+    # the packed columns of tau, declared one bit wider, decode to the
+    # pairings of no isometry: re-packed at the key width they match no
+    # symmetry, and break a curve relation
     a = autctx()
     product = _start(a.tau)
     product.width += 1
-    with pytest.raises(ValueError, match="no integer matrix"):
-        a.residual(product)
+    with pytest.raises(ValueError, match="relation"):
+        a.residual(product, 20)

@@ -1,9 +1,10 @@
 """Word products and the height descent against the dense products.
 
-`compose` and `AutContext.descend` run in curve-pairing coordinates; the
-dense `exact.mat_mul`, the old dense descent loop and the reference
-`column_product` stay here, and must give the same matrices, words,
-residuals and heights.
+`compose` multiplies dense matrices with `exact.mat_mul`, and
+`AutContext.descend` runs in curve-pairing coordinates; the reference
+column product (`column_compose`, which shares no code with
+`exact.mat_mul`), the old dense descent loop and `column_product` stay
+here, and must give the same matrices, words, residuals and heights.
 """
 
 import random
@@ -20,8 +21,13 @@ from hessaut.autgroup import (
     compose,
     identity_isometry,
 )
-from hessaut.products import sparse_columns
-from product_reference import column_product, conjugate, inversion_f
+from product_reference import (
+    column_compose,
+    column_product,
+    conjugate,
+    inversion_f,
+    sparse_columns,
+)
 
 BIG = 2**400
 
@@ -78,6 +84,30 @@ def test_zero_column_and_column_reuse():
 
 
 # --- isometries ------------------------------------------------------------------
+
+
+def test_compose_matches_the_column_product_on_registry_pairs():
+    a = autctx()
+    partners = [a.tau] + [a.registry[n] for n in ("p16", "g1", "phi2", "s21345")]
+    for iso in a.registry.values():
+        for other in partners:
+            for pair in ((iso, other), (other, iso)):
+                got, want = compose(*pair), column_compose(*pair)
+                assert (got.matrix, got.name) == (want.matrix, want.name), want.name
+
+
+@st.composite
+def short_word(draw):
+    return draw(st.lists(st.sampled_from(sorted(autctx().registry)), min_size=1, max_size=8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(short_word())
+def test_compose_matches_the_column_product_on_short_words(names):
+    isos = [autctx().registry[n] for n in names]
+    got, want = compose(*isos), column_compose(*isos)
+    assert (got.matrix, got.name) == (want.matrix, want.name)
+    assert all(type(x) is int for row in got.matrix for x in row)
 
 
 def test_integer_inverse_matches_rational_inverse_on_the_registry():
