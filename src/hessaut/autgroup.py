@@ -44,7 +44,6 @@ from .products import (
     DescentScan,
     PackedProduct,
     curve_frame,
-    matrix_from_pairings,
     preimage,
 )
 
@@ -661,7 +660,7 @@ class AutContext:
     def descend(self, gamma):
         """Greedy descent to the chamber of the Weyl projection.
 
-        gamma is a sequence of isometries whose product, left to right as
+        gamma is an iterable of isometries whose product, left to right as
         in `compose`, is reduced without forming its matrix; an isometry
         is descended as the one-letter word [gamma], so it must be one
         (ValueError otherwise). Returns (word, residual, heights): applying
@@ -684,11 +683,13 @@ class AutContext:
         `CurveFrame`): <b(v), omega> = <v, b^-1(omega)> = h, and the height
         and its cap carry over.
 
-        The residual is read off K and the final height (`residual`).
+        The residual is a symmetry read off K and the final height
+        (`residual`), or else the word replayed through `compose`. gamma
+        is read once, so the replay sees the letters the descent moved.
         """
         frame = curve_frame()
         entry_cap = frame.entry_cap
-        letters = (gamma,) if isinstance(gamma, Isometry) else gamma
+        letters = (gamma,) if isinstance(gamma, Isometry) else tuple(gamma)
         product = frame.identity_pairings.copy()
         u, h = self.descent_start
         cap = entry_cap(h)
@@ -712,24 +713,27 @@ class AutContext:
             heights.append(h)
             if len(word) > 10000:
                 raise RuntimeError("height descent failed to terminate")
-        return word, self.residual(product, h), heights
+        residual = self.residual(product, h)
+        if residual is None:
+            residual = Isometry(compose(*letters, *map(self.registry.get, word)).matrix, "residual")
+        return word, residual, heights
 
-    def residual(self, product: PackedProduct, height: int) -> Isometry:
-        """The isometry whose curve pairings K are packed, given its height.
+    def residual(self, product: PackedProduct, height: int) -> Isometry | None:
+        """The chamber symmetry whose curve pairings K are packed, or None.
 
-        Off the key width, K is first re-packed at the cap of its height. A
-        symmetry fixes omega, so it then sits at the key width, where packing
-        is injective: if column c of K is the key of curve src[c] for the
-        `curve_action.src` of a certified symmetry s, then K = K(s) and M =
-        s.matrix, one lookup. Any other K goes through `matrix_from_pairings`
-        and its ValueErrors. product is left as it is.
+        A symmetry fixes omega, so its height is that of `descent_start`.
+        At that height K is re-packed off the key width at the cap of its
+        height, where packing is injective: if column c of K is the key of
+        curve src[c] for the `curve_action.src` of a certified symmetry s,
+        then K = K(s) and M = s.matrix, one lookup. product is left as it is.
         """
+        if height != self.descent_start[1]:
+            return None
         frame = curve_frame()
         if product.width != frame.key_width:
             product = PackedProduct(product.columns(), frame.entry_cap(height))
-        keyed = product.width == frame.key_width
-        src = tuple(map(frame.curve_keys.get, product.cols)) if keyed else None
-        return Isometry(self._symmetry_by_src.get(src) or matrix_from_pairings(product), "residual")
+        matrix = self._symmetry_by_src.get(tuple(map(frame.curve_keys.get, product.cols)))
+        return None if matrix is None else Isometry(matrix, "residual")
 
     def reduce_height(self, gamma: Isometry):
         """(word, residual) of `descend`."""

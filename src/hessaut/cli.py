@@ -41,6 +41,7 @@ from .hessian import (
     relation_checks,
 )
 from .lorentz import bilinear, weyl_vector
+from .products import curve_frame
 from .autgroup import (
     PUSH_MULTIPLES,
     WALL_1A_EXAMPLE_OCTAD,
@@ -395,11 +396,13 @@ def walls_suite(seed: int) -> list:
 def generators_suite(seed: int) -> list:
     checks: list = []
     a = autctx()
+    rows = curve_frame().curve_gram[:16]  # the identity's curve pairings
     per_case = {}
     for case, pairs in a.wall_generators.items():
         ok = True
         for w, iso in pairs:
-            ok = ok and iso.is_involution()
+            act = iso.curve_action  # b o b = id: b twice gives each row back
+            ok = ok and all(act(act(r)) == list(r) for r in rows)
             ok = ok and iso.apply(w.vec) == tuple(-x for x in w.vec)
             # the push b(omega) = omega + m r1, times den
             ok = ok and all(w.den * (y - o) == PUSH_MULTIPLES[case] * x

@@ -23,8 +23,7 @@ the old column of b^-1(c), a pure reindex when b^-1(c) is a curve and a
 short combination otherwise (`CurveAction`). The basis curves come
 first, so the first 16 columns are M G. At the end of a descent,
 `AutContext.residual` looks a chamber symmetry up by its columns
-(`CurveFrame.curve_keys`) and reads any other M = K_basis adj / den off
-them (`matrix_from_pairings`). A product of a few given isometries,
+(`CurveFrame.curve_keys`). A product of a few given isometries,
 `autgroup.compose`, is a dense matrix product.
 
 An isometry's `CurveAction` is its one certificate: `CurveAction.of`
@@ -162,8 +161,6 @@ class CurveFrame:
         self.pairings = tuple(tuple(exact.mat_vec(ctx.gram, q)) for q in self.coords)
         # the intersection numbers of the twenty curves
         self.curve_gram = tuple(tuple(exact.dot(q, g) for g in self.pairings) for q in self.coords)
-        # each curve beyond the basis as (curve, basis curves, coefficients)
-        self.relations = tuple((c, *_support(q)) for c, q in enumerate(self.coords[16:], 16))
         self.adj, self.den = ctx._gram_adj, ctx._gram_den
         # the height constant c: |K_ic| <= c |<g omega, omega>| for every isometry g
         omega = ctx.omega_prime
@@ -259,17 +256,15 @@ class CurveAction:
         Row i of M is the image of basis curve i, and the other four curves
         are mapped, so every preimage that is a curve is read off without
         an inverse. `preimage` gives the rest, exactly, and ValueError
-        unless M is an isometry, that is M G M^T = G. For each curve q_d
-        this checks a preimage x_d with
-
-          (a) x_d M = q_d and (b) M G q_d = G x_d (column vectors).
-
-        A curve c read off as the preimage of d satisfies (a) by the read-off
-        and (b) by comparing the pairings of the rows of M with d to those
-        of c; a computed preimage x_d = adj (M G q_d) / den satisfies (b) by
-        construction and is checked for (a). Then M G M^T x_d = M G q_d =
-        G x_d for all twenty d, and the x_d span, since their images q_d do,
-        so M G M^T = G. `PackedProduct.act`'s height cap rests on this.
+        unless M is an isometry, that is N = M G M^T - G is 0. For each
+        curve q_d this finds a preimage x_d with x_d M = q_d: the curve
+        q_src[d] read off, or x_d = adj (M G q_d) / den, checked for it.
+        A computed x_d has G x_d = M G q_d, so N x_d = M G q_d - G x_d =
+        0. The x_d span, as their images q_d do, and N is symmetric, so N
+        = 0 exactly when x_d N x_e = 0 for every two read-off d, e, and
+        that is <q_d, q_e> = <q_src[d], q_src[e]>: two entries of the
+        curve table, no product. `PackedProduct.act`'s height cap rests
+        on this.
         """
         frame = curve_frame()
         cols = tuple(zip(*matrix))
@@ -286,12 +281,8 @@ class CurveAction:
                 if tuple([sum(map(mul, x, col)) for col in cols]) != frame.coords[d]:
                     raise ValueError(f"{name}: not an isometry of the Picard lattice")
                 combos.append((d, *_support(x)))
-        # row i of M pairs with curve d as entry d of row a of the curve
-        # table when row i is curve a (src[a] is i), else by a dot product
-        rows = {i: frame.curve_gram[a] for a, i in enumerate(src) if i is not None and i < 16}
-        if any(tuple([rows[i][d] if i in rows else sum(map(mul, r, frame.pairings[d]))
-                      for i, r in enumerate(matrix)]) != frame.pairings[c]
-               for d, c in enumerate(src) if c is not None):
+        table, read = frame.curve_gram, [(d, c) for d, c in enumerate(src) if c is not None]
+        if any(table[d][e] != table[c][f] for d, c in read for e, f in read):
             raise ValueError(f"{name}: not an isometry of the Picard lattice")
         return cls(src, combos)
 
@@ -340,24 +331,6 @@ class CurveAction:
         for c, curves, coeffs in self.combos:
             out[c] = sum(map(mul, coeffs, map(get, curves)))
         return out
-
-
-def matrix_from_pairings(product: PackedProduct) -> tuple[tuple[int, ...], ...]:
-    """Rows of the integer matrix M whose curve pairings K = M G Q^T are packed.
-
-    The curves beyond the basis are integer combinations of the basis
-    curves, so on every decoded row of K their pairings must be the same
-    combinations of the basis pairings. The basis columns are M G, so M =
-    K_basis adj / den, and every entry must divide. Raises ValueError
-    unless both hold.
-    """
-    frame = curve_frame()
-    rows = tuple(zip(*product.columns()))
-    for c, curves, coeffs in frame.relations:
-        if any([r[c] != sum([a * r[d] for d, a in zip(curves, coeffs)]) for r in rows]):
-            raise ValueError(f"curve pairings break the relation of {frame.names[c]}")
-    m = exact.mat_mul([r[:16] for r in rows], frame.adj)
-    return exact_quotient(m, frame.den, "curve pairings of no integer matrix")
 
 
 # letters per group of the packed first-hit scan

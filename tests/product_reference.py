@@ -13,6 +13,11 @@ through the S5 element of the inverse permutation; `autgroup.relabel`
 renames curves instead.
 `inversion_f` builds the pencil inversions f_i that tests use as
 isometries outside the registry.
+`matrix_from_pairings` recovers any matrix from its packed curve
+pairings, as the descent's residual did before a non-symmetry was
+replayed through `compose`. `read_off_action` is `CurveAction.of` as it
+was before one curve-table check replaced its row pairings: it checks
+M G q_d = G q_c for each curve c read off as the preimage of d.
 """
 
 from itertools import repeat
@@ -21,6 +26,7 @@ from operator import add, mul, neg
 from hessaut import exact
 from hessaut.autgroup import WALL_3A_EXAMPLE_K, Isometry, autctx, compose
 from hessaut.hessian import picard
+from hessaut.products import CurveAction, _support, curve_frame, exact_quotient, preimage
 
 
 def sparse_columns(rows) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -92,3 +98,51 @@ def s5_conjugate(g: Isometry, perm: tuple, name: str = "") -> Isometry:
     a = autctx()
     s, s_inv = a.s5[perm], a.s5[tuple(perm.index(i) + 1 for i in range(1, 6))]
     return Isometry(column_compose(s_inv, g, s).matrix, name or f"{s.name}.{g.name}.{s.name}^-1")
+
+
+def matrix_from_pairings(product) -> tuple[tuple[int, ...], ...]:
+    """Rows of the integer matrix M whose curve pairings K = M G Q^T are packed.
+
+    The curves beyond the basis are integer combinations of the basis
+    curves, so on every decoded row of K their pairings must be the same
+    combinations of the basis pairings. The basis columns are M G, so M =
+    K_basis adj / den, and every entry must divide. Raises ValueError
+    unless both hold.
+    """
+    frame = curve_frame()
+    rows = tuple(zip(*product.columns()))
+    # each curve beyond the basis as (curve, basis curves, coefficients)
+    relations = tuple((c, *_support(q)) for c, q in enumerate(frame.coords[16:], 16))
+    for c, curves, coeffs in relations:
+        if any([r[c] != sum([a * r[d] for d, a in zip(curves, coeffs)]) for r in rows]):
+            raise ValueError(f"curve pairings break the relation of {frame.names[c]}")
+    m = exact.mat_mul([r[:16] for r in rows], frame.adj)
+    return exact_quotient(m, frame.den, "curve pairings of no integer matrix")
+
+
+def read_off_action(matrix, name: str = "") -> CurveAction:
+    """`CurveAction.of` with the read-off check on the pairings of the rows
+    of M: a curve c read off as the preimage of d must have M G q_d = G q_c,
+    row i of M pairing with d by the curve table when it is a curve, else
+    by a dot product."""
+    frame = curve_frame()
+    cols = tuple(zip(*matrix))
+    src = [None] * len(frame.coords)
+    for c, q in enumerate(frame.coords):
+        image = matrix[c] if c < 16 else tuple([sum(map(mul, q, col)) for col in cols])
+        d = frame.index.get(image)
+        if d is not None:
+            src[d] = c
+    combos = []
+    for d, c in enumerate(src):
+        if c is None:
+            x = preimage(matrix, frame.pairings[d], name)
+            if tuple([sum(map(mul, x, col)) for col in cols]) != frame.coords[d]:
+                raise ValueError(f"{name}: not an isometry of the Picard lattice")
+            combos.append((d, *_support(x)))
+    rows = {i: frame.curve_gram[a] for a, i in enumerate(src) if i is not None and i < 16}
+    if any(tuple([rows[i][d] if i in rows else sum(map(mul, r, frame.pairings[d]))
+                  for i, r in enumerate(matrix)]) != frame.pairings[c]
+           for d, c in enumerate(src) if c is not None):
+        raise ValueError(f"{name}: not an isometry of the Picard lattice")
+    return CurveAction(src, combos)

@@ -273,6 +273,31 @@ def test_gram_preserved_fails_on_a_matrix_its_action_does_not_certify(monkeypatc
     assert status["generators.wall-involutions"] == "pass"
 
 
+def test_wall_involutions_reads_b_twice_off_the_action(monkeypatch):
+    """`generators.wall-involutions` applies each action twice to the
+    identity's curve pairings; only `gram-preserved` reads `inverse_rows`."""
+    autctx()  # built before the spy: construction reads `inverse_rows` too
+    calls = []
+    real = autgroup.CurveAction.inverse_rows
+    monkeypatch.setattr(autgroup.CurveAction, "inverse_rows",
+                        lambda self: calls.append(1) or real(self))
+    status = {c.id: c.status for c in cli.generators_suite(0)}
+    assert status["generators.wall-involutions"] == "pass"
+    assert len(calls) == 86
+
+
+def test_wall_involutions_fails_on_an_action_that_is_no_involution(monkeypatch):
+    a = autctx()
+    w, iso = a.wall_generators["2"][0]
+    bad = Isometry(iso.matrix, iso.name)
+    # the action of a 3-cycle of the faces: of order 3, not 2
+    object.__setattr__(bad, "curve_action", a.s5[(2, 3, 1, 4, 5)].curve_action)
+    monkeypatch.setitem(a.wall_generators, "2", [(w, bad)] + a.wall_generators["2"][1:])
+    checks = {c.id: c for c in cli.generators_suite(0)}
+    assert checks["generators.wall-involutions"].status == "fail"
+    assert checks["generators.gram-preserved"].status == "pass"
+
+
 def test_a_reflection_is_certified_through_its_curve_action(monkeypatch):
     a = autctx()
     w = a.walls["1a"][0]

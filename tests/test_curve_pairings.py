@@ -4,9 +4,10 @@
 basis vectors with the twenty curves, and moves it by each letter's cached
 `curve_action`. These tests check the actions against the dense matrices
 (b(preimage) = curve, pairings of b(x) for every basis vector x), the
-descent vectors b^-1(omega) against `Isometry.inverse`, the recovery of M
-from K with its relation and divisibility checks, and that the `reduce`
-path cannot be stripped by `python -O`.
+descent vectors b^-1(omega) against `Isometry.inverse`, the reference
+recovery of M from K with its relation and divisibility checks
+(`product_reference.matrix_from_pairings`), and that the `reduce` path
+cannot be stripped by `python -O`.
 """
 
 import os
@@ -24,8 +25,8 @@ from hessaut.autgroup import (
     identity_isometry,
 )
 from hessaut.hessian import picard
-from hessaut.products import PackedProduct, curve_frame, matrix_from_pairings
-from product_reference import conjugate, inversion_f
+from hessaut.products import PackedProduct, curve_frame
+from product_reference import conjugate, inversion_f, matrix_from_pairings
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -231,18 +232,30 @@ def test_reduce_is_byte_identical_under_python_O():
 
 
 def test_corrupted_conversion_raises_under_python_O():
+    # corrupted start pairings match no symmetry at the end of the descent,
+    # so the word is replayed and reduce still prints the uncorrupted
+    # report; the reference conversion of the corrupted K raises
     code = (
         "import sys\n"
+        f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
         "from hessaut import autgroup, cli\n"
+        "from product_reference import matrix_from_pairings\n"
         "frame = autgroup.curve_frame()\n"
         "start = frame.identity_pairings\n"
         "start.cols = [col + q[0] for col, q in zip(start.cols, frame.coords)]\n"
+        "cli.main(['reduce', '--word', 'p16,tau', '--json'])\n"
+        "product = start.copy()\n"
+        "for name in ('p16', 'tau', 'p16'):\n"
+        "    product.act(autgroup.autctx().registry[name].curve_action, frame.entry_cap(28))\n"
         "try:\n"
-        "    cli.main(['reduce', '--word', 'p16,tau', '--json'])\n"
+        "    matrix_from_pairings(product)\n"
         "except ValueError as e:\n"
         "    print('raised:', e)\n"
         "    sys.exit(3)\n"
     )
     proc = _run(["-O"], code)
+    plain = _run(["-O", "-m", "hessaut.cli", "reduce", "--word", "p16,tau", "--json"])
     assert proc.returncode == 3, proc.stdout + proc.stderr
-    assert proc.stdout.startswith("raised: ")
+    report, raised = proc.stdout.splitlines()
+    assert report + "\n" == plain.stdout
+    assert raised.startswith("raised: ")

@@ -36,9 +36,9 @@ from hessaut.autgroup import (
     relabel,
 )
 from hessaut.hessian import NODE_NAMES, picard
-from hessaut.products import CurveAction, curve_frame, matrix_from_pairings
+from hessaut.products import CurveAction, curve_frame
 
-from product_reference import conjugate, s5_conjugate
+from product_reference import conjugate, matrix_from_pairings, s5_conjugate
 from test_curve_pairings import _check_action, _non_registry_isometries, _pairings
 
 SRC = Path(__file__).resolve().parent.parent / "src"
