@@ -27,7 +27,7 @@ from operator import mul
 
 from . import exact, lattices
 from .checks import CertificationError, certify
-from .golay import INFINITY, steiner_system
+from .golay import INFINITY, mask_points, point_index, set_mask, steiner_system
 from .hessian import (
     BASE_ROOT_ORDER,
     COMPLEMENT_OCTADS,
@@ -80,8 +80,8 @@ class Isometry:
         return Isometry(self.curve_action.inverse_rows(), name or f"{self.name}^-1")
 
     def is_involution(self) -> bool:
-        """b o b = id, that is b^-1 = b: the inverse rows are the matrix."""
-        return self.curve_action.inverse_rows() == self.matrix
+        """b o b = id, read off the certified action (`CurveAction.is_involution`)."""
+        return self.curve_action.is_involution()
 
     def same_matrix(self, other: "Isometry") -> bool:
         return self.matrix == other.matrix
@@ -402,50 +402,46 @@ def _wall_key(case: str, root: LorentzVector) -> tuple:
     return (case, tuple(sorted(root.lam)), root.lam, root.m, root.n)
 
 
-def _octad_key(octad) -> tuple:
-    return tuple(sorted(octad))
-
-
 @cache
 def enumerate_wall_roots() -> dict[str, list[WallRoot]]:
     """Shape-constrained searches for the four boundary-wall families."""
     system = steiner_system()
-    ks = [COMPLEMENT_OCTADS["r0"]] + [COMPLEMENT_OCTADS[f"x{i}"] for i in range(1, 6)]
+    ks = [set_mask(COMPLEMENT_OCTADS[k]) for k in ("r0", "x1", "x2", "x3", "x4", "x5")]
+    bit_oo, bit_0 = 1 << point_index(oo), 1 << point_index(0)
     out: dict[str, list[WallRoot]] = {"1a": [], "2": [], "3a": [], "3b": []}
 
-    octads_oo0 = [k for k in system.octads if oo in k and 0 in k]
-    for octad in octads_oo0:
+    for octad in system.masks:
+        if not (octad & bit_oo and octad & bit_0):
+            continue
         inter0 = octad & ks[0]
-        if len(inter0) == 2 and oo in inter0:
-            (j1,) = inter0 - {oo}
-            if all(len(octad & ks[i]) == 4 and j1 in ks[i] for i in range(1, 6)):
-                lam = [1] * 24
-                for p in octad:
-                    lam[p + 1] = -1
-                for p in (oo, 0, j1):
-                    lam[p + 1] = 3
-                out["1a"].append((_octad_key(octad), leech_root(tuple(lam))))
+        if inter0.bit_count() == 2 and inter0 & bit_oo:
+            j1 = inter0 ^ bit_oo
+            if all((octad & ks[i]).bit_count() == 4 and ks[i] & j1 for i in range(1, 6)):
+                threes = bit_oo | bit_0 | j1
+                lam = [3 if threes >> i & 1 else -1 if octad >> i & 1 else 1 for i in range(24)]
+                out["1a"].append((mask_points(octad), leech_root(tuple(lam))))
 
-        profile = [len(octad & k) for k in ks]
+        profile = [(octad & k).bit_count() for k in ks]
         if profile[0] == 4:
             twos = [i for i in range(1, 6) if profile[i] == 2]
             if len(twos) == 2 and all(profile[i] == 4 for i in range(1, 6) if i not in twos):
-                out["2"].append((tuple(twos), leech_root(two_nu(octad))))
+                out["2"].append((tuple(twos), leech_root(two_nu(mask_points(octad)))))
 
     for k in range(23):
-        hits = [i for i in range(1, 6) if k in ks[i]]
-        if len(hits) == 1 and k not in ks[0]:
+        hits = [i for i in range(1, 6) if ks[i] >> point_index(k) & 1]
+        if len(hits) == 1 and not ks[0] >> point_index(k) & 1:
             lam = vsub(NU_OMEGA, vscale(4, nu([k])))
             out["3a"].append(((hits[0], k), leech_root(lam)))
 
-    for octad in system.octads:
-        if 0 not in octad or oo in octad or octad & ks[0]:
+    for octad in system.masks:
+        if not octad & bit_0 or octad & bit_oo or octad & ks[0]:
             continue
-        profile = [len(octad & ks[i]) for i in range(1, 6)]
+        profile = [(octad & ks[i]).bit_count() for i in range(1, 6)]
         fours = [i + 1 for i, c in enumerate(profile) if c == 4]
         if len(fours) == 1 and sorted(profile) == [2, 2, 2, 2, 4]:
-            lam = vadd(vscale(4, nu([0])), vsub(NU_OMEGA, vscale(2, nu(octad))))
-            out["3b"].append(((fours[0],) + _octad_key(octad), leech_root(tuple(lam))))
+            points = mask_points(octad)
+            lam = vadd(vscale(4, nu([0])), vsub(NU_OMEGA, vscale(2, nu(points))))
+            out["3b"].append(((fours[0],) + points, leech_root(tuple(lam))))
 
     walls: dict[str, list[WallRoot]] = {}
     for case, found in out.items():

@@ -24,7 +24,7 @@ from math import comb, gcd
 
 from . import lattices, leech, weber
 from .checks import CertificationError
-from .golay import golay_code, steiner_system
+from .golay import golay_code, mask_points, steiner_system
 from .hessian import (
     COMPLEMENT_OCTADS,
     CURVE_NAMES,
@@ -41,7 +41,6 @@ from .hessian import (
     relation_checks,
 )
 from .lorentz import bilinear, weyl_vector
-from .products import curve_frame
 from .autgroup import (
     PUSH_MULTIPLES,
     WALL_1A_EXAMPLE_OCTAD,
@@ -140,21 +139,20 @@ def golay_suite(seed: int) -> list:
 def leech_suite(seed: int) -> list:
     checks: list = []
     rng = random.Random(seed)
-    system = steiner_system()
-    gens = [leech.generator_minus_three()] + [
-        leech.two_nu(k) for k in list(system.octads)[:4]
-    ]
+    masks = steiner_system().masks
+    gens = [leech.generator_minus_three()] + [leech.two_nu(mask_points(m)) for m in masks[:4]]
     _check(checks, "leech.generators-contained", True,
            all(leech.contains(g) for g in gens), "stated generators pass membership")
     named_ok = all(leech.contains(leech.two_nu(k)) for k in CURVE_OCTADS.values())
     _check(checks, "leech.curve-vectors-contained", True, named_ok,
            "twenty curve vectors are lattice members")
-    octads = list(system.octads)
     members = []
     for _ in range(200):
         v = leech.ZERO
         for _ in range(3):
-            v = leech.vadd(v, leech.vscale(rng.randint(-2, 2), leech.two_nu(octads[rng.randrange(759)])))
+            c = rng.randint(-2, 2)  # drawn before the octad: the seeded order
+            octad = mask_points(masks[rng.randrange(759)])
+            v = leech.vadd(v, leech.vscale(c, leech.two_nu(octad)))
         members.append(v)
     closure = all(leech.contains(v) for v in members) and all(
         leech.contains(leech.vadd(members[i], members[-i - 1])) for i in range(100)
@@ -396,13 +394,11 @@ def walls_suite(seed: int) -> list:
 def generators_suite(seed: int) -> list:
     checks: list = []
     a = autctx()
-    rows = curve_frame().curve_gram[:16]  # the identity's curve pairings
     per_case = {}
     for case, pairs in a.wall_generators.items():
         ok = True
         for w, iso in pairs:
-            act = iso.curve_action  # b o b = id: b twice gives each row back
-            ok = ok and all(act(act(r)) == list(r) for r in rows)
+            ok = ok and iso.is_involution()
             ok = ok and iso.apply(w.vec) == tuple(-x for x in w.vec)
             # the push b(omega) = omega + m r1, times den
             ok = ok and all(w.den * (y - o) == PUSH_MULTIPLES[case] * x

@@ -6,8 +6,9 @@ are generated as the orbit of one base octad under the fractional linear
 maps t -> t+1 and t -> -1/t, which generate PSL(2,23); nothing is read
 from a shipped table, so the construction itself stays under test.
 
-The binary Golay code is recovered as the F_2-span of the octads and is
-consumed by the Leech lattice membership test.
+An octad is held as a 24-bit mask, bit `point_index(p)` for point p. The
+binary Golay code is the F_2-span of the octads; a word is a member when it
+reduces to 0 against an echelon basis, and no list of codewords is kept.
 """
 
 from __future__ import annotations
@@ -31,33 +32,24 @@ def point_index(p: int) -> int:
     return p + 1
 
 
-def _translation() -> dict[int, int]:
-    g = {k: (k + 1) % 23 for k in range(23)}
-    g[INFINITY] = INFINITY
-    return g
-
-
-def _negated_inverse() -> dict[int, int]:
-    g = {0: INFINITY, INFINITY: 0}
-    for k in range(1, 23):
-        g[k] = (-pow(k, -1, 23)) % 23
-    return g
-
-
 class SteinerSystem:
-    """All 759 octads, with membership and covering queries."""
+    """All 759 octads as masks, with membership and covering queries."""
 
-    def __init__(self, octads: tuple[frozenset[int], ...]):
-        self.octads = octads
-        self._members = frozenset(octads)
-        self.masks = tuple(set_mask(k) for k in octads)
+    def __init__(self, masks: tuple[int, ...]):
+        self.masks = masks
+        self._members = frozenset(masks)
+
+    @property
+    def octads(self) -> tuple[frozenset[int], ...]:
+        """The octads as point sets, in mask order, rebuilt on each read."""
+        return tuple(frozenset(mask_points(m)) for m in self.masks)
 
     def __len__(self) -> int:
-        return len(self.octads)
+        return len(self.masks)
 
     def is_octad(self, s: Iterable[int]) -> bool:
         s = frozenset(s)
-        return len(s) == 8 and s in self._members
+        return len(s) == 8 and s.issubset(OMEGA) and set_mask(s) in self._members
 
     def covering_counts(self) -> Counter:
         """How often each 5-subset of Omega appears inside an octad, keyed
@@ -75,7 +67,7 @@ class SteinerSystem:
         in at most 4 points (sizes, from `pair_intersection_sizes`), no
         5-subset lies in two of them, so each octad adds its C(|octad|, 5)
         five-subsets, all new. None when that does not hold."""
-        if len(set(self.masks)) < len(self.masks) or max(sizes, default=0) > 4:
+        if len(self._members) < len(self.masks) or max(sizes, default=0) > 4:
             return None
         return sum(comb(m.bit_count(), 5) for m in self.masks), {1}
 
@@ -84,34 +76,39 @@ class SteinerSystem:
         base octad: the octads are its orbit under t -> t+1 and t -> -1/t
         (`steiner_system`), so once they are certified closed under both
         maps, every pair is the image of a pair (BASE_OCTAD, B)."""
-        members = set(self.masks)
+        members = self._members
         base = set_mask(BASE_OCTAD)
-        maps = [[1 << point_index(g[p]) for p in OMEGA]
-                for g in (_translation(), _negated_inverse())]
         certify(base in members and all(
             sum([image[i] for i in range(24) if m >> i & 1]) in members
-            for image in maps for m in members
+            for image in _image_tables() for m in members
         ), "the octads must contain the base octad and be closed under t -> t+1 and t -> -1/t")
         return {(base & m).bit_count() for m in members if m != base}
 
 
+def _image_tables() -> tuple[list[int], list[int]]:
+    """t -> t+1 and t -> -1/t as the mask of each point's image, by bit."""
+    inverse = {0: INFINITY, INFINITY: 0, **{k: -pow(k, -1, 23) % 23 for k in range(1, 23)}}
+    return ([1 << point_index(p if p == INFINITY else (p + 1) % 23) for p in OMEGA],
+            [1 << point_index(inverse[p]) for p in OMEGA])
+
+
 @cache
 def steiner_system() -> SteinerSystem:
-    """Orbit closure of the base octad under the two generating maps."""
-    gens = (_translation(), _negated_inverse())
-    seen = {BASE_OCTAD}
-    frontier = [BASE_OCTAD]
+    """Orbit closure of the base octad under the two generating maps, in
+    sorted-point order (ascending set bits)."""
+    tables = _image_tables()
+    seen = {set_mask(BASE_OCTAD)}
+    frontier = list(seen)
     while frontier:
         nxt = []
         for octad in frontier:
-            for g in gens:
-                image = frozenset(g[p] for p in octad)
+            for table in tables:
+                image = sum([table[i] for i in range(24) if octad >> i & 1])
                 if image not in seen:
                     seen.add(image)
                     nxt.append(image)
         frontier = nxt
-    octads = tuple(sorted(seen, key=lambda k: tuple(sorted(k))))
-    return SteinerSystem(octads)
+    return SteinerSystem(tuple(sorted(seen, key=mask_points)))
 
 
 def is_octad(s: Iterable[int]) -> bool:
@@ -125,9 +122,14 @@ def set_mask(s: Iterable[int]) -> int:
     return mask
 
 
+def mask_points(mask: int) -> tuple[int, ...]:
+    """The points of a 24-bit mask, sorted (infinity, -1, first)."""
+    return tuple(i - 1 for i in range(24) if mask >> i & 1)
+
+
 @cache
-def golay_code() -> frozenset[int]:
-    """The 4096 codewords (as 24-bit masks): the F_2-span of the octads."""
+def golay_basis() -> tuple[int, ...]:
+    """The octads in echelon form: 12 codewords, leading bits descending."""
     basis: dict[int, int] = {}  # leading bit -> reduced word
     for w in steiner_system().masks:
         while w:
@@ -137,7 +139,20 @@ def golay_code() -> frozenset[int]:
             else:
                 basis[lead] = w
                 break
+    return tuple(basis[lead] for lead in sorted(basis, reverse=True))
+
+
+def is_codeword(w: int) -> bool:
+    """Whether a 24-bit word reduces to 0 against the basis: min(w, w ^ b)
+    clears b's leading bit, and sets none that an earlier b cleared."""
+    for b in golay_basis():
+        w = min(w, w ^ b)
+    return w == 0
+
+
+def golay_code() -> frozenset[int]:
+    """The 4096 codewords (as 24-bit masks): the F_2-span of the octads."""
     span = {0}
-    for b in basis.values():
+    for b in golay_basis():
         span |= {w ^ b for w in span}
     return frozenset(span)

@@ -42,7 +42,7 @@ from typing import Iterable, Sequence
 
 from . import exact, leech
 from .checks import certify
-from .golay import steiner_system
+from .golay import mask_points, steiner_system
 from .lorentz import LorentzVector, bilinear
 
 
@@ -54,10 +54,10 @@ LEECH_STRIDE = 37
 def _leech_generators():
     """nu_Omega - 4 nu_oo, then the doubled octads in steps of LEECH_STRIDE
     (prime to 759, so every octad comes once)."""
-    octads = steiner_system().octads
+    masks = steiner_system().masks
     yield leech.generator_minus_three()
-    for k in range(len(octads)):
-        yield leech.two_nu(octads[k * LEECH_STRIDE % len(octads)])
+    for k in range(len(masks)):
+        yield leech.two_nu(mask_points(masks[k * LEECH_STRIDE % len(masks)]))
 
 
 class Ambient:

@@ -13,7 +13,7 @@ from collections import Counter
 from operator import mul
 from typing import Iterable, Sequence
 
-from .golay import INFINITY, OMEGA, golay_code, point_index
+from .golay import INFINITY, OMEGA, is_codeword, point_index
 
 LeechVector = tuple[int, ...]
 
@@ -58,7 +58,7 @@ def contains(v: Sequence[int]) -> bool:
     for i, x in enumerate(v):
         if (x - m) % 4:
             support |= 1 << i
-    if support not in golay_code():
+    if not is_codeword(support):
         return False
     return sum(v) % 8 == 4 * m % 8
 

@@ -325,6 +325,19 @@ class CurveAction:
                 rows[c] = tuple(row)
         return tuple(rows)
 
+    def is_involution(self) -> bool:
+        """Whether b o b = id, read off the action.
+
+        b^2 = id exactly when b^-1(b^-1(c)) = c for each curve c. For src[c]
+        a curve d, that is src[d] == c (`of` reads off every preimage that is
+        a curve). Otherwise b applied twice to curve c's row of the curve
+        table gives the row back: b^2(c) pairs with each curve as c does.
+        """
+        table = curve_frame().curve_gram
+        if any(d is not None and self.src[d] != c for c, d in enumerate(self.src)):
+            return False
+        return all(self(self(table[c])) == list(table[c]) for c, _, _ in self.combos)
+
     def __call__(self, vals) -> list:
         out = list(self._take(vals))
         get = vals.__getitem__

@@ -18,6 +18,9 @@ pairings, as the descent's residual did before a non-symmetry was
 replayed through `compose`. `read_off_action` is `CurveAction.of` as it
 was before one curve-table check replaced its row pairings: it checks
 M G q_d = G q_c for each curve c read off as the preimage of d.
+`involution_by_rows` is the involution test of the generators suite
+before `CurveAction.is_involution` read it off the action: the action
+applied twice to each of the identity's 16 basis-curve pairing rows.
 """
 
 from itertools import repeat
@@ -146,3 +149,9 @@ def read_off_action(matrix, name: str = "") -> CurveAction:
            for d, c in enumerate(src) if c is not None):
         raise ValueError(f"{name}: not an isometry of the Picard lattice")
     return CurveAction(src, combos)
+
+
+def involution_by_rows(action: CurveAction) -> bool:
+    """b o b = id: b applied twice gives back each basis curve's row of
+    the curve table, the identity's curve pairings."""
+    return all(action(action(r)) == list(r) for r in curve_frame().curve_gram[:16])

@@ -30,7 +30,8 @@ from hessaut.autgroup import (
 from hessaut.checks import CertificationError
 from hessaut.hessian import CURVE_NAMES, NODE_NAMES, picard
 from hessaut.lorentz import bilinear
-from product_reference import conjugate, preserves_form
+from product_reference import conjugate, involution_by_rows, preserves_form
+from test_certification import _python_O
 
 
 def lam_octad(w, values=(-1, 3)):
@@ -274,16 +275,42 @@ def test_gram_preserved_fails_on_a_matrix_its_action_does_not_certify(monkeypatc
 
 
 def test_wall_involutions_reads_b_twice_off_the_action(monkeypatch):
-    """`generators.wall-involutions` applies each action twice to the
-    identity's curve pairings; only `gram-preserved` reads `inverse_rows`."""
-    autctx()  # built before the spy: construction reads `inverse_rows` too
-    calls = []
-    real = autgroup.CurveAction.inverse_rows
+    """`generators.wall-involutions` reads b o b = id off each action,
+    applying it twice only to the curves it sends off the curves. No
+    involution test reads `inverse_rows`: `gram-preserved` reads it for the
+    64 descent generators, and `relabel` for the 11 matrices it builds."""
+    a = autctx()  # built before the spy: construction reads `inverse_rows` too
+    calls, applied = [], []
+    real, real_call = autgroup.CurveAction.inverse_rows, autgroup.CurveAction.__call__
     monkeypatch.setattr(autgroup.CurveAction, "inverse_rows",
                         lambda self: calls.append(1) or real(self))
+    monkeypatch.setattr(autgroup.CurveAction, "__call__",
+                        lambda self, vals: applied.append(1) or real_call(self, vals))
     status = {c.id: c.status for c in cli.generators_suite(0)}
     assert status["generators.wall-involutions"] == "pass"
-    assert len(calls) == 86
+    assert len(calls) == 64 + 11
+    combos = sum(len(iso.curve_action.combos) for pairs in a.wall_generators.values()
+                 for _, iso in pairs)
+    # `relabel` reads the same test off skew and the ten projections
+    relabelled = [table_isometry(SKEW_LINE_TABLE, "skew"), *a.projections.values()]
+    relabelled = sum(len(b.curve_action.combos) for b in relabelled)
+    assert len(applied) == 2 * (combos + relabelled) == 2 * (260 + 24)
+
+
+def test_involution_read_off_the_action_matches_the_rows_applied_twice():
+    a = autctx()
+    generators = [iso for pairs in a.wall_generators.values() for _, iso in pairs]
+    assert len(generators) == 64
+    for iso in generators:
+        assert iso.curve_action.is_involution() is involution_by_rows(iso.curve_action) is True
+    gens = [iso for _, iso, _ in a.descent]
+    others = [a.tau, *a.s5.values(), *gens, *map(compose, gens[:8], gens[1:9])]
+    verdicts = [(x.is_involution(), involution_by_rows(x.curve_action),
+                 bool(x.curve_action.combos)) for x in others]
+    assert all(new == old for new, old, _ in verdicts)
+    # involutions or not, with and without combinations
+    assert {(new, combos) for new, _, combos in verdicts} == {
+        (True, False), (False, False), (True, True), (False, True)}
 
 
 def test_wall_involutions_fails_on_an_action_that_is_no_involution(monkeypatch):
@@ -296,6 +323,23 @@ def test_wall_involutions_fails_on_an_action_that_is_no_involution(monkeypatch):
     checks = {c.id: c for c in cli.generators_suite(0)}
     assert checks["generators.wall-involutions"].status == "fail"
     assert checks["generators.gram-preserved"].status == "pass"
+
+
+def test_wall_involutions_fails_on_an_action_that_is_no_involution_under_python_O():
+    code = (
+        "from hessaut import cli\n"
+        "from hessaut.autgroup import Isometry, autctx\n"
+        "a = autctx()\n"
+        "w, iso = a.wall_generators['2'][0]\n"
+        "bad = Isometry(iso.matrix, iso.name)\n"
+        "object.__setattr__(bad, 'curve_action', a.s5[(2, 3, 1, 4, 5)].curve_action)\n"
+        "a.wall_generators['2'][0] = (w, bad)\n"
+        "checks = {c.id: c.status for c in cli.generators_suite(0)}\n"
+        "print(checks['generators.wall-involutions'], checks['generators.gram-preserved'])\n"
+    )
+    proc = _python_O(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["fail", "pass"]
 
 
 def test_a_reflection_is_certified_through_its_curve_action(monkeypatch):

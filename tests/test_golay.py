@@ -112,7 +112,7 @@ def _broken_octads(change):
         del octads[100]
     else:
         octads.remove(BASE_OCTAD)
-    return SteinerSystem(tuple(octads))
+    return SteinerSystem(tuple(map(set_mask, octads)))
 
 
 @pytest.mark.parametrize("change", ["swap", "drop", "drop-base"])
@@ -124,14 +124,14 @@ def test_pair_intersections_certify_closure(change):
 def test_pair_intersections_certify_closure_under_python_O():
     code = (
         "from hessaut.checks import CertificationError\n"
-        "from hessaut.golay import BASE_OCTAD, SteinerSystem, steiner_system\n"
+        "from hessaut.golay import BASE_OCTAD, SteinerSystem, set_mask, steiner_system\n"
         "octads = steiner_system().octads\n"
         f"swap = octads[:100] + ({set(NOT_AN_OCTAD)!r},) + octads[101:]\n"
         "drop = octads[:100] + octads[101:]\n"
         "drop_base = tuple(k for k in octads if k != BASE_OCTAD)\n"
         "for change in (swap, drop, drop_base):\n"
         "    try:\n"
-        "        SteinerSystem(tuple(map(frozenset, change))).pair_intersection_sizes()\n"
+        "        SteinerSystem(tuple(map(set_mask, change))).pair_intersection_sizes()\n"
         "    except CertificationError:\n"
         "        print('raised')\n"
     )
@@ -159,7 +159,7 @@ def test_five_subset_cover_refuses_octads_sharing_five_points(change):
     octads = list(steiner_system().octads)
     # NOT_AN_OCTAD shares {oo, 0, 1, 2, 3, 5} with the octad K1
     octads[100] = NOT_AN_OCTAD if change == "swap" else octads[101]
-    system = SteinerSystem(tuple(octads))
+    system = SteinerSystem(tuple(map(set_mask, octads)))
     counts = system.covering_counts()
     assert max(counts.values()) > 1  # the cover table agrees: some 5-set twice
     assert max(_all_pair_sizes(system)) >= 5
@@ -171,11 +171,11 @@ def _golay_suite_on_an_octad_meeting_another_in_five_points():
     swapped for an 8-set that meets the octad K1 in six points; the sizes
     are read off every pair, as the closure certificate refuses this set."""
     from hessaut import cli
-    from hessaut.golay import INFINITY as oo, SteinerSystem, steiner_system
+    from hessaut.golay import INFINITY as oo, SteinerSystem, set_mask, steiner_system
 
     octads = list(steiner_system().octads)
     octads[100] = frozenset({oo, 0, 1, 2, 3, 4, 5, 6})
-    broken = SteinerSystem(tuple(octads))
+    broken = SteinerSystem(tuple(map(set_mask, octads)))
     masks = broken.masks
     sizes = {(a & b).bit_count() for i, a in enumerate(masks) for b in masks[i + 1:]}
     cli.steiner_system = lambda: broken
@@ -198,3 +198,9 @@ def test_golay_suite_fails_the_cover_on_octads_sharing_five_points_under_python_
     proc = _python_O(code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["fail", "None"]
+
+
+def test_eight_sets_off_the_projective_line_are_not_octads():
+    assert not is_octad({-2, 0, 1, 3, 12, 15, 21, 22})
+    assert not is_octad({23, 0, 1, 3, 12, 15, 21, 22})
+    assert not is_octad({"oo", 0, 1, 3, 12, 15, 21, 22})
