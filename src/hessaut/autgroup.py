@@ -152,6 +152,11 @@ def relabel(b: Isometry, s: Isometry, name: str) -> Isometry:
     return _acting(Isometry(action.inverse_rows(), name), action)
 
 
+def _curve_pairings(vec) -> tuple[int, ...]:
+    """The pairings of a class with the twenty curves of `curve_frame`."""
+    return tuple(exact.dot(vec, g) for g in curve_frame().pairings)
+
+
 def _certified(build, *args):
     """build(*args) on the program's own tables, where a ValueError is a
     failed certificate (CertificationError), not bad input."""
@@ -467,7 +472,7 @@ class AutContext:
         self.gram_omega = exact.mat_vec(ctx._gram_rows, self.omega)
         # where every descent starts: the pairings of omega with the twenty
         # curves, and its height
-        u = tuple(exact.dot(self.omega, g) for g in curve_frame().pairings)
+        u = _curve_pairings(self.omega)
         self.descent_start = (u, exact.dot(u, self.omega))
 
         # tau, the S5 elements and their products permute the curves
@@ -484,6 +489,7 @@ class AutContext:
         self.symmetries: dict[tuple, str] = {}
         # the matrix of each symmetry, keyed on its `curve_action.src`
         self._symmetry_by_src: dict[tuple, tuple] = {}
+        chamber: list[Isometry] = []
         by_faces = {faces_of[c]: c for faces_of in (ctx.node_faces, ctx.line_faces)
                     for c in faces_of}
         for perm in permutations(range(1, 6)):
@@ -498,6 +504,7 @@ class AutContext:
                     "tau" if m.same_matrix(self.tau) else m.name
                 )
                 self._symmetry_by_src[m.curve_action.src] = m.matrix
+                chamber.append(m)
 
         self.p16 = table_isometry(NODE_PROJECTION_TABLE, "p16")
         expected_eta = ctx.resolve(
@@ -507,59 +514,51 @@ class AutContext:
                 "p16 must send etaH to the projected hyperplane class")
         self.f = table_isometry(PENCIL_INVERSION_TABLE, "f")
         self.g = table_isometry(SYMMETRIZED_INVERSION_TABLE, "g")
-        # `relabel` certifies p16 and g as involutions when it conjugates them
+        # `relabel` certifies p16, g and phi as involutions when it conjugates them
         certify(self.f.is_involution(), "f must be an involution")
 
-        self.projections: dict[str, Isometry] = {}
-        base_faces = ctx.node_faces["N16"]
-        for n in NODE_NAMES:
-            perm = next(p for p in sorted(self.s5)
-                        if frozenset(p[i - 1] for i in base_faces) == ctx.node_faces[n])
-            self.projections[n] = relabel(self.p16, self.s5[perm], f"p{n[1:]}")
-
+        # the 64 walls; tau carries the case 1a walls to 1b
         self.walls = enumerate_wall_roots()
+        walls = {**self.walls, "1b": [
+            WallRoot("1b", None, self.tau.apply(w.vec), w.den, ("1b",) + w.key[1:])
+            for w in self.walls["1a"]
+        ]}
+
+        # the chamber symmetries carry three worked walls to all 64, and each
+        # wall's generator is s b s^-1 (`relabel`) for b the worked generator and
+        # s any symmetry carrying b's wall to it. s is found on pairings with
+        # the curves, which fix a class as the curves span: s moves them by its
+        # action, a reindex. vec = 3 r1 is the (-6)-root of a case 1a wall.
+        w1a = next(w for w in walls["1a"] if frozenset(w.key[1:]) == WALL_1A_EXAMPLE_OCTAD)
+        w2 = next(w for w in walls["2"] if bilinear(w.root, ctx.curve_roots["N16"]) == 1)
+        w3a = next(w for w in walls["3a"] if w.key[1:] == (1, WALL_3A_EXAMPLE_K))
+        carried: dict[tuple, tuple[Isometry, Isometry]] = {}
+        for w, b in ((w1a, self.reflection_phi(w1a.vec)), (w2, self.p16), (w3a, self.g)):
+            u = _curve_pairings(w.vec)
+            certify(b.curve_action(u) == [-x for x in u], f"{b.name} must negate its wall's vector")
+            carried.update((tuple(s.curve_action(u)), (b, s)) for s in chamber)
+
+        # each generator under its descent name, in descent order
+        prefixes = {"1a": "phi", "3a": "g", "1b": "phib", "3b": "gb"}
         self.wall_generators: dict[str, list[tuple[WallRoot, Isometry]]] = {}
-
-        # vec = 3 r1 is the (-6)-root of a case 1a wall
-        gens_1a = [(w, self.reflection_phi(w.vec)) for w in self.walls["1a"]]
-        self.wall_generators["1a"] = gens_1a
-
-        gens_2 = []
-        for w in self.walls["2"]:
-            node = [n for n in NODE_NAMES if bilinear(w.root, ctx.curve_roots[n]) == 1]
-            line = [l for l in LINE_NAMES if bilinear(w.root, ctx.curve_roots[l]) == 1]
-            certify(len(node) == len(line) == 1 and ctx.tau_partner(node[0]) == line[0],
-                    f"case 2 wall {w.key} must meet one node and its tau partner")
-            gens_2.append((w, self.projections[node[0]]))
-        self.wall_generators["2"] = gens_2
-
-        worked_3a = next(w for w in self.walls["3a"] if w.key[1:] == (1, WALL_3A_EXAMPLE_K))
-        # the first S5 element, in sorted order, carrying the worked wall to each
-        # wall, keyed on the images of vec (every case 3a wall has den 6)
-        first: dict[tuple, tuple] = {}
-        for perm in sorted(self.s5):
-            first.setdefault(self.s5[perm].apply(worked_3a.vec), perm)
-        gens_3a = []
-        for w in self.walls["3a"]:
-            perm = first.get(w.vec)
-            certify(perm is not None, "pentahedral orbit must reach every wall")
-            gens_3a.append((w, relabel(self.g, self.s5[perm], f"g[{w.key}]")))
-        self.wall_generators["3a"] = gens_3a
-
-        gens_1b = []
-        for w, phi in gens_1a:
-            wb = WallRoot("1b", None, self.tau.apply(w.vec), w.den, ("1b",) + w.key[1:])
-            gens_1b.append((wb, relabel(phi, self.tau, f"tau*{phi.name}*tau")))
-        self.wall_generators["1b"] = gens_1b
-
-        gens_3b = []
-        for w in self.walls["3b"]:
-            image = self.tau.apply(w.vec)
-            partner = next(gg for ww, gg in gens_3a if ww.vec == image)
-            gens_3b.append((w, relabel(partner, self.tau, f"tau*{partner.name}*tau")))
-        self.wall_generators["3b"] = gens_3b
+        for case in ("1a", "2", "3a", "1b", "3b"):
+            self.wall_generators[case] = pairs = []
+            for i, w in enumerate(walls[case], 1):
+                if case == "2":
+                    node = [n for n in NODE_NAMES if bilinear(w.root, ctx.curve_roots[n]) == 1]
+                    line = [l for l in LINE_NAMES if bilinear(w.root, ctx.curve_roots[l]) == 1]
+                    certify(len(node) == len(line) == 1 and ctx.tau_partner(node[0]) == line[0],
+                            f"case 2 wall {w.key} must meet one node and its tau partner")
+                    name = f"p{node[0][1:]}"
+                else:
+                    name = f"{prefixes[case]}{i}"
+                hit = carried.get(_curve_pairings(w.vec))
+                certify(hit is not None, f"no chamber symmetry carries a worked wall to {w.key}")
+                pairs.append((w, relabel(*hit, name)))
         # `hessaut verify generators` certifies every wall generator: involution,
         # wall reflection, push identity and discriminant action
+        projections = {iso.name: iso for _, iso in self.wall_generators["2"]}
+        self.projections = {n: projections[f"p{n[1:]}"] for n in NODE_NAMES}
 
         # naming and fixed descent order: plain families first, conjugates last
         self.registry: dict[str, Isometry] = {
@@ -567,27 +566,16 @@ class AutContext:
             "id": identity_isometry(),
             "f": self.f,  # reducible input: f equals g composed with p12, p35
         }
-        for perm, s in self.s5.items():
+        for s in self.s5.values():
             self.registry[s.name] = s
-        for n, iso in self.projections.items():
-            self.registry[f"p{n[1:]}"] = iso
-        self.descent: list[tuple[str, Isometry, list]] = []
-
-        def _add(name, iso):
-            iso = _acting(Isometry(iso.matrix, name), iso.curve_action)
+        for iso in self.projections.values():
+            self.registry[iso.name] = iso
+        self.descent: list[tuple[str, Isometry, list]] = [
+            (iso.name, iso, self.omega_preimage(iso))
+            for pairs in self.wall_generators.values() for _, iso in pairs
+        ]
+        for name, iso, _ in self.descent:
             self.registry[name] = iso
-            self.descent.append((name, iso, self.omega_preimage(iso)))
-
-        for i, (w, iso) in enumerate(sorted(gens_1a, key=lambda t: t[0].key), 1):
-            _add(f"phi{i}", iso)
-        for w, iso in sorted(gens_2, key=lambda t: t[0].key):
-            _add(iso.name, iso)
-        for i, (w, iso) in enumerate(sorted(gens_3a, key=lambda t: t[0].key), 1):
-            _add(f"g{i}", iso)
-        for i, (w, iso) in enumerate(sorted(gens_1b, key=lambda t: t[0].key), 1):
-            _add(f"phib{i}", iso)
-        for i, (w, iso) in enumerate(sorted(gens_3b, key=lambda t: t[0].key), 1):
-            _add(f"gb{i}", iso)
         self.scan = DescentScan([y for _, _, y in self.descent])
 
     # --- helpers ---------------------------------------------------------

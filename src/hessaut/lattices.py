@@ -342,10 +342,14 @@ def standard_gram(name: str) -> list[list[int]]:
         raise ValueError(f"unknown lattice name {name!r}")
     base, a_n, d_n, scale = m.groups()
     scale = int(scale) if scale else 1
+    if scale == 0:
+        raise ValueError(f"lattice name {name!r} has scale 0")
     if base == "U":
         g = [[0, 1], [1, 0]]
     elif a_n is not None:
         n = int(a_n)
+        if n < 1:
+            raise ValueError("A_n needs n >= 1")
         g = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
     elif d_n is not None:
         n = int(d_n)

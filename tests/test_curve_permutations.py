@@ -6,10 +6,12 @@ curves and certifies it on the curve intersection table
 (`CurveAction.permutation`). These tests check its matrices against
 `isometry_from_images` and `compose`, the S5 inverses used for
 conjugation, `CurveAction.of` on curve permutations against the pairing
-check and the dense actions, the conjugate generators that `relabel`
-reads off renamed curve actions against their products, the letters-phase
-heights that permutation letters leave alone, the rejections (plain and
-`python -O`), and the construction budget of `AutContext`.
+check and the dense actions, the 64 wall generators that `relabel` reads
+off renamed curve actions against a reference built by reflections and
+products, the same generator from every symmetry carrying a worked wall,
+the letters-phase heights that permutation letters leave alone, the
+rejections (plain and `python -O`), and the construction budget of
+`AutContext`.
 """
 
 import os
@@ -25,6 +27,7 @@ import pytest
 from hessaut import autgroup, exact
 from hessaut.autgroup import (
     TAU_PAIRS,
+    WALL_1A_EXAMPLE_OCTAD,
     WALL_3A_EXAMPLE_K,
     AutContext,
     Isometry,
@@ -119,11 +122,19 @@ def test_s5_conjugates_match_conjugation_by_the_inverse_matrix():
 
 
 def _conjugates_by_product():
-    """The 52 conjugate wall generators, each as `AutContext` chooses it,
-    paired with its matrix as the product s^-1 * b * s (`compose`)."""
+    """The 64 wall generators, each paired with its matrix as a reference
+    builds it: each case 1a reflection by `reflection_phi` of its wall's
+    vector; the projections and the case 3a generators as the product
+    s^-1 * b * s (`compose`) for the first S5 element s, in sorted order,
+    that carries N16 to the node, or the worked wall to the wall; and the
+    1b and 3b generators as tau * b * tau for their 1a and 3a partners."""
     a = autctx()
     ctx = picard()
     out = []
+    reflections = []
+    for w, iso in a.wall_generators["1a"]:
+        reflections.append(a.reflection_phi(w.vec))
+        out.append((iso, reflections[-1].matrix))
     base_faces = ctx.node_faces["N16"]
     for n in NODE_NAMES:
         perm = next(p for p in sorted(a.s5)
@@ -133,20 +144,19 @@ def _conjugates_by_product():
     first = {}
     for perm in sorted(a.s5):
         first.setdefault(a.s5[perm].apply(worked.vec), perm)
-    gens_3a = a.wall_generators["3a"]
-    for w, iso in gens_3a:
-        out.append((iso, s5_conjugate(a.g, first[w.vec]).matrix))
-    for (_, phi), (_, iso) in zip(a.wall_generators["1a"], a.wall_generators["1b"]):
+    gens_3a = {w.vec: s5_conjugate(a.g, first[w.vec]) for w, _ in a.wall_generators["3a"]}
+    for w, iso in a.wall_generators["3a"]:
+        out.append((iso, gens_3a[w.vec].matrix))
+    for (_, iso), phi in zip(a.wall_generators["1b"], reflections, strict=True):
         out.append((iso, compose(a.tau, phi, a.tau).matrix))
     for w, iso in a.wall_generators["3b"]:
-        partner = next(g for v, g in gens_3a if v.vec == a.tau.apply(w.vec))
-        out.append((iso, compose(a.tau, partner, a.tau).matrix))
+        out.append((iso, compose(a.tau, gens_3a[a.tau.apply(w.vec)], a.tau).matrix))
     return out
 
 
 def test_relabelled_conjugates_equal_their_products():
     pairs = _conjugates_by_product()
-    assert len(pairs) == 52
+    assert len(pairs) == 64
     for iso, want in pairs:
         assert iso.matrix == want, iso.name
 
@@ -160,6 +170,76 @@ def test_relabelled_actions_agree_with_the_actions_of_their_matrices():
         assert (action.src, action.combos) == (fresh.src, fresh.combos)
         for x in xs:
             assert action(_pairings(x)) == fresh(_pairings(x)) == _pairings(iso.apply(x))
+
+
+def _worked_pairs(a):
+    """(worked wall, its generator, the cases of its orbit, carriers per wall)
+    for the three families."""
+    w1a = next(w for w in a.walls["1a"] if frozenset(w.key[1:]) == WALL_1A_EXAMPLE_OCTAD)
+    w2 = next(w for w, iso in a.wall_generators["2"] if iso.name == "p16")
+    w3a = next(w for w in a.walls["3a"] if w.key[1:] == (1, WALL_3A_EXAMPLE_K))
+    return ((w1a, a.reflection_phi(w1a.vec), ("1a", "1b"), 10),
+            (w2, a.p16, ("2",), 24),
+            (w3a, a.g, ("3a", "3b"), 8))
+
+
+def test_every_carrying_symmetry_gives_the_same_generator():
+    """A wall's generator is s b s^-1 for its family's worked generator b and
+    any of the 240 chamber symmetries s that carry b's wall to it, with its
+    vector's own sign: 10 of them for each case 1a or 1b wall, 24 for each
+    case 2 wall and 8 for each case 3a or 3b wall. The orbits are the 64 walls."""
+    a = autctx()
+    symmetries = _built_symmetries()
+    reached = 0
+    for worked, b, cases, count in _worked_pairs(a):
+        carriers = {}
+        for s in symmetries:
+            carriers.setdefault(s.apply(worked.vec), []).append(s)
+        assert set(carriers) == {w.vec for case in cases for w, _ in a.wall_generators[case]}
+        for case in cases:
+            for w, iso in a.wall_generators[case]:
+                assert len(carriers[w.vec]) == count, iso.name
+                built = {relabel(b, s, iso.name).matrix for s in carriers[w.vec]}
+                assert built == {iso.matrix}, iso.name
+                reached += 1
+    assert reached == 64
+
+
+# construction mutants, as code run before `reduce`, by the failure they raise
+MUTANTS = {
+    # the 1a family given g, which does not negate the 1a wall's vector
+    "g must negate its wall's vector":
+        "autgroup.AutContext.reflection_phi = lambda self, alpha: self.g\n",
+    # each tau*s built as s: S5 alone does not carry the worked 1a wall to
+    # every case 1a wall
+    "no chamber symmetry carries a worked wall to": (
+        "from hessaut.autgroup import TAU_PAIRS\n"
+        "TAU = {a: b for pair in TAU_PAIRS for a, b in (pair, pair[::-1])}\n"
+        "real = autgroup.curve_permutation\n"
+        "def build(images, name):\n"
+        "    if name.startswith('tau*'):\n"
+        "        images = {c: images[TAU[c]] for c in images}\n"
+        "    return real(images, name)\n"
+        "autgroup.curve_permutation = build\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("message", sorted(MUTANTS))
+def test_construction_certifies_that_worked_generators_reach_every_wall(message, flags):
+    code = (
+        "import sys\n"
+        "from hessaut import autgroup, cli\n"
+        + MUTANTS[message]
+        + "sys.exit(cli.main(['reduce', '--word', 'p16']))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(f"certification failed: {message}"), proc.stderr
 
 
 def test_conjugating_any_isometry_renames_its_curves():
@@ -398,9 +478,9 @@ def test_construction_takes_no_inverse_and_few_products(monkeypatch):
             target = getattr(target, part)
         assert callable(target), path
     autctx()  # picard, the walls and the curve frame are cached
-    calls = {"inverse": 0, "compose": 0, "of": 0}
+    calls = {"inverse": 0, "compose": 0, "of": 0, "apply": 0}
     real_inverse, real_compose = Isometry.inverse, autgroup.compose
-    real_of = CurveAction.of.__func__
+    real_of, real_apply = CurveAction.of.__func__, Isometry.apply
 
     def inverse(self, name=""):
         calls["inverse"] += 1
@@ -414,14 +494,22 @@ def test_construction_takes_no_inverse_and_few_products(monkeypatch):
         calls["of"] += 1
         return real_of(cls, matrix, name)
 
+    def apply(self, vec):
+        calls["apply"] += 1
+        return real_apply(self, vec)
+
     monkeypatch.setattr(Isometry, "inverse", inverse)
     monkeypatch.setattr(autgroup, "compose", counted)
     monkeypatch.setattr(CurveAction, "of", classmethod(of))
+    monkeypatch.setattr(Isometry, "apply", apply)
     a = AutContext()
     assert calls["inverse"] == 0
     # the conjugates are relabelled and involutions read off their actions
     assert calls["compose"] == 0
-    # the twelve reflections and the tables p16, f and g; every descent
+    # the tables p16, f and g, and the worked reflection phi; every descent
     # letter has its action
-    assert calls["of"] == 15
+    assert calls["of"] == 4
+    # 20 curve images for each table, p16's eta image, phi's negated root and
+    # the twelve case 1b wall vectors: each wall's carrier is found on pairings
+    assert calls["apply"] == 3 * 20 + 1 + 1 + 12
     assert all("curve_action" in vars(iso) for _, iso, _ in a.descent)

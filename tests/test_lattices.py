@@ -226,6 +226,10 @@ def test_standard_gram_rejects_unknown_names():
         pass
     else:
         raise AssertionError("expected rejection of an unknown lattice name")
+    # no empty lattice and no zero scale: A0 would be [] and U(0) the zero form
+    for name in ("A0", "D2", "U(0)", "A1(0)", "E8(-0)"):
+        with pytest.raises(ValueError):
+            standard_gram(name)
 
 
 def test_hyperbolic_model_discriminant_product():
