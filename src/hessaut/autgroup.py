@@ -31,6 +31,7 @@ from .golay import INFINITY, mask_points, point_index, set_mask, steiner_system
 from .hessian import (
     BASE_ROOT_ORDER,
     COMPLEMENT_OCTADS,
+    CURVE_NAMES,
     LINE_NAMES,
     NODE_NAMES,
     ClassVec,
@@ -39,13 +40,7 @@ from .hessian import (
 )
 from .leech import NU_OMEGA, nu, two_nu, vadd, vscale, vsub
 from .lorentz import LorentzVector, bilinear, leech_root
-from .products import (
-    CurveAction,
-    DescentScan,
-    PackedProduct,
-    curve_frame,
-    preimage,
-)
+from .products import CurveAction, DescentScan, PackedProduct, curve_frame
 
 oo = INFINITY
 
@@ -144,10 +139,15 @@ def curve_permutation(images: dict[str, str], name: str) -> Isometry:
 
 def relabel(b: Isometry, s: Isometry, name: str) -> Isometry:
     """s o b o s^-1 for an involution b and a curve permutation s, with no
-    product: its action is b's with the curves renamed by s
-    (`CurveAction.conjugate`), and as it is an involution too, its matrix is
-    that action's `inverse_rows`. Certifies that b is an involution."""
+    product (`_relabelled`). Certifies that b is an involution."""
     certify(b.is_involution(), f"{b.name} must be an involution")
+    return _relabelled(b, s, name)
+
+
+def _relabelled(b: Isometry, s: Isometry, name: str) -> Isometry:
+    """s o b o s^-1 for a certified involution b, with no product: its action
+    is b's with the curves renamed by s (`CurveAction.conjugate`), and as it
+    is an involution too, its matrix is that action's `inverse_rows`."""
     action = b.curve_action.conjugate(s.curve_action)
     return _acting(Isometry(action.inverse_rows(), name), action)
 
@@ -175,11 +175,6 @@ def table_isometry(table: dict[str, dict], name: str) -> Isometry:
 
 
 # --- fixed image tables -------------------------------------------------------
-
-TAU_PAIRS = (
-    ("N16", "T23"), ("N24", "T36"), ("N56", "T34"), ("N12", "T56"), ("N13", "T46"),
-    ("N26", "T14"), ("N35", "T26"), ("N46", "T25"), ("N36", "T15"), ("N45", "T16"),
-)
 
 NODE_PROJECTION_TABLE = {
     "N56": {"N24": 1}, "N24": {"N56": 1},
@@ -475,11 +470,10 @@ class AutContext:
         u = _curve_pairings(self.omega)
         self.descent_start = (u, exact.dot(u, self.omega))
 
-        # tau, the S5 elements and their products permute the curves
-        tau_map = {a: b for pair in TAU_PAIRS for a, b in (pair, pair[::-1])}
+        # tau, the S5 elements and their products permute the curves; tau
+        # swaps each node with the line whose faces it does not meet
+        tau_map = {c: ctx.tau_partner(c) for c in CURVE_NAMES}
         self.tau = _certified(curve_permutation, tau_map, "tau")
-        certify(all(ctx.tau_partner(a) == b for a, b in TAU_PAIRS),
-                "the tau table must pair each node with its tau partner")
 
         # the symmetry group of the restricted chamber, of order 240. Each element
         # is a certified curve permutation (`CurveAction.permutation`), so it fixes
@@ -514,7 +508,6 @@ class AutContext:
                 "p16 must send etaH to the projected hyperplane class")
         self.f = table_isometry(PENCIL_INVERSION_TABLE, "f")
         self.g = table_isometry(SYMMETRIZED_INVERSION_TABLE, "g")
-        # `relabel` certifies p16, g and phi as involutions when it conjugates them
         certify(self.f.is_involution(), "f must be an involution")
 
         # the 64 walls; tau carries the case 1a walls to 1b
@@ -524,23 +517,33 @@ class AutContext:
             for w in self.walls["1a"]
         ]}
 
-        # the chamber symmetries carry three worked walls to all 64, and each
-        # wall's generator is s b s^-1 (`relabel`) for b the worked generator and
-        # s any symmetry carrying b's wall to it. s is found on pairings with
-        # the curves, which fix a class as the curves span: s moves them by its
+        # The chamber symmetries carry three worked walls to all 64, and each
+        # wall's generator is s b s^-1 for b the worked generator and s any
+        # symmetry carrying b's wall to it. s is found on pairings with the
+        # curves, which fix a class as the curves span: s moves them by its
         # action, a reindex. vec = 3 r1 is the (-6)-root of a case 1a wall.
+        # Each b is certified, on its action, an involution that negates its
+        # wall's vector r and pushes omega by k = PUSH_MULTIPLES[case] / den
+        # times it. s b s^-1 inherits all three: s fixes omega and sends r to
+        # the wall's vector r', so s b s^-1 (omega) = omega + k r'.
+        u_omega = self.descent_start[0]
         w1a = next(w for w in walls["1a"] if frozenset(w.key[1:]) == WALL_1A_EXAMPLE_OCTAD)
         w2 = next(w for w in walls["2"] if bilinear(w.root, ctx.curve_roots["N16"]) == 1)
         w3a = next(w for w in walls["3a"] if w.key[1:] == (1, WALL_3A_EXAMPLE_K))
-        carried: dict[tuple, tuple[Isometry, Isometry]] = {}
+        carried: dict[tuple, tuple[Isometry, Isometry, int]] = {}
         for w, b in ((w1a, self.reflection_phi(w1a.vec)), (w2, self.p16), (w3a, self.g)):
             u = _curve_pairings(w.vec)
+            certify(b.is_involution(), f"{b.name} must be an involution")
             certify(b.curve_action(u) == [-x for x in u], f"{b.name} must negate its wall's vector")
-            carried.update((tuple(s.curve_action(u)), (b, s)) for s in chamber)
+            push, rest = divmod(PUSH_MULTIPLES[w.case], w.den)
+            certify(rest == 0 and b.curve_action(u_omega) == [x + push * y for x, y in zip(u_omega, u)],
+                    f"{b.name} must push omega by {PUSH_MULTIPLES[w.case]} times its wall's r1")
+            carried.update((tuple(s.curve_action(u)), (b, s, push)) for s in chamber)
 
-        # each generator under its descent name, in descent order
+        # each generator under its descent name, in descent order, with its push
         prefixes = {"1a": "phi", "3a": "g", "1b": "phib", "3b": "gb"}
         self.wall_generators: dict[str, list[tuple[WallRoot, Isometry]]] = {}
+        self.descent: list[tuple[str, Isometry, int]] = []
         for case in ("1a", "2", "3a", "1b", "3b"):
             self.wall_generators[case] = pairs = []
             for i, w in enumerate(walls[case], 1):
@@ -554,7 +557,10 @@ class AutContext:
                     name = f"{prefixes[case]}{i}"
                 hit = carried.get(_curve_pairings(w.vec))
                 certify(hit is not None, f"no chamber symmetry carries a worked wall to {w.key}")
-                pairs.append((w, relabel(*hit, name)))
+                b, s, push = hit
+                iso = _relabelled(b, s, name)
+                pairs.append((w, iso))
+                self.descent.append((name, iso, push))
         # `hessaut verify generators` certifies every wall generator: involution,
         # wall reflection, push identity and discriminant action
         projections = {iso.name: iso for _, iso in self.wall_generators["2"]}
@@ -570,13 +576,9 @@ class AutContext:
             self.registry[s.name] = s
         for iso in self.projections.values():
             self.registry[iso.name] = iso
-        self.descent: list[tuple[str, Isometry, list]] = [
-            (iso.name, iso, self.omega_preimage(iso))
-            for pairs in self.wall_generators.values() for _, iso in pairs
-        ]
         for name, iso, _ in self.descent:
             self.registry[name] = iso
-        self.scan = DescentScan([y for _, _, y in self.descent])
+        self.scan = DescentScan([w.vec for pairs in self.wall_generators.values() for w, _ in pairs])
 
     # --- helpers ---------------------------------------------------------
 
@@ -637,10 +639,6 @@ class AutContext:
     def height(self, vec) -> int:
         return exact.dot(vec, self.gram_omega)
 
-    def omega_preimage(self, iso: Isometry) -> tuple[int, ...]:
-        """b^-1(omega), the descent vector of the letter b."""
-        return preimage(iso.matrix, self.gram_omega, iso.name)
-
     def descend(self, gamma):
         """Greedy descent to the chamber of the Weyl projection.
 
@@ -656,16 +654,20 @@ class AutContext:
         of the identity, moved by the `curve_action` of every letter. u
         holds the pairings of v, the image of the Weyl projection, with the
         curves, and moves with the same actions; it starts, with the height
-        of the identity, at `descent_start`. A letter b's pairing is the
-        height of b(v), <v, b^-1(omega)>: the basis pairings u[:16] against
-        its `omega_preimage`, tried sixteen letters to a big-int sum by
-        `scan` (`DescentScan`). Every letter is a certified isometry, so
-        the product's entries are capped by its height
-        (`CurveFrame.entry_cap`), and that cap alone sizes its slots. A
-        letter whose action has no combinations permutes the curves, so
-        b^-1 fixes omega, the sum of the twenty curves (certified in
-        `CurveFrame`): <b(v), omega> = <v, b^-1(omega)> = h, and the height
-        and its cap carry over.
+        of the identity, at `descent_start`. The descent crosses walls:
+        each wall generator b, an involution with wall vector r and push
+        k > 0, has b(omega) = omega + k r (certified on the worked
+        generators, inherited by their conjugates), so the height of b(v)
+        is <v, b^-1(omega)> = h + k <v, r>, and b lowers it exactly when v
+        lies on the wrong side of its wall, <v, r> < 0. `scan`
+        (`DescentScan`) finds the first such letter and <v, r>, the basis
+        pairings u[:16] against r, sixteen walls to a big-int sum. Every
+        letter is a certified isometry, so the product's entries are capped
+        by its height (`CurveFrame.entry_cap`), and that cap alone sizes its
+        slots. A letter whose action has no combinations permutes the
+        curves, so b^-1 fixes omega, the sum of the twenty curves (certified
+        in `CurveFrame`): <b(v), omega> = <v, b^-1(omega)> = h, and the
+        height and its cap carry over.
 
         The residual is a symmetry read off K and the final height
         (`residual`), or else the word replayed through `compose`. gamma
@@ -687,9 +689,10 @@ class AutContext:
             product.act(action, cap)
         heights = [h]
         word: list[str] = []
-        while (hit := self.scan.first_hit(u, h)) is not None:
-            k, h = hit
-            name, iso, _ = self.descent[k]
+        while (hit := self.scan.first_hit(u)) is not None:
+            k, e = hit
+            name, iso, push = self.descent[k]
+            h += push * e
             action = iso.curve_action
             product.act(action, entry_cap(h))
             u = action(u)

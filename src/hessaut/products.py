@@ -35,15 +35,15 @@ needs no product.
 A descent step costs a few big-int operations more:
 
 * The first-hit scan is packed too (`DescentScan`). Letter k lowers the
-  height h = <v, omega> when d_k = u . y_k < h, with u the 16 basis
-  pairings of v and y_k = b_k^-1(omega). For 16 letters at a time and a
-  slot width w with |d_k - h| < 2^(w-1), the int X = sum_i u_i P_i +
-  (2^(w-1) - h) ONES, where P_i packs the i-th entries of the 16 y_k and
-  ONES packs sixteen 1s, holds d_k - h + 2^(w-1) in slot k. Every slot lies
-  in [0, 2^w), so nothing carries, and bit w-1 of slot k is clear exactly
-  when d_k < h: the lowest set bit of ~X & SIGN (the top bit of every
-  slot) names the first letter that lowers the height, and its slot gives
-  d_k. The scan order and the strict < are those of the dot scan.
+  height h = <v, omega> to h + push_k e_k, push_k > 0, when v lies on the
+  wrong side of its wall, e_k = u . r_k < 0: u holds the 16 basis pairings
+  of v and r_k is the wall vector (`AutContext.descend`). For 16 letters at
+  a time and a slot width w with |e_k| < 2^(w-1), the int X = sum_i u_i P_i
+  + SIGN, P_i packing the i-th entries of the 16 r_k and SIGN the top bit
+  of every slot, holds e_k + 2^(w-1) in slot k. Nothing carries, and bit
+  w-1 of slot k is clear exactly when e_k < 0: the lowest set bit of ~X &
+  SIGN names the first letter that lowers the height, and its slot gives
+  e_k. The scan order and the strict < are those of the dot scan.
 * The entries of K are capped by the height (`CurveFrame.entry_cap`).
   With n = <omega, omega> > 0 and signature (1, 15), ||x||^2 =
   2 <x, omega>^2 / n - <x, x> is positive definite (the Euclidean
@@ -353,43 +353,41 @@ SCAN_CACHE_WIDTH = 288
 
 
 class DescentScan:
-    """The first letter that lowers the height, from packed sign bits.
+    """The first wall that v lies on the wrong side of, from packed sign bits.
 
-    Built from the descent vectors y_k in scan order; `first_hit(u, h)` is
-    the first (k, d_k) with d_k = u . y_k < h, or None, exactly as a dot
+    Built from the wall vectors r_k in scan order; `first_hit(u)` is the
+    first (k, e_k) with e_k = u . r_k < 0, or None, exactly as a dot
     product per letter would find it. Letters sit in groups of SCAN_GROUP.
-    For a slot width w, group g holds P_i = sum_k y_k[i] 2^(w k) over its
-    letters, one int per entry i; then sum_i u_i P_i + SIGN - h ONES holds
-    d_k - h + 2^(w-1) in slot k, where ONES has a 1 at the bottom of every
-    slot and SIGN = 2^(w-1) ONES at the top. w is chosen with |d_k - h| <=
-    max|u_i| max||y_k||_1 + |h| < 2^(w-1), so every slot lies in [0, 2^w)
-    and nothing carries; bit w-1 of slot k is then clear exactly when
-    d_k < h. The tables are built per width, rounded up to a multiple of
-    32 bits, and kept up to SCAN_CACHE_WIDTH.
+    For a slot width w, group g holds P_i = sum_k r_k[i] 2^(w k) over its
+    letters, one int per entry i; then sum_i u_i P_i + SIGN holds e_k +
+    2^(w-1) in slot k, where SIGN has a 1 at the top of every slot. w is
+    chosen with |e_k| <= max|u_i| max||r_k||_1 < 2^(w-1), so every slot
+    lies in [0, 2^w) and nothing carries; bit w-1 of slot k is then clear
+    exactly when e_k < 0. The tables are built per width, rounded up to a
+    multiple of 32 bits, and kept up to SCAN_CACHE_WIDTH.
     """
 
-    __slots__ = ("ys", "dim", "norm", "_tables", "_wide")
+    __slots__ = ("rs", "dim", "norm", "_tables", "_wide")
 
-    def __init__(self, ys):
-        self.ys = tuple(tuple(y) for y in ys)
-        self.dim = len(self.ys[0])
-        self.norm = max(sum(map(abs, y)) for y in self.ys)
+    def __init__(self, rs):
+        self.rs = tuple(tuple(r) for r in rs)
+        self.dim = len(self.rs[0])
+        self.norm = max(sum(map(abs, r)) for r in self.rs)
         self._tables: dict[int, tuple] = {}
         self._wide = None
 
     def _groups(self, w: int) -> tuple:
-        """(base, P, ONES, SIGN) for each group of letters, at width w."""
+        """(base, P, SIGN) for each group of letters, at width w."""
         groups = self._tables.get(w)
         if groups is None:
             groups = []
-            for base in range(0, len(self.ys), SCAN_GROUP):
-                block = self.ys[base:base + SCAN_GROUP]
+            for base in range(0, len(self.rs), SCAN_GROUP):
+                block = self.rs[base:base + SCAN_GROUP]
                 shifts = range(0, w * len(block), w)
                 packed = tuple(
-                    sum([y[i] << s for y, s in zip(block, shifts)]) for i in range(self.dim)
+                    sum([r[i] << s for r, s in zip(block, shifts)]) for i in range(self.dim)
                 )
-                ones = sum([1 << s for s in shifts])
-                groups.append((base, packed, ones, ones << (w - 1)))
+                groups.append((base, packed, sum([1 << (s + w - 1) for s in shifts])))
             groups = tuple(groups)
             if w > SCAN_CACHE_WIDTH:
                 self._tables.pop(self._wide, None)
@@ -397,16 +395,15 @@ class DescentScan:
             self._tables[w] = groups
         return groups
 
-    def first_hit(self, u, h: int) -> tuple[int, int] | None:
-        """(k, u . y_k) for the first k with u . y_k < h; None if there is
+    def first_hit(self, u) -> tuple[int, int] | None:
+        """(k, u . r_k) for the first k with u . r_k < 0; None if there is
         none. Only the first `dim` entries of u are read."""
         u = u[:self.dim]
-        reach = max(map(abs, u)) * self.norm + abs(h)
-        w = (reach.bit_length() + 32) // 32 * 32
-        for base, packed, ones, sign in self._groups(w):
-            x = sum(map(mul, u, packed)) + sign - h * ones
+        w = ((max(map(abs, u)) * self.norm).bit_length() + 32) // 32 * 32
+        for base, packed, sign in self._groups(w):
+            x = sum(map(mul, u, packed)) + sign
             hits = sign & ~x
             if hits:
                 k = ((hits & -hits).bit_length() - 1) // w
-                return base + k, ((x >> (k * w)) & ((1 << w) - 1)) - (1 << (w - 1)) + h
+                return base + k, ((x >> (k * w)) & ((1 << w) - 1)) - (1 << (w - 1))
         return None

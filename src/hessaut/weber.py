@@ -46,11 +46,6 @@ ALL_POINTS: tuple[Label, ...] = (EMPTY,) + tuple(
 )
 
 
-def symplectic(a: Label, b: Label) -> int:
-    """|a & b| mod 2 on the size <= 2 representatives."""
-    return len(frozenset(a) & frozenset(b)) % 2
-
-
 # --- the model symplectic space: 2x2 bit matrices -----------------------------
 #
 # eps is the first row, eta the second (the reading under which the four

@@ -21,6 +21,9 @@ M G q_d = G q_c for each curve c read off as the preimage of d.
 `involution_by_rows` is the involution test of the generators suite
 before `CurveAction.is_involution` read it off the action: the action
 applied twice to each of the identity's 16 basis-curve pairing rows.
+`HeightScan` is the packed first-hit scan as it ran before the descent
+scanned walls: on the descent vectors y_k = b_k^-1(omega) against the
+height h, with `descent_vectors` giving y_k = omega + push_k r_k.
 """
 
 from itertools import repeat
@@ -155,3 +158,44 @@ def involution_by_rows(action: CurveAction) -> bool:
     """b o b = id: b applied twice gives back each basis curve's row of
     the curve table, the identity's curve pairings."""
     return all(action(action(r)) == list(r) for r in curve_frame().curve_gram[:16])
+
+
+def descent_vectors(a) -> list[tuple[int, ...]]:
+    """y_k = b_k^-1(omega) = omega + push_k r_k for each descent letter, r_k
+    its wall vector, in descent order."""
+    return [tuple(o + push * x for o, x in zip(a.omega, r))
+            for (_, _, push), r in zip(a.descent, a.scan.rs)]
+
+
+class HeightScan:
+    """The first letter that lowers the height, from packed sign bits.
+
+    `first_hit(u, h)` is the first (k, d_k) with d_k = u . y_k < h, or
+    None. For a slot width w, sum_i u_i P_i + SIGN - h ONES holds
+    d_k - h + 2^(w-1) in slot k, P_i packing the i-th entries of the y_k of
+    a group of 16, ONES a 1 at the bottom of every slot and SIGN = 2^(w-1)
+    ONES; w is chosen with |d_k - h| < 2^(w-1), so nothing carries and bit
+    w-1 of slot k is clear exactly when d_k < h.
+    """
+
+    def __init__(self, ys):
+        self.ys = tuple(tuple(y) for y in ys)
+        self.dim = len(self.ys[0])
+        self.norm = max(sum(map(abs, y)) for y in self.ys)
+
+    def first_hit(self, u, h: int) -> tuple[int, int] | None:
+        u = u[:self.dim]
+        reach = max(map(abs, u)) * self.norm + abs(h)
+        w = (reach.bit_length() + 32) // 32 * 32
+        for base in range(0, len(self.ys), 16):
+            block = self.ys[base:base + 16]
+            shifts = range(0, w * len(block), w)
+            packed = [sum([y[i] << s for y, s in zip(block, shifts)]) for i in range(self.dim)]
+            ones = sum([1 << s for s in shifts])
+            sign = ones << (w - 1)
+            x = sum(map(mul, u, packed)) + sign - h * ones
+            hits = sign & ~x
+            if hits:
+                k = ((hits & -hits).bit_length() - 1) // w
+                return base + k, ((x >> (k * w)) & ((1 << w) - 1)) - (1 << (w - 1)) + h
+        return None

@@ -262,13 +262,13 @@ def test_every_descent_generator_preserves_the_form_densely():
 
 def test_gram_preserved_fails_on_a_matrix_its_action_does_not_certify(monkeypatch):
     a = autctx()
-    name, iso, y = a.descent[0]
+    name, iso, push = a.descent[0]
     rows = [list(r) for r in iso.matrix]
     rows[0] = [2 * x for x in rows[0]]
     bad = Isometry(tuple(map(tuple, rows)), name)
     object.__setattr__(bad, "curve_action", iso.curve_action)
     assert not preserves_form(bad.matrix)
-    monkeypatch.setattr(a, "descent", [(name, bad, y)] + a.descent[1:])
+    monkeypatch.setattr(a, "descent", [(name, bad, push)] + a.descent[1:])
     status = {c.id: c.status for c in cli.generators_suite(0)}
     assert status["generators.gram-preserved"] == "fail"
     assert status["generators.wall-involutions"] == "pass"

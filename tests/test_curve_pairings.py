@@ -4,7 +4,8 @@
 basis vectors with the twenty curves, and moves it by each letter's cached
 `curve_action`. These tests check the actions against the dense matrices
 (b(preimage) = curve, pairings of b(x) for every basis vector x), the
-descent vectors b^-1(omega) against `Isometry.inverse`, the reference
+push b^-1(omega) = omega + push r of each letter against `Isometry.inverse`
+and the wall vectors r that `scan` holds, the reference
 recovery of M from K with its relation and divisibility checks
 (`product_reference.matrix_from_pairings`), and that the `reduce` path
 cannot be stripped by `python -O`.
@@ -19,6 +20,7 @@ import pytest
 
 from hessaut import exact
 from hessaut.autgroup import (
+    PUSH_MULTIPLES,
     Isometry,
     autctx,
     compose,
@@ -153,15 +155,22 @@ def test_the_read_off_check_alone_rejects_a_node_line_swap(flags):
     ), proc.stderr
 
 
-def test_omega_preimage_is_the_image_under_the_inverse():
+def test_each_letter_pushes_omega_by_its_wall_vector():
+    """b^-1(omega) = omega + push r densely, by `Isometry.inverse`, for each
+    of the 64 letters, r its wall's vector and push PUSH_MULTIPLES / den;
+    `scan` holds those r in descent order."""
     a = autctx()
-    isos = [iso for _, iso, _ in a.descent] + list(_non_registry_isometries().values())
-    for iso in isos:
-        assert a.omega_preimage(iso) == iso.inverse().apply(a.omega), iso.name
-    assert [y for _, _, y in a.descent] == [a.omega_preimage(iso) for _, iso, _ in a.descent]
+    walls = [(w, iso) for pairs in a.wall_generators.values() for w, iso in pairs]
+    assert len(walls) == len(a.descent) == 64
+    assert a.scan.rs == tuple(w.vec for w, _ in walls)
+    for (name, iso, push), (w, built) in zip(a.descent, walls):
+        assert (name, iso) == (built.name, built)
+        assert push > 0 and push * w.den == PUSH_MULTIPLES[w.case], name
+        want = tuple(o + push * x for o, x in zip(a.omega, w.vec))
+        assert iso.inverse().apply(a.omega) == want, name
     # on a product of two involutions b(omega) and b^-1(omega) differ
     b = compose(a.registry["p16"], a.registry["g1"])
-    assert b.apply(a.omega) != a.omega_preimage(b)
+    assert b.apply(a.omega) != b.inverse().apply(a.omega)
 
 
 def test_matrix_from_pairings_recovers_the_matrix():

@@ -24,9 +24,8 @@ from pathlib import Path
 
 import pytest
 
-from hessaut import autgroup, exact
+from hessaut import autgroup, exact, products
 from hessaut.autgroup import (
-    TAU_PAIRS,
     WALL_1A_EXAMPLE_OCTAD,
     WALL_3A_EXAMPLE_K,
     AutContext,
@@ -43,6 +42,7 @@ from hessaut.products import CurveAction, curve_frame
 
 from product_reference import conjugate, matrix_from_pairings, s5_conjugate
 from test_curve_pairings import _check_action, _non_registry_isometries, _pairings
+from test_hessian import TAU_PAIRS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -213,12 +213,11 @@ MUTANTS = {
     # each tau*s built as s: S5 alone does not carry the worked 1a wall to
     # every case 1a wall
     "no chamber symmetry carries a worked wall to": (
-        "from hessaut.autgroup import TAU_PAIRS\n"
-        "TAU = {a: b for pair in TAU_PAIRS for a, b in (pair, pair[::-1])}\n"
         "real = autgroup.curve_permutation\n"
         "def build(images, name):\n"
         "    if name.startswith('tau*'):\n"
-        "        images = {c: images[TAU[c]] for c in images}\n"
+        "        tau = autgroup.picard().tau_partner\n"
+        "        images = {c: images[tau(c)] for c in images}\n"
         "    return real(images, name)\n"
         "autgroup.curve_permutation = build\n"
     ),
@@ -373,7 +372,8 @@ def test_the_table_read_off_agrees_with_the_packed_check():
 
 def _descend_dot_per_letter(a, letters):
     """`AutContext.descend` on letters as it ran before: one dot product and
-    one entry cap after every letter."""
+    one entry cap after every letter, and after every descent step, where
+    the height is taken by a dot product, not by the letter's push."""
     frame = curve_frame()
     product = frame.identity_pairings.copy()
     u = _pairings(a.omega)
@@ -386,11 +386,11 @@ def _descend_dot_per_letter(a, letters):
             assert h == before, b.name
         product.act(b.curve_action, frame.entry_cap(h))
     word, heights = [], [h]
-    while (hit := a.scan.first_hit(u, h)) is not None:
-        k, h = hit
-        name, iso, _ = a.descent[k]
-        product.act(iso.curve_action, frame.entry_cap(h))
+    while (hit := a.scan.first_hit(u)) is not None:
+        name, iso, _ = a.descent[hit[0]]
         u = iso.curve_action(u)
+        h = exact.dot(u, a.omega)
+        product.act(iso.curve_action, frame.entry_cap(h))
         word.append(name)
         heights.append(h)
     return word, matrix_from_pairings(product), heights
@@ -478,9 +478,10 @@ def test_construction_takes_no_inverse_and_few_products(monkeypatch):
             target = getattr(target, part)
         assert callable(target), path
     autctx()  # picard, the walls and the curve frame are cached
-    calls = {"inverse": 0, "compose": 0, "of": 0, "apply": 0}
+    calls = {"inverse": 0, "compose": 0, "of": 0, "apply": 0, "involution": 0, "preimage": 0}
     real_inverse, real_compose = Isometry.inverse, autgroup.compose
     real_of, real_apply = CurveAction.of.__func__, Isometry.apply
+    real_involution, real_preimage = CurveAction.is_involution, products.preimage
 
     def inverse(self, name=""):
         calls["inverse"] += 1
@@ -498,8 +499,18 @@ def test_construction_takes_no_inverse_and_few_products(monkeypatch):
         calls["apply"] += 1
         return real_apply(self, vec)
 
+    def is_involution(self):
+        calls["involution"] += 1
+        return real_involution(self)
+
+    def preimage(*args):
+        calls["preimage"] += 1
+        return real_preimage(*args)
+
     monkeypatch.setattr(Isometry, "inverse", inverse)
     monkeypatch.setattr(autgroup, "compose", counted)
+    monkeypatch.setattr(CurveAction, "is_involution", is_involution)
+    monkeypatch.setattr(products, "preimage", preimage)
     monkeypatch.setattr(CurveAction, "of", classmethod(of))
     monkeypatch.setattr(Isometry, "apply", apply)
     a = AutContext()
@@ -512,4 +523,9 @@ def test_construction_takes_no_inverse_and_few_products(monkeypatch):
     # 20 curve images for each table, p16's eta image, phi's negated root and
     # the twelve case 1b wall vectors: each wall's carrier is found on pairings
     assert calls["apply"] == 3 * 20 + 1 + 1 + 12
+    # f and the three worked generators, each once; their 64 conjugates
+    # inherit the certificate
+    assert calls["involution"] == 4
+    # only the combinations of those four actions: no letter's b^-1(omega)
+    assert calls["preimage"] == 17
     assert all("curve_action" in vars(iso) for _, iso, _ in a.descent)

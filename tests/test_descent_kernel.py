@@ -1,8 +1,13 @@
-"""The descent step kernel: the packed first-hit scan and the height cap.
+"""The descent step kernel: the packed wall scan and the height cap.
 
-`DescentScan` finds the first letter that lowers the height from packed
-sign bits; it must agree with one dot product per letter, at group edges
-(k = 0, 15, 16, 63), with ties (the test is a strict <) and with no hit.
+`DescentScan` finds the first wall that the image v of the Weyl
+projection lies on the wrong side of, e = <v, r_k> < 0, from packed sign
+bits; it must agree with one dot product per letter at threshold 0, at
+group edges (k = 0, 15, 16, 63), with ties at 0 (the test is a strict <),
+values just below 0 and no hit. The height scan it replaced
+(`product_reference.HeightScan`, on y_k = omega + push_k r_k against the
+height) must pick the same letter and height. A worked generator certified
+with a wrong push fails construction, plain and under `python -O`.
 `CurveFrame.entry_cap` bounds the curve pairings K of an isometry by its
 height, and alone sizes the packed slots; the bound is checked against
 dense products on real words, and re-packs at the cap's width are forced
@@ -41,7 +46,7 @@ from hessaut.products import (
     curve_frame,
     preimage,
 )
-from product_reference import conjugate, inversion_f
+from product_reference import HeightScan, conjugate, descent_vectors, inversion_f
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -52,71 +57,107 @@ import words  # noqa: E402  (perfbench/words.py)
 BIG = 2**600
 
 
-def _dot_scan(ys, u, h):
-    """The scan as it ran before: one dot product per letter."""
-    for k, y in enumerate(ys):
-        d = exact.dot(u, y)
-        if d < h:
-            return k, d
+def _dot_scan(rs, u):
+    """The wall scan as one dot product per letter: the first (k, u . r_k)
+    with u . r_k < 0."""
+    for k, r in enumerate(rs):
+        e = exact.dot(u, r)
+        if e < 0:
+            return k, e
     return None
 
 
-# --- the packed first-hit scan ------------------------------------------------
+def _unit_dual(r):
+    """An integer vector x with x . r = 1, for r with coprime entries
+    (extended Euclid over the entries)."""
+    x, g = [0] * len(r), 0
+    for i, a in enumerate(r):
+        s0, s1, t0, t1, p, q = 1, 0, 0, 1, g, a  # s p0 + t q0 = p throughout
+        while q:
+            m = p // q
+            p, q, s0, s1, t0, t1 = q, p - m * q, s1, s0 - m * s1, t1, t0 - m * t1
+        if p < 0:
+            p, s0, t0 = -p, -s0, -t0
+        x = [s0 * v for v in x]
+        x[i] += t0
+        g = p
+    assert g == 1 and exact.dot(x, r) == 1
+    return x
+
+
+def _tied(u, r, shift):
+    """u moved so that its 16 basis entries pair with r to exactly shift:
+    projected orthogonally to r over the integers, plus shift times a dual."""
+    n, d = exact.dot(r, r), exact.dot(u, r)
+    head = [n * x - d * y + shift * z for x, y, z in zip(u, r, _unit_dual(r))]
+    assert exact.dot(head, r) == shift
+    return head + list(u[16:])
+
+
+# --- the packed wall scan -----------------------------------------------------
 
 big_entries = st.one_of(st.integers(-9, 9), st.integers(-BIG, BIG))
 
 
 @st.composite
 def scan_case(draw):
-    """64 descent vectors ordered so that the first hit is at a chosen k.
+    """64 wall vectors ordered so that the first hit is at a chosen k.
 
-    The letters are sorted by decreasing d = u . y, so h just above the
-    k-th d (mode "at") makes k the first hit; h equal to it (mode "equal")
-    makes it no hit, as the test is strict; the letters after k are
-    shuffled. k = 63 with mode "equal" leaves no hit at all.
+    The letters before k are turned, by a sign, to pair >= 0 with u. Letter
+    k pairs < 0 with u (mode "at"), or exactly 0 (mode "equal": r_k is
+    orthogonal to u, a tie, no hit, as the test is strict), and then
+    letter k + 1 pairs < 0. k = 63 with mode "equal" leaves no hit at all.
     """
     u = [draw(big_entries) for _ in range(16)] + [draw(big_entries) for _ in range(4)]
     assume(any(u[:16]))
     rng = random.Random(draw(st.integers(0, 2**32)))
-    ys = [[rng.randint(-30, 30) for _ in range(16)] for _ in range(64)]
-    ds = [exact.dot(u, y) for y in ys]
-    assume(len(set(ds)) == 64)
-    order = sorted(range(64), key=lambda k: -ds[k])
+    rs = [[rng.randint(-30, 30) for _ in range(16)] for _ in range(64)]
     k = draw(st.sampled_from((0, 15, 16, 63)))
-    head, tail = order[:k + 1], order[k + 1:]
-    rng.shuffle(tail)
-    ys = [ys[j] for j in head + tail]
     mode = draw(st.sampled_from(("at", "equal")))
-    h = ds[order[k]] + (mode == "at")
-    return ys, u, h, k, mode
+    i = next(i for i, x in enumerate(u[:16]) if x)
+    j = (i + 1) % 16
+    for m in range(k):
+        if exact.dot(u, rs[m]) < 0:
+            rs[m] = [-x for x in rs[m]]
+    below = k if mode == "at" else k + 1
+    if mode == "equal":
+        rs[k] = [u[j] if m == i else -u[i] if m == j else 0 for m in range(16)]
+    if below < 64:
+        e = exact.dot(u, rs[below])
+        if e == 0:
+            rs[below] = [-1 if m == i else 0 for m in range(16)]
+            e = -abs(u[i])
+        if e > 0:
+            rs[below] = [-x for x in rs[below]]
+    return rs, u, k, mode
 
 
 @settings(max_examples=200, deadline=None)
 @given(scan_case())
 def test_packed_scan_finds_the_first_hit_of_the_dot_scan(case):
-    ys, u, h, k, mode = case
-    want = _dot_scan(ys, u, h)
-    assert DescentScan(ys).first_hit(u, h) == want
+    rs, u, k, mode = case
+    want = _dot_scan(rs, u)
+    assert DescentScan(rs).first_hit(u) == want
     if mode == "at":
-        assert want == (k, h - 1)
+        assert want[0] == k and want[1] < 0
     elif k == 63:
         assert want is None
     else:
-        assert want[0] > k
+        assert want[0] == k + 1 and want[1] < 0
 
 
 @pytest.mark.parametrize("k", [None, 0, 15, 16, 63])
 @pytest.mark.parametrize("scale", [1, -1, 2**600, -(2**600) + 7])
 def test_packed_scan_at_group_edges(k, scale):
-    """d_j = 2 scale for every letter but k, where it is scale; h = 2 scale."""
-    ys = [[2] + [0] * 15 for _ in range(64)]
+    """u = (scale, 1, 0, ...): every letter but k pairs to a tie at 0, and
+    k to -1, just below 0, when scale > 0, or to +1 when scale < 0."""
+    rs = [[1, -scale] + [0] * 14 for _ in range(64)]
     if k is not None:
-        ys[k][0] = 1
-    u = [scale] + [0] * 15
-    h = 2 * scale  # ties with every d_j, j != k; below d_k when scale < 0
-    want = None if k is None or scale < 0 else (k, scale)
-    assert _dot_scan(ys, u, h) == want
-    assert DescentScan(ys).first_hit(u, h) == want
+        rs[k][1] = -scale - (1 if scale > 0 else -1)
+    u = [scale, 1] + [0] * 14
+    want = None if k is None or scale < 0 else (k, -1)
+    assert _dot_scan(rs, u) == want
+    assert DescentScan(rs).first_hit(u) == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -125,26 +166,93 @@ def test_packed_scan_at_group_edges(k, scale):
     st.integers(0, 63),
     st.sampled_from((-1, 0, 1)),
 )
-def test_packed_scan_on_the_descent_vectors(u, j, shift):
-    """The real scan order, with h at, just above and just below some d_j."""
+def test_packed_scan_on_the_wall_vectors(u, j, shift):
+    """The real scan order, with u pairing with wall j just below, at and
+    just above 0."""
     a = autctx()
-    ys = [y for _, _, y in a.descent]
-    h = exact.dot(u, ys[j]) + shift
-    assert a.scan.first_hit(u, h) == _dot_scan(ys, u, h)
+    rs = a.scan.rs
+    u = _tied(u, rs[j], shift)
+    assert a.scan.first_hit(u) == _dot_scan(rs, u)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(big_entries, min_size=20, max_size=20),
+    st.integers(0, 63),
+    st.sampled_from((-1, 0, 1, None)),
+)
+def test_the_wall_scan_picks_the_letter_and_height_of_the_height_scan(u, j, shift):
+    """With h = <v, omega> read off u, letter k lowers the height below h
+    exactly when <v, r_k> < 0, to h + push_k <v, r_k>."""
+    a = autctx()
+    if shift is not None:
+        u = _tied(u, a.scan.rs[j], shift)
+    h = exact.dot(u, a.omega)
+    hit = a.scan.first_hit(u)
+    want = None if hit is None else (hit[0], h + a.descent[hit[0]][2] * hit[1])
+    assert HeightScan(descent_vectors(a)).first_hit(u, h) == want
+
+
+@pytest.mark.parametrize("block", [0, 1])
+def test_a_descent_by_the_height_scan_matches_the_wall_scan(block):
+    """Pool words descended with the height scan choosing every letter, and
+    the wall scan checked to choose it too, give `descend`'s word and heights."""
+    a = autctx()
+    heights_scan = HeightScan(descent_vectors(a))
+    for w in words.pool()[block]:
+        letters = [a.registry[n] for n in w.split(",")]
+        u = a.descent_start[0]
+        for b in letters:
+            u = b.curve_action(u)
+        h = exact.dot(u, a.omega)
+        word, heights = [], [h]
+        while (hit := heights_scan.first_hit(u, h)) is not None:
+            k, h = hit
+            e = a.scan.first_hit(u)
+            assert e is not None and e[0] == k and heights[-1] + a.descent[k][2] * e[1] == h, w
+            name, iso, _ = a.descent[k]
+            u = iso.curve_action(u)
+            word.append(name)
+            heights.append(h)
+        assert a.scan.first_hit(u) is None
+        got = a.descend(letters)
+        assert (got[0], got[2]) == (word, heights), w
 
 
 def test_scan_tables_are_kept_per_width_up_to_the_cache_width():
-    ys = [y for _, _, y in autctx().descent]
-    scan = DescentScan(ys)
-    assert len(scan._groups(32)) == -(-len(ys) // SCAN_GROUP)
-    u = [1] * 16
+    rs = autctx().scan.rs
+    scan = DescentScan(rs)
+    assert len(scan._groups(32)) == -(-len(rs) // SCAN_GROUP)
     for bits in (10, 100, 400, 700, 90):
-        h = 2**bits
-        assert scan.first_hit(u, h) == _dot_scan(ys, u, h)
+        u = [(-1) ** i * 2**bits + i for i in range(16)]
+        assert scan.first_hit(u) == _dot_scan(rs, u)
     widths = sorted(scan._tables)
     assert all(w % 32 == 0 for w in widths)
     # at most one table wider than SCAN_CACHE_WIDTH: the last one used
     assert len([w for w in widths if w > SCAN_CACHE_WIDTH]) == 1
+
+
+# a wrong push multiple for a worked generator's family, by the failure it raises
+PUSH_MUTANTS = {
+    # p16 pushes omega by 4 r1 of its wall, not 6 r1
+    "p16 must push omega by 6 times": 'autgroup.PUSH_MULTIPLES["2"] = 6\n',
+    # 14 r1 is no integer multiple of the case 1a wall's vector 3 r1
+    "phi must push omega by 14 times": 'autgroup.PUSH_MULTIPLES["1a"] = 14\n',
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("message", sorted(PUSH_MUTANTS))
+def test_construction_certifies_the_push_of_each_worked_generator(message, flags):
+    code = (
+        "import sys\n"
+        "from hessaut import autgroup, cli\n"
+        + PUSH_MUTANTS[message]
+        + "sys.exit(cli.main(['reduce', '--word', 'p16']))\n"
+    )
+    proc = _run(flags, code)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(f"certification failed: {message}"), proc.stderr
 
 
 def test_no_dot_product_in_the_descent_steps(monkeypatch):
@@ -239,9 +347,9 @@ def test_letters_phase_repacks_under_the_cap(monkeypatch):
         real_pack(self, cols, cap)
         events.append((phase[0], cap, self.width))
 
-    def scan(self, u, h):
+    def scan(self, u):
         phase[0] = "descent"
-        return real_scan(self, u, h)
+        return real_scan(self, u)
 
     def residual(self, product, height):
         phase[0] = "residual"

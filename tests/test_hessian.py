@@ -149,13 +149,16 @@ def test_incidence_examples():
         assert len([l for l in LINE_NAMES if incidence(n, l) == 1]) == 3
 
 
+# the node/line pairs of tau, as displayed; `Picard.tau_partner` derives them
+TAU_PAIRS = (
+    ("N16", "T23"), ("N24", "T36"), ("N56", "T34"), ("N12", "T56"), ("N13", "T46"),
+    ("N26", "T14"), ("N35", "T26"), ("N46", "T25"), ("N36", "T15"), ("N45", "T16"),
+)
+
+
 def test_tau_pairing_matches_fixed_table():
     ctx = picard()
-    table = {
-        "N16": "T23", "N24": "T36", "N56": "T34", "N12": "T56", "N13": "T46",
-        "N26": "T14", "N35": "T26", "N46": "T25", "N36": "T15", "N45": "T16",
-    }
-    for n, t in table.items():
+    for n, t in TAU_PAIRS:
         assert ctx.tau_partner(n) == t
         assert ctx.tau_partner(t) == n
 

@@ -12,13 +12,13 @@ from hessaut.autgroup import (
     PENCIL_INVERSION_TABLE,
     SKEW_LINE_TABLE,
     SYMMETRIZED_INVERSION_TABLE,
-    TAU_PAIRS,
     Isometry,
     autctx,
     isometry_from_images,
 )
 from hessaut.hessian import CURVE_NAMES, LINE_NAMES, NODE_NAMES, picard
 from product_reference import preserves_form
+from test_hessian import TAU_PAIRS
 
 
 def _reference(images, name):

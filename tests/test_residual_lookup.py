@@ -172,7 +172,7 @@ def _stalled_words():
 
 def _stall(a, monkeypatch):
     """Let the descent take only the first STALLED_LETTERS letters."""
-    monkeypatch.setattr(a, "scan", DescentScan([y for _, _, y in a.descent[:STALLED_LETTERS]]))
+    monkeypatch.setattr(a, "scan", DescentScan(a.scan.rs[:STALLED_LETTERS]))
 
 
 def test_a_stalled_descent_replays_the_word(monkeypatch):
@@ -204,7 +204,7 @@ import test_residual_lookup as t
 from hessaut.autgroup import autctx
 from hessaut.products import DescentScan
 a = autctx()
-a.scan = DescentScan([y for _, _, y in a.descent[:t.STALLED_LETTERS]])
+a.scan = DescentScan(a.scan.rs[:t.STALLED_LETTERS])
 print(json.dumps([[w, r.matrix, h] for w, r, h in map(a.descend, t._stalled_words())]))
 """
     env = dict(os.environ, PYTHONPATH=str(SRC))

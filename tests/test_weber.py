@@ -24,7 +24,6 @@ from hessaut.weber import (
     psi,
     psi_table,
     reduce_label,
-    symplectic,
     symplectic_linear_parts,
     tetrads,
     theta_characteristic,
@@ -36,6 +35,12 @@ from hessaut.weber import (
 
 def L(s):
     return frozenset(s)
+
+
+def symplectic(a, b) -> int:
+    """The symplectic form on labels: |a & b| mod 2 on the size <= 2
+    representatives, the label-level reference for `pair_bits`."""
+    return len(frozenset(a) & frozenset(b)) % 2
 
 
 def test_sixteen_points_and_reduction():
