@@ -152,7 +152,7 @@ def _relabelled(b: Isometry, s: Isometry, name: str) -> Isometry:
     return _acting(Isometry(action.inverse_rows(), name), action)
 
 
-def _curve_pairings(vec) -> tuple[int, ...]:
+def curve_pairings(vec) -> tuple[int, ...]:
     """The pairings of a class with the twenty curves of `curve_frame`."""
     return tuple(exact.dot(vec, g) for g in curve_frame().pairings)
 
@@ -323,8 +323,8 @@ PUSH_MULTIPLES = {"1a": 15, "1b": 15, "2": 4, "3a": 12, "3b": 12}
 class WallRoot:
     """A wall root (None for the case 1b walls, which tau carries from 1a)
     and its projection r1 = vec / den into the Picard lattice, den the
-    least positive denominator; equal and hashed as (case, root, vec, den,
-    key)."""
+    least positive denominator, and the `curve_pairings` of vec, built on
+    first use; equal and hashed as (case, root, vec, den, key)."""
 
     def __init__(self, case: str, root: LorentzVector | None, vec: ClassVec, den: int, key: tuple):
         self.case, self.root, self.vec, self.den, self.key = case, root, vec, den, key
@@ -343,6 +343,10 @@ class WallRoot:
     @cached_property
     def r1(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(x, self.den) for x in self.vec)
+
+    @cached_property
+    def pairings(self) -> tuple[int, ...]:
+        return curve_pairings(self.vec)
 
 
 def wall_root_gram(root: LorentzVector) -> list[list[int]]:
@@ -377,7 +381,8 @@ def classify_wall_root(root: LorentzVector) -> WallRoot:
     else:
         raise ValueError(f"no case matches pairing pattern {sorted(ones)}")
 
-    # root_type rejects a singular Gram matrix, so the eleven roots have rank 11
+    # root_type rejects a singular Gram matrix (with pairings 0 or 1, one has a
+    # component that is not a Dynkin diagram), so the eleven roots have rank 11
     rtype = lattices.root_type(gram)
     certify(rtype == CASE_ROOT_TYPES[case], f"case {case} wall lattice has type {rtype}")
 
@@ -467,7 +472,7 @@ class AutContext:
         self.gram_omega = exact.mat_vec(ctx._gram_rows, self.omega)
         # where every descent starts: the pairings of omega with the twenty
         # curves, and its height
-        u = _curve_pairings(self.omega)
+        u = curve_pairings(self.omega)
         self.descent_start = (u, exact.dot(u, self.omega))
 
         # tau, the S5 elements and their products permute the curves; tau
@@ -532,7 +537,7 @@ class AutContext:
         w3a = next(w for w in walls["3a"] if w.key[1:] == (1, WALL_3A_EXAMPLE_K))
         carried: dict[tuple, tuple[Isometry, Isometry, int]] = {}
         for w, b in ((w1a, self.reflection_phi(w1a.vec)), (w2, self.p16), (w3a, self.g)):
-            u = _curve_pairings(w.vec)
+            u = w.pairings
             certify(b.is_involution(), f"{b.name} must be an involution")
             certify(b.curve_action(u) == [-x for x in u], f"{b.name} must negate its wall's vector")
             push, rest = divmod(PUSH_MULTIPLES[w.case], w.den)
@@ -555,14 +560,14 @@ class AutContext:
                     name = f"p{node[0][1:]}"
                 else:
                     name = f"{prefixes[case]}{i}"
-                hit = carried.get(_curve_pairings(w.vec))
+                hit = carried.get(w.pairings)
                 certify(hit is not None, f"no chamber symmetry carries a worked wall to {w.key}")
                 b, s, push = hit
                 iso = _relabelled(b, s, name)
                 pairs.append((w, iso))
                 self.descent.append((name, iso, push))
-        # `hessaut verify generators` certifies every wall generator: involution,
-        # wall reflection, push identity and discriminant action
+        # `hessaut verify generators` re-reads these three off each action, and
+        # checks each discriminant action densely
         projections = {iso.name: iso for _, iso in self.wall_generators["2"]}
         self.projections = {n: projections[f"p{n[1:]}"] for n in NODE_NAMES}
 
@@ -591,7 +596,9 @@ class AutContext:
         """Reflection in a primitive (-6)-vector of ints, checked integral.
 
         Row i is e_i + (G alpha)_i alpha / 3; alpha is primitive, so the
-        row is integral exactly when 3 divides (G alpha)_i.
+        row is integral exactly when 3 divides (G alpha)_i. As alpha^2 = -6,
+        it negates alpha: alpha + (alpha^2 / 3) alpha = -alpha; construction
+        certifies this once, on the worked phi's curve action.
         """
         if gcd(*alpha) != 1:
             raise ValueError("reflection vector must be primitive")
@@ -611,9 +618,7 @@ class AutContext:
         except ValueError:
             action = None
         certify(action is not None, "a reflection must preserve the intersection form")
-        iso = _acting(Isometry(rows, "phi"), action)
-        certify(iso.apply(alpha) == tuple(-x for x in alpha), "a reflection must negate its vector")
-        return iso
+        return _acting(Isometry(rows, "phi"), action)
 
     @cached_property
     def _discriminant_generators(self) -> tuple[list[list[int]], int]:

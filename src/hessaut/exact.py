@@ -2,8 +2,8 @@
 
 Everything runs over arbitrary-precision ints; no floating point is used
 anywhere. Hermite and Smith forms use unimodular row and column
-operations. Determinants, inverses, linear solves and definiteness all go
-through one fraction-free elimination, `eliminate`; ``fractions.Fraction``
+operations. Determinants, inverses and linear solves all go through one
+fraction-free elimination, `eliminate`; ``fractions.Fraction``
 appears only at the boundary, in the results of `det_rational`,
 `invert_rational` and `solve_rational`. Matrices are lists of row lists
 and public functions never mutate their arguments.

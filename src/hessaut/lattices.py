@@ -24,9 +24,10 @@ roots in different components are orthogonal, and a norm -2 vector of an
 orthogonal sum of negative definite even lattices lies in one summand, as
 each nonzero part has norm at most -2. So each root lies on one
 component of the diagram. The form is negative definite exactly when
-the block of each component is; each block takes the leading-minor test
-`_negative_definite` before its diagram is read, and a graph that is not
-a Dynkin diagram is refused as well.
+the block of each component is, and a connected simply-laced graph is
+negative definite exactly when it is a Dynkin diagram (Bourbaki, ch. VI
+4), so reading the diagram is the definiteness test; `short_vectors`
+refuses an indefinite form itself.
 """
 
 from __future__ import annotations
@@ -418,16 +419,6 @@ def root_count(gram) -> int:
     return len(short_vectors(gram, -2))
 
 
-def _negative_definite(gram) -> bool:
-    """Sylvester's criterion: every leading minor of -gram is positive.
-
-    `exact.eliminate` swaps rows or skips a column only when a leading
-    minor vanishes; otherwise its minors are the leading minors.
-    """
-    _, cols, minors, swaps = exact.eliminate([[-x for x in row] for row in gram])
-    return not swaps and len(cols) == len(gram) and all(p > 0 for p in minors)
-
-
 def _simple_system_gram(gram):
     """Gram matrix of a simple system of the roots; see the module docstring."""
     n = len(gram)
@@ -480,8 +471,6 @@ def root_components(gram) -> list[tuple[str, int, int]]:
             fresh = [j for j in edges[i] if j not in seen]
             seen.update(fresh)
             nodes += fresh
-        if not _negative_definite([[basis[i][j] for j in nodes] for i in nodes]):
-            raise ValueError("root typing expects a negative definite form")
         comps.append(_dynkin_type(nodes, edges))
     return comps
 

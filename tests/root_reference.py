@@ -9,13 +9,15 @@ reflections (`reflection_closure`), count the roots on each component of
 the basis pairing graph, and look the type up by rank and count.
 `lattices.root_components` now reads the type off the Dynkin diagram and
 counts no roots, so neither path shares its typing or counting.
+`_negative_definite` is the Sylvester test that typing ran on each
+component before it read the diagram.
 """
 
 from collections import Counter
 from itertools import combinations
 
 from hessaut import exact
-from hessaut.lattices import _negative_definite, _simple_system_gram, short_vectors
+from hessaut.lattices import _simple_system_gram, short_vectors
 
 _TYPE_BY_RANK_COUNT = {
     (1, 2): "A1", (2, 6): "A2", (3, 12): "A3", (4, 20): "A4", (5, 30): "A5",
@@ -23,6 +25,18 @@ _TYPE_BY_RANK_COUNT = {
     (4, 24): "D4", (5, 40): "D5", (6, 60): "D6", (7, 84): "D7", (8, 112): "D8",
     (6, 72): "E6", (7, 126): "E7", (8, 240): "E8",
 }
+
+
+def _negative_definite(gram) -> bool:
+    """Sylvester's criterion: every leading minor of -gram is positive.
+
+    `exact.eliminate` swaps rows or skips a column only when a leading
+    minor vanishes; otherwise its minors are the leading minors.
+    `lattices.root_components` ran this on each component before reading
+    its diagram, which refuses every indefinite one already.
+    """
+    _, cols, minors, swaps = exact.eliminate([[-x for x in row] for row in gram])
+    return not swaps and len(cols) == len(gram) and all(p > 0 for p in minors)
 
 
 def reflection_closure(gram) -> list[tuple[int, ...]]:

@@ -276,7 +276,8 @@ def test_gram_preserved_fails_on_a_matrix_its_action_does_not_certify(monkeypatc
 
 def test_wall_involutions_reads_b_twice_off_the_action(monkeypatch):
     """`generators.wall-involutions` reads b o b = id off each action,
-    applying it twice only to the curves it sends off the curves. No
+    applying it twice only to the curves it sends off the curves, and then
+    applies it once to the wall's pairings and once to omega's. No
     involution test reads `inverse_rows`: `gram-preserved` reads it for the
     64 descent generators, and `relabel` for the 11 matrices it builds."""
     a = autctx()  # built before the spy: construction reads `inverse_rows` too
@@ -294,7 +295,7 @@ def test_wall_involutions_reads_b_twice_off_the_action(monkeypatch):
     # `relabel` reads the same test off skew and the ten projections
     relabelled = [table_isometry(SKEW_LINE_TABLE, "skew"), *a.projections.values()]
     relabelled = sum(len(b.curve_action.combos) for b in relabelled)
-    assert len(applied) == 2 * (combos + relabelled) == 2 * (260 + 24)
+    assert len(applied) == 2 * (combos + relabelled) + 2 * 64 == 2 * (260 + 24) + 2 * 64
 
 
 def test_involution_read_off_the_action_matches_the_rows_applied_twice():
@@ -325,21 +326,43 @@ def test_wall_involutions_fails_on_an_action_that_is_no_involution(monkeypatch):
     assert checks["generators.gram-preserved"].status == "pass"
 
 
+def test_wall_involutions_fails_on_swapped_case_2_generators(monkeypatch):
+    """Each generator of two case 2 walls is an involution that negates the
+    other wall's vector, not its own: the check is per generator."""
+    a = autctx()
+    (w1, b1), (w2, b2) = a.wall_generators["2"][:2]
+    for b in (b1, b2):
+        assert b.is_involution()
+    assert b2.apply(w2.vec) == tuple(-x for x in w2.vec) != b1.apply(w2.vec)
+    monkeypatch.setitem(a.wall_generators, "2",
+                        [(w1, b2), (w2, b1)] + a.wall_generators["2"][2:])
+    checks = {c.id: c for c in cli.generators_suite(0)}
+    assert checks["generators.wall-involutions"].status == "fail"
+
+
 def test_wall_involutions_fails_on_an_action_that_is_no_involution_under_python_O():
+    """Both mutants of `generators.wall-involutions` above, in one `python -O`
+    child: an action that is no involution, and two swapped case 2
+    generators."""
     code = (
         "from hessaut import cli\n"
         "from hessaut.autgroup import Isometry, autctx\n"
         "a = autctx()\n"
-        "w, iso = a.wall_generators['2'][0]\n"
+        "pairs = list(a.wall_generators['2'])\n"
+        "w, iso = pairs[0]\n"
         "bad = Isometry(iso.matrix, iso.name)\n"
         "object.__setattr__(bad, 'curve_action', a.s5[(2, 3, 1, 4, 5)].curve_action)\n"
-        "a.wall_generators['2'][0] = (w, bad)\n"
+        "a.wall_generators['2'] = [(w, bad)] + pairs[1:]\n"
         "checks = {c.id: c.status for c in cli.generators_suite(0)}\n"
         "print(checks['generators.wall-involutions'], checks['generators.gram-preserved'])\n"
+        "(w1, b1), (w2, b2) = pairs[:2]\n"
+        "a.wall_generators['2'] = [(w1, b2), (w2, b1)] + pairs[2:]\n"
+        "checks = {c.id: c.status for c in cli.generators_suite(0)}\n"
+        "print(checks['generators.wall-involutions'])\n"
     )
     proc = _python_O(code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["fail", "pass"]
+    assert proc.stdout.split() == ["fail", "pass", "fail"]
 
 
 def test_a_reflection_is_certified_through_its_curve_action(monkeypatch):

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from hessaut import autgroup, exact, products
+from hessaut import autgroup, cli, exact, products
 from hessaut.autgroup import (
     WALL_1A_EXAMPLE_OCTAD,
     WALL_3A_EXAMPLE_K,
@@ -520,12 +520,37 @@ def test_construction_takes_no_inverse_and_few_products(monkeypatch):
     # the tables p16, f and g, and the worked reflection phi; every descent
     # letter has its action
     assert calls["of"] == 4
-    # 20 curve images for each table, p16's eta image, phi's negated root and
-    # the twelve case 1b wall vectors: each wall's carrier is found on pairings
-    assert calls["apply"] == 3 * 20 + 1 + 1 + 12
+    # 20 curve images for each table, p16's eta image and the twelve case 1b
+    # wall vectors: each wall's carrier is found on pairings, and phi's
+    # negated root is certified on its action
+    assert calls["apply"] == 3 * 20 + 1 + 12
     # f and the three worked generators, each once; their 64 conjugates
     # inherit the certificate
     assert calls["involution"] == 4
     # only the combinations of those four actions: no letter's b^-1(omega)
     assert calls["preimage"] == 17
     assert all("curve_action" in vars(iso) for _, iso, _ in a.descent)
+
+
+def test_dense_apply_budgets_of_construction_and_the_suites(monkeypatch):
+    """Each fact is certified once: the negation and push of every wall
+    generator on its curve action, phi's negation on its action, and a
+    reduced word's residual by its symmetry label. A second dense path
+    shows here as more `Isometry.apply` calls."""
+    autctx()  # picard, the walls and the curve frame are cached
+    applied = []
+    real_apply = Isometry.apply
+    monkeypatch.setattr(Isometry, "apply",
+                        lambda self, vec: applied.append(1) or real_apply(self, vec))
+    runs = {"construction": AutContext, "generators": lambda: cli.generators_suite(0),
+            "reduce": lambda: cli.reduce_suite(0)}
+    budgets = {}
+    for name, run in runs.items():
+        applied.clear()
+        run()
+        budgets[name] = len(applied)
+    # construction: 20 curve images for each of three tables, p16's eta image
+    # and the twelve case 1b wall vectors; generators: the discriminant
+    # actions, the skew table's curve images and the dense relations;
+    # reduce: the 240 symmetries and 64 generators at the height floor
+    assert budgets == {"construction": 3 * 20 + 1 + 12, "generators": 296, "reduce": 240 + 64}

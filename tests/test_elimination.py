@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import fraction_reference as ref
 from hessaut import exact
-from hessaut.lattices import _negative_definite
+from root_reference import _negative_definite
 
 small = st.integers(-6, 6)
 

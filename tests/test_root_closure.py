@@ -255,16 +255,50 @@ def test_indefinite_forms_are_rejected_on_both_paths(gram):
         _graph_gram([(0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6)]),  # affine D6: two branches
     ],
 )
-def test_the_diagram_alone_refuses_non_dynkin_graphs(monkeypatch, gram):
-    """With the definiteness test switched off, the diagram reader still
-    accepts exactly the Dynkin diagrams."""
-    dynkin = Counter(ref.closure_components(gram)) if lattices._negative_definite(gram) else None
-    monkeypatch.setattr(lattices, "_negative_definite", lambda block: True)
+def test_the_diagram_alone_refuses_non_dynkin_graphs(gram):
+    """The diagram reader, with no definiteness test ahead of it, accepts
+    exactly the Dynkin diagrams."""
+    dynkin = Counter(ref.closure_components(gram)) if ref._negative_definite(gram) else None
     if dynkin is not None:
         assert Counter(root_components(gram)) == dynkin
     else:
         with pytest.raises(ValueError):
             root_components(gram)
+
+
+@st.composite
+def zero_one_grams(draw):
+    """-2 on the diagonal and 0 or 1 off it, on at most nine nodes: a random
+    forest (each node joined to at most one earlier node), so Dynkin
+    diagrams and disconnected graphs are common, plus up to two more edges,
+    which close cycles."""
+    n = draw(st.integers(1, 9))
+    edges = {(parent, i) for i in range(1, n)
+             if (parent := draw(st.integers(-1, i - 1))) >= 0}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if pairs:
+        edges.update(draw(st.lists(st.sampled_from(pairs), max_size=2)))
+    gram = [[-2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        gram[i][j] = gram[j][i] = 1
+    return gram
+
+
+@settings(max_examples=300, deadline=None)
+@given(zero_one_grams())
+def test_root_type_accepts_exactly_the_definite_zero_one_grams(gram):
+    """A connected simply-laced graph is negative definite exactly when it is
+    a Dynkin diagram, so the diagram alone decides what the Sylvester test
+    of `root_reference` decides; on a form it accepts, the diagram's root
+    count is that of the reflection closure (rank 9 included, which the
+    closure's type table lacks)."""
+    try:
+        comps = root_components(gram)
+    except ValueError:
+        comps = None
+    assert (comps is not None) is ref._negative_definite(gram)
+    if comps is not None:
+        assert sum(count for _, _, count in comps) == len(reflection_closure(gram))
 
 
 @pytest.mark.parametrize("name", ["A2", "A5", "D4", "D6", "E6", "E8"])
