@@ -4,7 +4,8 @@ A fixed Z-basis of L (24 Hermite-reduced Leech generators plus f, g) turns
 every lattice question into integer row arithmetic in Z^26: spans and
 orthogonal complements come from Hermite forms and integer kernels,
 saturations from double kernels, discriminant groups from Smith forms of
-Gram matrices.
+Gram matrices, their forms as integer numerators over one denominator.
+The Fincke-Pohst search runs on integers, over a fraction-free LDL^T.
 
 Root systems are typed one way (`root_components`): read the components
 off the Dynkin diagram of a simple system. The simple system is the given
@@ -35,10 +36,9 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from fractions import Fraction
 from functools import cache
 from itertools import product
-from operator import sub
+from operator import mul, sub
 from typing import Iterable, Sequence
 
 from . import exact, leech
@@ -132,8 +132,8 @@ class EmbeddedLattice:
 
 
 def _from_rows(rows: list[list[int]]) -> EmbeddedLattice:
+    """The lattice of rows in Hermite form, as every builder passes them."""
     amb = ambient()
-    rows = exact.hnf_rows(rows)
     gram = [[exact.dot(g, b) for b in rows] for g in [exact.vec_mat(a, amb.gram) for a in rows]]
     return EmbeddedLattice(
         tuple(tuple(r) for r in rows), tuple(tuple(g) for g in gram)
@@ -172,35 +172,31 @@ def is_primitive(m: EmbeddedLattice) -> bool:
 
 
 class FiniteQuadraticForm:
-    """Discriminant group with quadratic values mod 2Z and pairings mod Z;
-    equal and hashed as (orders, qvals, pairings)."""
+    """Discriminant group with q mod 2 and pairings mod 1 as numerators over
+    their least denominator den; equal and hashed as (orders, den, qvals,
+    pairings), so equal values built over any denominator compare equal."""
 
-    __slots__ = ("orders", "qvals", "pairings")
+    __slots__ = ("orders", "den", "qvals", "pairings")
 
-    def __init__(self, orders: tuple[int, ...], qvals: tuple[Fraction, ...],
-                 pairings: tuple[tuple[Fraction, ...], ...]):
-        self.orders, self.qvals, self.pairings = orders, qvals, pairings
+    def __init__(self, orders: tuple[int, ...], den: int, qvals: tuple[int, ...],
+                 pairings: tuple[tuple[int, ...], ...]):
+        g = math.gcd(den, *qvals, *(b for row in pairings for b in row))
+        self.orders, self.den = orders, den // g
+        self.qvals = tuple(q // g % (2 * self.den) for q in qvals)
+        self.pairings = tuple(tuple(b // g % self.den for b in row) for row in pairings)
 
     def __eq__(self, other):
         if other.__class__ is not FiniteQuadraticForm:
             return NotImplemented
-        return ((self.orders, self.qvals, self.pairings)
-                == (other.orders, other.qvals, other.pairings))
+        return ((self.orders, self.den, self.qvals, self.pairings)
+                == (other.orders, other.den, other.qvals, other.pairings))
 
     def __hash__(self) -> int:
-        return hash((self.orders, self.qvals, self.pairings))
+        return hash((self.orders, self.den, self.qvals, self.pairings))
 
     @property
     def group_order(self) -> int:
         return math.prod(self.orders) if self.orders else 1
-
-
-def _mod2(x: Fraction) -> Fraction:
-    return x % 2
-
-
-def _mod1(x: Fraction) -> Fraction:
-    return x % 1
 
 
 def discriminant_form_from_gram(gram) -> tuple[FiniteQuadraticForm, tuple[list[list[int]], int]]:
@@ -210,20 +206,21 @@ def discriminant_form_from_gram(gram) -> tuple[FiniteQuadraticForm, tuple[list[l
     transform, as (rows, den): generator i has the rational coordinates
     rows[i] / den over the lattice basis.
     """
-    if not gram or exact.det_rational(gram) == 0:
-        raise ValueError("discriminant form requires a nondegenerate Gram matrix")
     d, _, v = exact.smith_normal_form([list(r) for r in gram])
+    if not gram or not d[-1][-1]:  # zeros end the Smith diagonal
+        raise ValueError("discriminant form requires a nondegenerate Gram matrix")
     adj, den = exact.invert_integer(gram)
     vinv, _ = exact.invert_integer(v)  # v is unimodular
     keep = [i for i in range(len(gram)) if d[i][i] > 1]
     # generator i is vinv[i] G^-1 = nums[i] / den, so its pairing with
     # generator j is vinv[i] . nums[j] / den
     nums = [exact.vec_mat(vinv[i], adj) for i in keep]
-    pair = [[Fraction(exact.dot(vinv[i], n), den) for n in nums] for i in keep]
+    pair = [[exact.dot(vinv[i], n) for n in nums] for i in keep]
     form = FiniteQuadraticForm(
         tuple(d[i][i] for i in keep),
-        tuple(_mod2(pair[k][k]) for k in range(len(keep))),
-        tuple(tuple(_mod1(x) for x in row) for row in pair),
+        den,
+        tuple(row[k] for k, row in enumerate(pair)),
+        tuple(tuple(row) for row in pair),
     )
     return form, (nums, den)
 
@@ -234,25 +231,21 @@ def discriminant_form(m: EmbeddedLattice) -> FiniteQuadraticForm:
 
 def negated(f: FiniteQuadraticForm) -> FiniteQuadraticForm:
     return FiniteQuadraticForm(
-        f.orders,
-        tuple(_mod2(-q) for q in f.qvals),
-        tuple(tuple(_mod1(-b) for b in row) for row in f.pairings),
+        f.orders, f.den, tuple(-q for q in f.qvals),
+        tuple(tuple(-b for b in row) for row in f.pairings),
     )
 
 
 def direct_sum(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm) -> FiniteQuadraticForm:
+    den = math.lcm(f1.den, f2.den)
+    s1, s2 = den // f1.den, den // f2.den
     k1, k2 = len(f1.orders), len(f2.orders)
-    pairings = [[Fraction(0)] * (k1 + k2) for _ in range(k1 + k2)]
-    for i in range(k1):
-        for j in range(k1):
-            pairings[i][j] = f1.pairings[i][j]
-    for i in range(k2):
-        for j in range(k2):
-            pairings[k1 + i][k1 + j] = f2.pairings[i][j]
     return FiniteQuadraticForm(
         f1.orders + f2.orders,
-        f1.qvals + f2.qvals,
-        tuple(tuple(row) for row in pairings),
+        den,
+        tuple(s1 * q for q in f1.qvals) + tuple(s2 * q for q in f2.qvals),
+        tuple(tuple(s1 * b for b in row) + (0,) * k2 for row in f1.pairings)
+        + tuple((0,) * k1 + tuple(s2 * b for b in row) for row in f2.pairings),
     )
 
 
@@ -268,36 +261,31 @@ def _element_order(orders, a) -> int:
 
 
 def _invariants(f: FiniteQuadraticForm) -> dict:
-    """(order, q) of each element of f, with q summed over the integers: the
-    values of f times their least common denominator den."""
-    k = len(f.orders)
-    den = math.lcm(*[x.denominator for x in f.qvals + sum(f.pairings, ())])
-    qs = [int(x * den) for x in f.qvals]
-    bs = [[int(2 * x * den) for x in row] for row in f.pairings]
+    """(order, q) of each element of f, q as its numerator over f.den."""
+    k, qs = len(f.orders), f.qvals
+    bs = [[2 * b for b in row] for row in f.pairings]
     out = {}
     for a in _elements(f.orders):
         s = sum(a[i] * (a[i] * qs[i] + sum(a[j] * bs[i][j] for j in range(i + 1, k)))
                 for i in range(k))
-        out[a] = (_element_order(f.orders, a), Fraction(s % (2 * den), den))
+        out[a] = (_element_order(f.orders, a), s % (2 * f.den))
     return out
 
 
 def fqf_isomorphic(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm) -> bool:
     """Exhaustive isomorphism search; group orders in scope stay tiny."""
-    if f1.group_order != f2.group_order:
+    # every value is a combination of the generators', so den is an invariant
+    if f1.group_order != f2.group_order or f1.den != f2.den:
         return False
     inv2 = _invariants(f2)
     if Counter(_invariants(f1).values()) != Counter(inv2.values()):
         return False
 
-    k, k2 = len(f1.orders), len(f2.orders)
+    k, k2, den = len(f1.orders), len(f2.orders), f1.den
     # the images of generator i: the elements of its order and q value
     candidates = [[t for t, inv in inv2.items() if inv == (f1.orders[i], f1.qvals[i])]
                   for i in range(k)]
-    # pairings mod 1 as integers mod den, den their least common denominator
-    den = math.lcm(*[x.denominator for f in (f1, f2) for x in sum(f.pairings, ())])
-    want = [[int(x * den) % den for x in row] for row in f1.pairings]
-    b2 = [[int(x * den) for x in row] for row in f2.pairings]
+    b2 = f2.pairings
 
     def pair(a, b) -> int:
         return sum(a[i] * b[j] * b2[i][j] for i in range(k2) for j in range(k2)) % den
@@ -320,7 +308,7 @@ def fqf_isomorphic(f1: FiniteQuadraticForm, f2: FiniteQuadraticForm) -> bool:
         if i == k:
             return closure_size(chosen) == f2.group_order
         for t in candidates[i]:
-            if any(pair(t, chosen[j]) != want[i][j] for j in range(i)):
+            if any(pair(t, chosen[j]) != f1.pairings[i][j] for j in range(i)):
                 continue
             if dfs(i + 1, chosen + [t]):
                 return True
@@ -368,50 +356,55 @@ def standard_gram(name: str) -> list[list[int]]:
     return [[scale * x for x in row] for row in g]
 
 
-def _fraction_sqrt_upper(f: Fraction) -> Fraction:
-    if f < 0:
-        raise ValueError("square root of a negative number")
-    return Fraction(math.isqrt(f.numerator * f.denominator) + 1, f.denominator)
-
-
 def short_vectors(gram, target: int) -> list[tuple[int, ...]]:
     """All integer vectors v (over the basis) with v*gram*v^T == target.
 
-    Requires a negative definite Gram matrix and target < 0; the search
-    runs a rational-arithmetic Fincke-Pohst recursion.
+    Requires a negative definite Gram matrix and target <= 0 (ValueError
+    otherwise). Fincke-Pohst (Math. Comp. 44, 1985) on integers: a
+    fraction-free LDL^T of -gram (Bareiss 1968, Math. Comp. 22) gives its
+    leading minors d_0 = 1, ..., d_n, all positive exactly when it is
+    definite, and integers e[i][j] with -v*gram*v^T the sum over i of
+    (d_{i+1} v_i + U_i)^2 / (d_i d_{i+1}), U_i = sum over j > i of
+    e[i][j] v_j. Over L = lcm(d_0..d_{n-1}) and D = lcm(d_1..d_n), level i
+    adds c_i (D v_i + U)^2 to L D^2 times the norm, so v_i runs exactly
+    over |D v_i + U| <= isqrt(rem // c_i), rem what is left, from v_{n-1}
+    down to v_0, each in increasing order.
     """
     n = len(gram)
     if n == 0:
         return []
-    q = [[Fraction(-x) for x in row] for row in gram]
+    # step i sets each later entry to (p*x - f*y) / d_i, an exact division
+    # as every entry stays a minor; row i keeps e[i] from then on
+    e, d = [[-x for x in row] for row in gram], [1]
     for i in range(n):
-        if q[i][i] <= 0:
+        p = e[i][i]
+        if p <= 0:
             raise ValueError("short_vectors expects a negative definite form")
-        for j in range(i + 1, n):
-            q[j][i] = q[i][j]
-            q[i][j] = q[i][j] / q[i][i]
         for k in range(i + 1, n):
             for l in range(k, n):
-                q[k][l] -= q[k][i] * q[i][l]
-    tau = Fraction(-target)
+                e[k][l] = (p * e[k][l] - e[i][k] * e[i][l]) // d[-1]
+        d.append(p)
+    big_l, big_d = math.lcm(*d[:n]), math.lcm(*d[1:])
+    c = [d[i + 1] * (big_l // d[i]) for i in range(n)]
+    m = [[e[i][j] * (big_d // d[i + 1]) for j in range(i + 1, n)] for i in range(n)]
     out: list[tuple[int, ...]] = []
     x = [0] * n
 
-    def rec(i: int, rem: Fraction):
+    def rec(i: int, rem: int):
         if i < 0:
             if rem == 0:
                 out.append(tuple(x))
             return
-        u = sum((q[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
-        s = _fraction_sqrt_upper(rem / q[i][i])
-        for xi in range(math.ceil(-u - s), math.floor(-u + s) + 1):
-            t = q[i][i] * (xi + u) ** 2
-            if t <= rem:
-                x[i] = xi
-                rec(i - 1, rem - t)
+        u = sum(map(mul, m[i], x[i + 1:]))
+        s = math.isqrt(rem // c[i])
+        for xi in range(-((s + u) // big_d), (s - u) // big_d + 1):
+            x[i] = xi
+            y = big_d * xi + u
+            rec(i - 1, rem - c[i] * y * y)
         x[i] = 0
 
-    rec(n - 1, tau)
+    # a positive target starts rem below 0, which math.isqrt refuses
+    rec(n - 1, -target * big_l * big_d ** 2)
     return out
 
 

@@ -1,30 +1,84 @@
-"""The two former root typings, kept as references.
+"""The two former root typings and the former root search, kept as
+references.
 
-`root_components` is the typing from before the basis-graph rule: the
-roots come from the Fincke-Pohst search `short_vectors`, a union-find
-over every pair of roots with nonzero pairing groups them, and the rank
-of each component is the Hermite rank of its roots. `closure_components`
-is the basis-graph rule that followed: close a root basis under its
-reflections (`reflection_closure`), count the roots on each component of
-the basis pairing graph, and look the type up by rank and count.
+`short_vectors` is the Fincke-Pohst search as it ran on `Fraction`s
+before `lattices.short_vectors` moved to integers; the integer search
+must return the same vectors in the same order. `root_components` is the
+typing from before the basis-graph rule: the roots come from that search,
+a union-find over every pair of roots with nonzero pairing groups them,
+and the rank of each component is the Hermite rank of its roots.
+`closure_components` is the basis-graph rule that followed: close a root
+basis under its reflections (`reflection_closure`), count the roots on
+each component of the basis pairing graph, and type it by rank and count.
 `lattices.root_components` now reads the type off the Dynkin diagram and
-counts no roots, so neither path shares its typing or counting.
+counts no roots, so neither path shares its typing, counting or search.
 `_negative_definite` is the Sylvester test that typing ran on each
 component before it read the diagram.
 """
 
+import math
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 from hessaut import exact
-from hessaut.lattices import _simple_system_gram, short_vectors
+from hessaut.lattices import _simple_system_gram
 
-_TYPE_BY_RANK_COUNT = {
-    (1, 2): "A1", (2, 6): "A2", (3, 12): "A3", (4, 20): "A4", (5, 30): "A5",
-    (6, 42): "A6", (7, 56): "A7", (8, 72): "A8",
-    (4, 24): "D4", (5, 40): "D5", (6, 60): "D6", (7, 84): "D7", (8, 112): "D8",
-    (6, 72): "E6", (7, 126): "E7", (8, 240): "E8",
-}
+
+def _type_by_rank_count(rank: int, count: int) -> str:
+    """The ADE type with this rank and root count: A_n has n(n+1) roots,
+    D_n (n >= 4) 2n(n-1), and E6, E7 and E8 have 72, 126 and 240."""
+    if count == rank * (rank + 1):
+        return f"A{rank}"
+    if rank >= 4 and count == 2 * rank * (rank - 1):
+        return f"D{rank}"
+    if {6: 72, 7: 126, 8: 240}.get(rank) == count:
+        return f"E{rank}"
+    raise ValueError(f"unrecognized root component with rank/count {(rank, count)}")
+
+
+def _fraction_sqrt_upper(f: Fraction) -> Fraction:
+    if f < 0:
+        raise ValueError("square root of a negative number")
+    return Fraction(math.isqrt(f.numerator * f.denominator) + 1, f.denominator)
+
+
+def short_vectors(gram, target: int) -> list[tuple[int, ...]]:
+    """All integer vectors v with v*gram*v^T == target, by a rational
+    Fincke-Pohst recursion; gram negative definite, target <= 0."""
+    n = len(gram)
+    if n == 0:
+        return []
+    q = [[Fraction(-x) for x in row] for row in gram]
+    for i in range(n):
+        if q[i][i] <= 0:
+            raise ValueError("short_vectors expects a negative definite form")
+        for j in range(i + 1, n):
+            q[j][i] = q[i][j]
+            q[i][j] = q[i][j] / q[i][i]
+        for k in range(i + 1, n):
+            for l in range(k, n):
+                q[k][l] -= q[k][i] * q[i][l]
+    tau = Fraction(-target)
+    out: list[tuple[int, ...]] = []
+    x = [0] * n
+
+    def rec(i: int, rem: Fraction):
+        if i < 0:
+            if rem == 0:
+                out.append(tuple(x))
+            return
+        u = sum((q[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
+        s = _fraction_sqrt_upper(rem / q[i][i])
+        for xi in range(math.ceil(-u - s), math.floor(-u + s) + 1):
+            t = q[i][i] * (xi + u) ** 2
+            if t <= rem:
+                x[i] = xi
+                rec(i - 1, rem - t)
+        x[i] = 0
+
+    rec(n - 1, tau)
+    return out
 
 
 def _negative_definite(gram) -> bool:
@@ -85,11 +139,7 @@ def closure_components(gram) -> list[tuple[str, int, int]]:
     counts = Counter(comp[i] for i in first)
     comps = []
     for c, rank in Counter(comp).items():
-        key = (rank, counts[c])
-        label = _TYPE_BY_RANK_COUNT.get(key)
-        if label is None:
-            raise ValueError(f"unrecognized root component with rank/count {key}")
-        comps.append((label, rank, counts[c]))
+        comps.append((_type_by_rank_count(rank, counts[c]), rank, counts[c]))
     return comps
 
 
@@ -119,11 +169,7 @@ def root_components(gram) -> list[tuple[str, int, int]]:
     comps = []
     for vs in buckets.values():
         rank = len(exact.hnf_rows([list(v) for v in vs]))
-        key = (rank, len(vs))
-        label = _TYPE_BY_RANK_COUNT.get(key)
-        if label is None:
-            raise ValueError(f"unrecognized root component with rank/count {key}")
-        comps.append((label, rank, len(vs)))
+        comps.append((_type_by_rank_count(rank, len(vs)), rank, len(vs)))
     return comps
 
 

@@ -12,6 +12,7 @@ from hessaut.exact import dot, vec_mat
 from hessaut.hessian import Picard, picard
 from hessaut.lorentz import LorentzVector, leech_root
 from hessaut.lattices import (
+    FiniteQuadraticForm,
     ambient,
     discriminant_form_from_gram,
     direct_sum,
@@ -28,6 +29,7 @@ from hessaut.lattices import (
     standard_gram,
 )
 
+import root_reference as ref
 from test_certification import _python_O
 from test_hessian import _lattice_r0
 
@@ -164,10 +166,39 @@ def test_standard_grams():
 def test_discriminant_forms_of_small_root_lattices():
     f, _ = discriminant_form_from_gram(standard_gram("A5(-1)"))
     assert f.orders == (6,)
-    assert f.qvals == (Fraction(7, 6),)  # -5/6 mod 2
+    assert (f.den, f.qvals, f.pairings) == (6, (7,), ((1,),))  # -5/6 mod 2, mod 1
     f1, _ = discriminant_form_from_gram(standard_gram("A1(-1)"))
     assert f1.orders == (2,)
-    assert f1.qvals == (Fraction(3, 2),)  # -1/2 mod 2
+    assert (f1.den, f1.qvals, f1.pairings) == (2, (3,), ((1,),))  # -1/2 mod 2, mod 1
+
+
+def test_forms_built_at_different_denominators_compare_equal():
+    # q = 1/2 and the pairing 1/2, over 2 and over 12, with unreduced numerators
+    half = FiniteQuadraticForm((2,), 2, (1,), ((1,),))
+    for other in (FiniteQuadraticForm((2,), 12, (6,), ((6,),)),
+                  FiniteQuadraticForm((2,), 12, (30,), ((-6,),))):
+        assert other == half and hash(other) == hash(half)
+        assert (other.den, other.qvals, other.pairings) == (2, (1,), ((1,),))
+    # the zero form reduces to denominator 1
+    assert FiniteQuadraticForm((2,), 4, (8,), ((4,),)).den == 1
+    a2, _ = discriminant_form_from_gram(standard_gram("A2(-1)"))  # den 3
+    u2, _ = discriminant_form_from_gram(standard_gram("U(2)"))  # den 2
+    both = direct_sum(a2, u2)
+    assert both.den == 6 and direct_sum(both, negated(both)).den == 6
+    assert negated(negated(both)) == both
+
+
+def test_form_values_are_the_norms_of_the_generators():
+    """q and the pairings, read over den, are those of the returned
+    generators rows / den, computed as Fractions."""
+    for name in ("A5(-1)", "A2(-2)", "U(2)", "E8(-2)", "D5(3)"):
+        g = standard_gram(name)
+        f, (rows, den) = discriminant_form_from_gram(g)
+        for i, a in enumerate(rows):
+            for j, b in enumerate(rows):
+                value = Fraction(dot(vec_mat(a, g), b), den * den)
+                assert Fraction(f.pairings[i][j], f.den) == value % 1
+            assert Fraction(f.qvals[i], f.den) == Fraction(dot(vec_mat(a, g), a), den * den) % 2
 
 
 def test_fqf_isomorphism_basics():
@@ -205,13 +236,20 @@ def test_root_type_labels():
     assert root_type(g2) == "D6+5A1"
 
 
-def test_short_vectors_rejects_indefinite_forms():
-    try:
-        short_vectors(standard_gram("U"), -2)
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("expected rejection of an indefinite form")
+@pytest.mark.parametrize("search", [short_vectors, ref.short_vectors])
+@pytest.mark.parametrize(
+    "gram,target",
+    [
+        (standard_gram("U"), -2),  # indefinite
+        ([[-2, 3], [3, -2]], -2),  # indefinite, -2 on the diagonal
+        ([[-2, 2], [2, -2]], -2),  # semidefinite and singular
+        (standard_gram("A2(1)"), -2),  # positive definite
+        (standard_gram("A2(-1)"), 2),  # a positive target
+    ],
+)
+def test_short_vectors_rejects_indefinite_forms(search, gram, target):
+    with pytest.raises(ValueError):
+        search(gram, target)
 
 
 def test_scaled_root_lattice_has_no_short_roots():
@@ -265,6 +303,17 @@ def test_from_rows_gram_matches_pairwise_gram_on_every_picard_lattice(monkeypatc
         assert m.gram == tuple(tuple(dot(vec_mat(a, g), b) for b in m.rows) for a in m.rows)
 
 
+def test_every_built_lattice_is_in_hermite_form():
+    """`_from_rows` keeps the rows it is given: span, orthogonal_complement
+    and saturation each pass rows already in Hermite normal form."""
+    ctx = picard()
+    built = [ctx.lattice_R, ctx.lattice_T, ctx.lattice_SH, span(ctx.curve_roots.values())]
+    built += [f(m) for m in built for f in (orthogonal_complement, saturation)]
+    for m in built:
+        rows = [list(r) for r in m.rows]
+        assert rows == exact.hnf_rows(rows)
+
+
 # --- the isomorphism search as it was before (order, q) were computed once ----
 
 
@@ -272,15 +321,16 @@ def _reference_q(f, a):
     s = Fraction(0)
     k = len(f.orders)
     for i in range(k):
-        s += a[i] * a[i] * f.qvals[i]
+        s += a[i] * a[i] * Fraction(f.qvals[i], f.den)
         for j in range(i + 1, k):
-            s += 2 * a[i] * a[j] * f.pairings[i][j]
+            s += 2 * a[i] * a[j] * Fraction(f.pairings[i][j], f.den)
     return s % 2
 
 
 def _reference_pair(f, a, b):
     k = len(f.orders)
-    s = sum((a[i] * b[j] * f.pairings[i][j] for i in range(k) for j in range(k)), Fraction(0))
+    s = sum((a[i] * b[j] * Fraction(f.pairings[i][j], f.den)
+             for i in range(k) for j in range(k)), Fraction(0))
     return s % 1
 
 
@@ -314,9 +364,11 @@ def _reference_isomorphic(f1, f2):
         if i == k:
             return generated(chosen) == f2.group_order
         for t in els2:
-            if order(f2.orders, t) != f1.orders[i] or _reference_q(f2, t) != f1.qvals[i]:
+            if (order(f2.orders, t) != f1.orders[i]
+                    or _reference_q(f2, t) != Fraction(f1.qvals[i], f1.den)):
                 continue
-            if any(_reference_pair(f2, t, chosen[j]) != f1.pairings[i][j] % 1 for j in range(i)):
+            if any(_reference_pair(f2, t, chosen[j]) != Fraction(f1.pairings[i][j], f1.den)
+                   for j in range(i)):
                 continue
             if dfs(i + 1, chosen + [t]):
                 return True

@@ -28,7 +28,8 @@ def _pair_and_variants():
     instances that differ from them in exactly one field."""
     lam = leech.two_nu(frozenset({-1, 0, 1, 3, 12, 15, 21, 22}))
     rows, gram = ((1, 0), (0, 1)), ((-2, 1), (1, -2))
-    orders, qvals, pairings = (2, 3), (Fraction(1, 2), Fraction(2, 3)), ((Fraction(1, 2), 0), (0, Fraction(1, 3)))
+    # q = 1/2, 2/3 and pairings 1/2, 1/3 over den 6
+    orders, den, qvals, pairings = (2, 3), 6, (3, 4), ((3, 0), (0, 2))
     matrix = tuple(tuple(int(i == j) for j in range(16)) for i in range(16))
     root = LorentzVector(lam, 1, 3)
     vec = tuple(range(16))
@@ -42,10 +43,11 @@ def _pair_and_variants():
             [EmbeddedLattice(((2, 0), (0, 1)), gram), EmbeddedLattice(rows, ((-2, 0), (0, -2)))],
         ),
         "FiniteQuadraticForm": (
-            lambda: FiniteQuadraticForm(tuple(orders), tuple(qvals), tuple(pairings)),
-            [FiniteQuadraticForm((2, 2), qvals, pairings),
-             FiniteQuadraticForm(orders, (Fraction(1, 2), Fraction(4, 3)), pairings),
-             FiniteQuadraticForm(orders, qvals, ((0, 0), (0, Fraction(1, 3))))],
+            lambda: FiniteQuadraticForm(tuple(orders), den, tuple(qvals), tuple(pairings)),
+            [FiniteQuadraticForm((2, 2), den, qvals, pairings),
+             FiniteQuadraticForm(orders, 12, qvals, pairings),
+             FiniteQuadraticForm(orders, den, (3, 8), pairings),
+             FiniteQuadraticForm(orders, den, qvals, ((0, 0), (0, 2)))],
         ),
         "WallRoot": (
             lambda: WallRoot("1a", LorentzVector(lam, 1, 3), tuple(vec), 3, ("1a", 1)),

@@ -2,13 +2,15 @@
 
 `root_components` reads each component's type and root count off the
 Dynkin diagram of a simple system. The slower paths stay as independent
-references (`root_reference`): the `short_vectors` search with a
+references (`root_reference`): the former `Fraction` search with a
 union-find over every pair of roots and a Hermite-form rank, and the
 reflection closure of the simple system, counted on each component of
 its pairing graph. On every root Gram matrix the construction uses, on
 the standard ADE types, on shuffled bases and on random re-bases of block
 sums, all three must give the same components, and the closure the same
-roots as `short_vectors`, vector for vector.
+roots as `short_vectors`, vector for vector. The integer `short_vectors`
+must return the `Fraction` search's vectors in its order, on the wall
+lattices, on scaled standard types and on random re-bases.
 """
 
 from collections import Counter
@@ -72,9 +74,9 @@ _E10 = _graph_gram([(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6), (6, 7), (7, 
 
 def _standard_root_grams():
     grams = {}
-    for n in range(1, 9):
+    for n in range(1, 11):
         grams[f"A{n}"] = _negated(standard_gram(f"A{n}"))
-    for n in range(4, 9):
+    for n in range(4, 11):
         grams[f"D{n}"] = _negated(standard_gram(f"D{n}"))
     e8 = _negated(standard_gram("E8"))
     # E8 branches at node 2 with arms (1, 0), (3, 4, 5, 6) and (7,)
@@ -133,7 +135,7 @@ def test_closure_matches_fincke_pohst_on_all_wall_lattices():
         for w in ws:
             gram = wall_root_gram(w.root)
             roots = reflection_closure(gram)
-            assert roots == short_vectors(gram, -2), w.key
+            assert roots == short_vectors(gram, -2) == ref.short_vectors(gram, -2), w.key
             assert root_type(gram) == CASE_ROOT_TYPES[case], w.key
             assert ref.root_type(gram) == CASE_ROOT_TYPES[case], w.key
             assert _same_components(gram), w.key
@@ -173,6 +175,32 @@ def _rebased_block_sums(draw):
     ug = [[sum(a * b for a, b in zip(row, col)) for col in zip(*gram)] for row in u]
     rebased = [[sum(a * b for a, b in zip(row, other)) for other in u] for row in ug]
     return gram, rebased
+
+
+@pytest.mark.parametrize("name", ["A1", "A6", "D4", "D7", "E8"])
+@pytest.mark.parametrize("scale", [-1, -2, -3])
+def test_integer_search_matches_the_fraction_search_on_scaled_types(name, scale):
+    gram = standard_gram(f"{name}({scale})")
+    for target in (-2, -4, -6):
+        assert short_vectors(gram, target) == ref.short_vectors(gram, target), target
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_integer_search_matches_the_fraction_search_on_odd_unimodular_forms(n):
+    """-I_n: every leading minor is 1, so each level's bound on x_i is the
+    isqrt itself, and a bound one too wide leaves a negative remainder."""
+    gram = [[-int(i == j) for j in range(n)] for i in range(n)]
+    for target in (-1, -2, -3, -4):
+        assert short_vectors(gram, target) == ref.short_vectors(gram, target), target
+
+
+# target -6 on a rank-12 re-base costs the Fraction search up to 3 s; the
+# scaled types above cover it
+@settings(max_examples=40, deadline=None)
+@given(_rebased_block_sums(), st.sampled_from((-2, -4)))
+def test_integer_search_matches_the_fraction_search_on_rebased_forms(grams, target):
+    _, rebased = grams
+    assert short_vectors(rebased, target) == ref.short_vectors(rebased, target)
 
 
 @cache
@@ -289,16 +317,15 @@ def zero_one_grams(draw):
 def test_root_type_accepts_exactly_the_definite_zero_one_grams(gram):
     """A connected simply-laced graph is negative definite exactly when it is
     a Dynkin diagram, so the diagram alone decides what the Sylvester test
-    of `root_reference` decides; on a form it accepts, the diagram's root
-    count is that of the reflection closure (rank 9 included, which the
-    closure's type table lacks)."""
+    of `root_reference` decides; on a form it accepts, the diagram's
+    components are those of the reflection closure."""
     try:
         comps = root_components(gram)
     except ValueError:
         comps = None
     assert (comps is not None) is ref._negative_definite(gram)
     if comps is not None:
-        assert sum(count for _, _, count in comps) == len(reflection_closure(gram))
+        assert Counter(comps) == Counter(ref.closure_components(gram))
 
 
 @pytest.mark.parametrize("name", ["A2", "A5", "D4", "D6", "E6", "E8"])
