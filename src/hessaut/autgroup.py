@@ -395,7 +395,7 @@ def classify_wall_root(root: LorentzVector) -> WallRoot:
         raw = [denom * x for x in root.raw()]
         for k, c in coeffs.items():
             raw = [a + c * b for a, b in zip(raw, roots[k].raw())]
-        r1_raw = exact.vec_mat(exact.vec_mat(vec, ctx.basis_coords), lattices.ambient().rows)
+        r1_raw = exact.vec_mat(vec, [ctx.curve_roots[b].raw() for b in ctx.basis_names])
         certify([denom * x for x in r1_raw] == [den * x for x in raw],
                 f"closed-form projection mismatch in case {case}")
     else:

@@ -242,27 +242,6 @@ def solve_rational(a, b) -> list[Fraction] | None:
     return x
 
 
-def solve_integer(a, bs) -> list[list[int] | None]:
-    """For each vector b of bs, the x with a*x = b if it is integral, else
-    None; a must have full column rank (ValueError otherwise).
-
-    One elimination of a with every b appended serves them all. A b in the
-    column space of a leaves every row past the first len(a[0]) zero, and
-    its column of the reduced echelon form then holds x times the last
-    minor.
-    """
-    nc = len(a[0])
-    rows, cols, minors, _ = eliminate([list(row) + list(ys) for row, ys in zip(a, zip(*bs))])
-    if cols[:nc] != list(range(nc)):
-        raise ValueError("matrix must have full column rank")
-    d, out = minors[-1], []
-    for j in range(nc, nc + len(bs)):
-        col = [row[j] for row in rows]
-        solved = not any(col[nc:]) and not any(x % d for x in col[:nc])
-        out.append([x // d for x in col[:nc]] if solved else None)
-    return out
-
-
 def invert_integer(a) -> tuple[list[list[int]], int]:
     """(n, d) with a^-1 = n / d for a square integer matrix, d > 0 least.
 

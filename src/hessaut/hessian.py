@@ -8,14 +8,16 @@ pentahedron) appear as Leech roots orthogonal to T; their incidence is
 governed by a symmetric-difference rule transported from the two-torsion
 geometry, and every divisor-class identity about hyperplane sections,
 conics, cubics and elliptic pencils is checked as an exact vector
-identity over a Z-basis chosen among the curves themselves.
+identity over a Z-basis chosen among the curves themselves. `Picard`
+computes in the lattice the curves span; T and its complement are built
+only when read, by the suites that certify the embedding.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations
 
 from . import exact, lattices, leech, weber
@@ -128,10 +130,15 @@ def _half(v: LorentzVector) -> LorentzVector:
 
 
 class Picard:
-    """The Picard lattice context, certifying the facts its build relies on."""
+    """The Picard lattice as the span of the twenty curves in L.
+
+    Construction reads the Gram matrix off the incidence rule over sixteen
+    basis curves and certifies each curve's coordinates over them in L.
+    The Leech-frame lattices R, T = <R, theta> and S_H = T^perp, through
+    which `verify` certifies the embedding, are built on first read.
+    """
 
     def __init__(self):
-        amb = lattices.ambient()
         roots = base_roots()
         self.roots = roots
 
@@ -139,45 +146,36 @@ class Picard:
         for i in range(6):
             total = total + roots[f"x{i}"]
         self.theta = _half(total)
-        amb.coords(self.theta)  # glue vector must be integral in L
-
-        self.lattice_R = lattices.span(roots.values())
-        self.lattice_T = lattices.span(list(roots.values()) + [self.theta])
-        certify(self.lattice_T.rank == 10, "T must have rank 10")
-        certify(self.lattice_R.disc_order() == 4 * self.lattice_T.disc_order(),
-                "the glue vector must have index two over R")
-        self.lattice_SH = lattices.orthogonal_complement(self.lattice_T)
+        certify(leech.contains(self.theta.lam), "the glue vector must lie in L")
 
         self.curve_roots = {
             name: leech_root(two_nu(octad)) for name, octad in CURVE_OCTADS.items()
         }
-        sh_rows = [list(r) for r in self.lattice_SH.rows]
-        solved = exact.solve_integer(
-            exact.transpose(sh_rows), [amb.coords(self.curve_roots[n]) for n in CURVE_NAMES]
-        )
-        raw_coords = {}
-        for name, c in zip(CURVE_NAMES, solved):
-            if c is None:
-                raise ValueError(f"curve {name} does not lie in the Picard lattice")
-            raw_coords[name] = c
-
-        self.basis_names = self._pick_unimodular_basis(raw_coords)
-        self.basis_coords = [
-            exact.vec_mat(raw_coords[n], sh_rows) for n in self.basis_names
-        ]
-        # the curve basis is unimodular, so its inverse is an integer matrix
-        basis_inv, _ = exact.invert_integer([raw_coords[n] for n in self.basis_names])
-        self.curve_coord = {
-            name: tuple(exact.vec_mat(raw_coords[name], basis_inv)) for name in CURVE_NAMES
-        }
-        self.gram = tuple(
-            tuple(incidence(a, b) for b in self.basis_names) for a in self.basis_names
-        )
-        certify(abs(exact.det_rational(self.gram)) == 48, "the Picard lattice must have det 48")
+        # the basis: the first curves that each raise the rank of their span in L
+        raw = {name: self.curve_roots[name].raw() for name in CURVE_NAMES}
+        span, basis = exact.RowSpan(26), []
+        for name in CURVE_NAMES:
+            if span.add(raw[name]) and span.rank > len(basis):
+                basis.append(name)
+        self.basis_names = tuple(basis)
+        self.gram = tuple(tuple(incidence(a, b) for b in basis) for a in basis)
+        certify(len(basis) == 16 and abs(exact.det_rational(self.gram)) == 48,
+                "the Picard lattice must have rank 16 and det 48")
         self._gram_rows = [list(r) for r in self.gram]
-        # inverse Gram matrix as adj / den, and the L pairings of the basis
+        # inverse Gram matrix as adj / den
         self._gram_adj, self._gram_den = exact.invert_integer(self.gram)
-        self._basis_pairing = exact.mat_mul(self.basis_coords, amb.gram)
+        # a curve's coordinates are G^-1 times its incidences with the basis,
+        # certified integral and, summed over the basis curves, the curve in L
+        basis_raw = [raw[b] for b in basis]
+        self.curve_coord = {}
+        for name in CURVE_NAMES:
+            nums = exact.mat_vec(self._gram_adj, [incidence(name, b) for b in basis])
+            certify(all(x % self._gram_den == 0 for x in nums),
+                    f"{name} must have integral coordinates over the basis curves")
+            coord = tuple(x // self._gram_den for x in nums)
+            certify(exact.vec_mat(coord, basis_raw) == raw[name],
+                    f"{name} must be the sum of its coordinates times the basis curves in L")
+            self.curve_coord[name] = coord
 
         # pentahedral dictionary from the pinned Weber hexad
         line_faces, node_faces = weber.pentahedral_dictionary()
@@ -212,19 +210,20 @@ class Picard:
 
         self.omega_prime = tuple(a + b for a, b in zip(self.NN, self.TT))
 
-    @staticmethod
-    def _pick_unimodular_basis(raw_coords) -> tuple[str, ...]:
-        """The first curves that each raise the rank of their span, certified unimodular."""
-        greedy = []
-        span = exact.RowSpan(16)
-        for name in CURVE_NAMES:
-            if span.add(list(raw_coords[name])):
-                if span.rank > len(greedy):
-                    greedy.append(name)
-        certify(len(greedy) == 16
-                and abs(exact.det_rational([raw_coords[n] for n in greedy])) == 1,
-                "the first sixteen independent curves must form a unimodular basis")
-        return tuple(greedy)
+    @cached_property
+    def lattice_R(self) -> lattices.EmbeddedLattice:
+        """R, the span of the ten base roots."""
+        return lattices.span(self.roots.values())
+
+    @cached_property
+    def lattice_T(self) -> lattices.EmbeddedLattice:
+        """T = <R, theta>."""
+        return lattices.span(list(self.roots.values()) + [self.theta])
+
+    @cached_property
+    def lattice_SH(self) -> lattices.EmbeddedLattice:
+        """S_H = T^perp, the Picard lattice in the Leech frame."""
+        return lattices.orthogonal_complement(self.lattice_T)
 
     # --- basic queries --------------------------------------------------
 
@@ -300,8 +299,10 @@ class Picard:
 
     def project(self, v: LorentzVector) -> tuple[ClassVec, int]:
         """Orthogonal projection onto the Picard lattice as (nums, den):
-        the class nums / den, den the least positive denominator."""
-        pairings = exact.mat_vec(self._basis_pairing, lattices.ambient().coords(v))
+        the class nums / den, den the least positive denominator. Over the
+        basis curves b_i it is G^-1 (<v, b_i>)_i, which reads only pairings
+        in L, no Leech frame."""
+        pairings = [bilinear(v, self.curve_roots[b]) for b in self.basis_names]
         nums = exact.mat_vec(self._gram_adj, pairings)
         g = math.gcd(self._gram_den, *nums)
         return tuple(x // g for x in nums), self._gram_den // g

@@ -11,9 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from hessaut import cli, weber
+from hessaut import cli, hessian, weber
 from hessaut.checks import CertificationError
-from hessaut.hessian import CURVE_NAMES, Picard
+from hessaut.hessian import Picard
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -69,37 +69,46 @@ def test_pinned_packets_are_certified(monkeypatch, capsys):
     assert err.count("\n") == 1
 
 
-def _unit_coords(scale):
-    """Raw coordinates of the twenty curves: the first sixteen the unit
-    vectors, the first of them times scale, the last four zero."""
-    rows = [[int(i == j) for j in range(16)] for i in range(16)]
-    rows[0][0] = scale
-    return dict(zip(CURVE_NAMES, rows + [[0] * 16] * 4))
+# one incidence of the non-basis curve T15 changed: with N16 the coordinates
+# of T15 over the basis are no longer integral; with T36, whose column of
+# G^-1 is integral, they are integral but are not T15 in L
+FORGED_INCIDENCES = {
+    "N16": ("T15 must have integral coordinates over the basis curves", 0),
+    "T36": ("T15 must be the sum of its coordinates times the basis curves in L", 1),
+}
 
 
-def test_the_greedy_curve_basis_is_certified_unimodular():
-    assert Picard._pick_unimodular_basis(_unit_coords(1)) == tuple(CURVE_NAMES[:16])
-    doubled = _unit_coords(2)
-    # a later curve would complete a unimodular basis, but the pick stays greedy
-    other = {**doubled, CURVE_NAMES[16]: _unit_coords(1)[CURVE_NAMES[0]]}
-    for coords in (doubled, _unit_coords(0), other):  # det 2, rank 15, det 2
-        with pytest.raises(CertificationError, match="unimodular basis"):
-            Picard._pick_unimodular_basis(coords)
+def _forged_incidence(incidence, other, value):
+    """`hessian.incidence` with the incidence of T15 and other set to value."""
+    return lambda a, b: value if {a, b} == {"T15", other} else incidence(a, b)
 
 
-def test_the_greedy_curve_basis_is_certified_under_python_O():
+@pytest.mark.parametrize("other", sorted(FORGED_INCIDENCES))
+def test_a_forged_curve_incidence_is_a_failed_certification(monkeypatch, other):
+    message, value = FORGED_INCIDENCES[other]
+    assert "T15" not in hessian.picard().basis_names
+    assert hessian.incidence("T15", other) != value
+    monkeypatch.setattr(hessian, "incidence",
+                        _forged_incidence(hessian.incidence, other, value))
+    with pytest.raises(CertificationError) as raised:
+        Picard()
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("other", sorted(FORGED_INCIDENCES))
+def test_a_forged_curve_incidence_is_a_failed_certification_under_python_O(other):
+    message, value = FORGED_INCIDENCES[other]
     code = (
-        "from hessaut.checks import CertificationError\n"
-        "from hessaut.hessian import CURVE_NAMES, Picard\n"
-        + inspect.getsource(_unit_coords)
-        + "try:\n"
-        "    Picard._pick_unimodular_basis(_unit_coords(2))\n"
-        "except CertificationError as e:\n"
-        "    print('rejected:', e)\n"
+        "import sys\n"
+        "from hessaut import cli, hessian\n"
+        + inspect.getsource(_forged_incidence)
+        + f"hessian.incidence = _forged_incidence(hessian.incidence, {other!r}, {value})\n"
+        "sys.exit(cli.main(['reduce', '--word', 'tau']))\n"
     )
     proc = _python_O(code)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("rejected:") and "unimodular basis" in proc.stdout
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.splitlines() == [f"certification failed: {message}"]
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])

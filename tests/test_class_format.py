@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_reference as ref
+import picard_reference
 from hessaut import exact, lattices, weber
 from hessaut.autgroup import (
     WALL_1A_EXPR,
@@ -160,11 +161,12 @@ def _inverse_gram():
 
 
 def _reference_projection(v):
-    """G^-1 times the L pairings of v with the basis classes, on Fractions."""
-    ctx = picard()
+    """G^-1 times the L pairings of v with the basis classes, read in the
+    Leech frame (`picard_reference.frame_coords`), on Fractions."""
     amb = lattices.ambient()
     target = amb.coords(v)
-    pairings = [exact.dot(exact.vec_mat(b, amb.gram), target) for b in ctx.basis_coords]
+    _, basis_coords, _ = picard_reference.frame_coords()
+    pairings = [exact.dot(exact.vec_mat(b, amb.gram), target) for b in basis_coords]
     return tuple(sum(map(Fraction.__mul__, row, pairings)) for row in _inverse_gram())
 
 

@@ -1,7 +1,7 @@
 from fractions import Fraction
 from itertools import combinations
 
-from hessaut import exact, lattices
+from hessaut import lattices
 from hessaut.golay import is_octad
 from hessaut.hessian import (
     BASE_ROOT_ORDER,
@@ -19,23 +19,6 @@ from hessaut.hessian import (
     relation_checks,
 )
 from hessaut.lorentz import bilinear
-
-
-def test_curve_coordinates_match_one_solve_per_curve():
-    """`Picard` solves for the twenty curves over the SH rows in one
-    elimination; each equals its own `solve_rational`, and the curve basis
-    expresses it as `curve_coord`."""
-    ctx = picard()
-    amb = lattices.ambient()
-    sh_rows = [list(r) for r in ctx.lattice_SH.rows]
-    sh_cols = exact.transpose(sh_rows)
-    targets = [list(amb.coords(ctx.curve_roots[n])) for n in CURVE_NAMES]
-    raw = dict(zip(CURVE_NAMES, exact.solve_integer(sh_cols, targets)))
-    for name, target in zip(CURVE_NAMES, targets):
-        assert exact.solve_rational(sh_cols, target) == raw[name], name
-        basis = [raw[b] for b in ctx.basis_names]
-        assert exact.vec_mat(ctx.curve_coord[name], basis) == raw[name], name
-    assert ctx.basis_coords == [exact.vec_mat(raw[b], sh_rows) for b in ctx.basis_names]
 
 
 def test_embedding_octads_are_octads():

@@ -293,7 +293,9 @@ def test_from_rows_gram_matches_pairwise_gram_on_every_picard_lattice(monkeypatc
         return built[-1]
 
     monkeypatch.setattr(lattices, "_from_rows", record)
-    ctx = Picard()  # R, T and SH
+    ctx = Picard()  # R, T and SH on first read
+    assert built == []
+    ctx.lattice_R, ctx.lattice_T, ctx.lattice_SH
     assert len(built) == 3
     _lattice_r0()
     assert len(built) == 4
