@@ -357,9 +357,9 @@ def wall_root_gram(root: LorentzVector) -> list[list[int]]:
 
 
 def classify_wall_root(root: LorentzVector) -> WallRoot:
-    """Case tag, root-lattice type and checked projection of a wall root."""
+    """Case tag, root-lattice type and checked projection of a wall root,
+    certified on R + Zr; only `verify walls` (and the tests) call it."""
     ctx = picard()
-    roots = ctx.roots
     gram = wall_root_gram(root)
     pat = dict(zip(BASE_ROOT_ORDER, gram[-1]))
     if any(v not in (0, 1) for v in pat.values()):
@@ -394,22 +394,19 @@ def classify_wall_root(root: LorentzVector) -> WallRoot:
         coeffs = {**coeffs, **dict.fromkeys(xs, denom // 2)}
         raw = [denom * x for x in root.raw()]
         for k, c in coeffs.items():
-            raw = [a + c * b for a, b in zip(raw, roots[k].raw())]
+            raw = [a + c * b for a, b in zip(raw, ctx.roots[k].raw())]
         r1_raw = exact.vec_mat(vec, [ctx.curve_roots[b].raw() for b in ctx.basis_names])
         certify([denom * x for x in r1_raw] == [den * x for x in raw],
                 f"closed-form projection mismatch in case {case}")
     else:
         certify(root in ctx.curve_roots.values(), "a case 0 wall root must be a curve root")
-    return WallRoot(case, root, vec, den, _wall_key(case, root))
-
-
-def _wall_key(case: str, root: LorentzVector) -> tuple:
-    return (case, tuple(sorted(root.lam)), root.lam, root.m, root.n)
+    return WallRoot(case, root, vec, den, (case, tuple(sorted(root.lam)), root.lam, root.m, root.n))
 
 
 @cache
 def enumerate_wall_roots() -> dict[str, list[WallRoot]]:
-    """Shape-constrained searches for the four boundary-wall families."""
+    """Shape-constrained searches for the four boundary-wall families: each
+    root with its `Picard.project` and search key, and no wall lattice."""
     system = steiner_system()
     ks = [set_mask(COMPLEMENT_OCTADS[k]) for k in ("r0", "x1", "x2", "x3", "x4", "x5")]
     bit_oo, bit_0 = 1 << point_index(oo), 1 << point_index(0)
@@ -448,15 +445,10 @@ def enumerate_wall_roots() -> dict[str, list[WallRoot]]:
             lam = vadd(vscale(4, nu([0])), vsub(NU_OMEGA, vscale(2, nu(points))))
             out["3b"].append(((fours[0],) + points, leech_root(tuple(lam))))
 
-    walls: dict[str, list[WallRoot]] = {}
-    for case, found in out.items():
-        found.sort(key=lambda t: t[0])
-        walls[case] = []
-        for key, root in found:
-            w = classify_wall_root(root)
-            certify(w.case == case, f"a case {case} search found a case {w.case} root")
-            walls[case].append(WallRoot(case, root, w.vec, w.den, (case,) + key))
-    return walls
+    ctx = picard()
+    return {case: [WallRoot(case, root, *ctx.project(root), (case,) + key)
+                   for key, root in sorted(found, key=lambda t: t[0])]
+            for case, found in out.items()}
 
 
 # --- the generator context -----------------------------------------------------

@@ -23,7 +23,7 @@ from itertools import combinations
 from math import comb, gcd
 
 from . import lattices, leech, weber
-from .checks import CertificationError
+from .checks import CertificationError, certify
 from .golay import golay_code, mask_points, steiner_system
 from .hessian import (
     COMPLEMENT_OCTADS,
@@ -54,6 +54,7 @@ from .autgroup import (
     SKEW_LINE_TABLE,
     Isometry,
     autctx,
+    classify_wall_root,
     compose,
     relabel,
     table_isometry,
@@ -341,6 +342,11 @@ def walls_suite(seed: int) -> list:
     checks: list = []
     a = autctx()
     walls = a.walls
+    # each search's case and projection, and the root type of R + Zr
+    for w in [w for ws in walls.values() for w in ws]:
+        c = classify_wall_root(w.root)
+        certify((c.case, c.vec, c.den) == (w.case, w.vec, w.den),
+                f"the wall {w.key} classifies as case {c.case}")
     _check(checks, "walls.counts", [12, 10, 15, 15],
            [len(walls[c]) for c in ("1a", "2", "3a", "3b")],
            "boundary wall counts by case")

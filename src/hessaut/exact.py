@@ -242,13 +242,12 @@ def solve_rational(a, b) -> list[Fraction] | None:
     return x
 
 
-def invert_integer(a) -> tuple[list[list[int]], int]:
-    """(n, d) with a^-1 = n / d for a square integer matrix, d > 0 least.
-
-    Raises ValueError when the matrix is singular.
-    """
+def inverse_and_det(a) -> tuple[list[list[int]], int, int]:
+    """(n, d, det) with a^-1 = n / d, d > 0 least, for a square integer
+    matrix of determinant det, from one elimination of (a | I), whose last
+    minor is det up to the sign of its row swaps; ValueError if singular."""
     size = len(a)
-    rows, cols, minors, _ = eliminate(
+    rows, cols, minors, swaps = eliminate(
         [list(row) + [int(i == j) for j in range(size)] for i, row in enumerate(a)]
     )
     if cols != list(range(size)):
@@ -257,7 +256,12 @@ def invert_integer(a) -> tuple[list[list[int]], int]:
     g = math.gcd(*(x for row in n for x in row), minors[-1])
     if minors[-1] < 0:
         g = -g
-    return [[x // g for x in row] for row in n], minors[-1] // g
+    return [[x // g for x in row] for row in n], minors[-1] // g, (-1) ** swaps * minors[-1]
+
+
+def invert_integer(a) -> tuple[list[list[int]], int]:
+    """(n, d) of `inverse_and_det`: a^-1 = n / d, d > 0 least."""
+    return inverse_and_det(a)[:2]
 
 
 def invert_upper_triangular(a) -> tuple[list[list[int]], int]:

@@ -9,8 +9,8 @@ governed by a symmetric-difference rule transported from the two-torsion
 geometry, and every divisor-class identity about hyperplane sections,
 conics, cubics and elliptic pencils is checked as an exact vector
 identity over a Z-basis chosen among the curves themselves. `Picard`
-computes in the lattice the curves span; T and its complement are built
-only when read, by the suites that certify the embedding.
+computes in the lattice the curves span; R, theta, T and its complement
+are built only when read, by the suites that certify the embedding.
 """
 
 from __future__ import annotations
@@ -91,22 +91,19 @@ def incidence(a: str, b: str) -> int:
 
 def base_roots() -> dict[str, LorentzVector]:
     """The ten Leech roots whose span is the root lattice R = A5+A1^5."""
-    roots = {
+    return {
         "x": LorentzVector(vadd(vscale(4, nu([oo])), NU_OMEGA), 1, 2),
         "y": LorentzVector(vadd(vscale(4, nu([0])), NU_OMEGA), 1, 2),
         "z": LorentzVector(leech.ZERO, 1, -1),
         "x0": LorentzVector(vadd(vscale(4, nu([oo])), vscale(4, nu([0]))), 1, 1),
-        "r0": leech_root(two_nu(COMPLEMENT_OCTADS["r0"])),
+        **{k: leech_root(two_nu(octad)) for k, octad in COMPLEMENT_OCTADS.items()},
     }
-    for i in range(1, 6):
-        roots[f"x{i}"] = leech_root(two_nu(COMPLEMENT_OCTADS[f"x{i}"]))
-    return roots
 
 
 @cache
 def base_root_gram() -> tuple[tuple[int, ...], ...]:
     """The pairings of the ten base roots, in BASE_ROOT_ORDER."""
-    vecs = list(map(base_roots().get, BASE_ROOT_ORDER))
+    vecs = list(map(picard().roots.get, BASE_ROOT_ORDER))
     return tuple(tuple(bilinear(a, b) for b in vecs) for a in vecs)
 
 
@@ -123,31 +120,16 @@ def expected_base_gram() -> list[list[int]]:
     return g
 
 
-def _half(v: LorentzVector) -> LorentzVector:
-    if any(c % 2 for c in v.raw()):
-        raise ValueError("vector is not divisible by two")
-    return LorentzVector(tuple(c // 2 for c in v.lam), v.m // 2, v.n // 2)
-
-
 class Picard:
     """The Picard lattice as the span of the twenty curves in L.
 
     Construction reads the Gram matrix off the incidence rule over sixteen
     basis curves and certifies each curve's coordinates over them in L.
-    The Leech-frame lattices R, T = <R, theta> and S_H = T^perp, through
-    which `verify` certifies the embedding, are built on first read.
+    The base roots, theta and the Leech-frame lattices R, T = <R, theta> and
+    S_H = T^perp, which `verify` certifies, are built on first read.
     """
 
     def __init__(self):
-        roots = base_roots()
-        self.roots = roots
-
-        total = roots["x"] + roots["y"]
-        for i in range(6):
-            total = total + roots[f"x{i}"]
-        self.theta = _half(total)
-        certify(leech.contains(self.theta.lam), "the glue vector must lie in L")
-
         self.curve_roots = {
             name: leech_root(two_nu(octad)) for name, octad in CURVE_OCTADS.items()
         }
@@ -159,11 +141,13 @@ class Picard:
                 basis.append(name)
         self.basis_names = tuple(basis)
         self.gram = tuple(tuple(incidence(a, b) for b in basis) for a in basis)
-        certify(len(basis) == 16 and abs(exact.det_rational(self.gram)) == 48,
-                "the Picard lattice must have rank 16 and det 48")
         self._gram_rows = [list(r) for r in self.gram]
-        # inverse Gram matrix as adj / den
-        self._gram_adj, self._gram_den = exact.invert_integer(self.gram)
+        # inverse Gram matrix as adj / den, and the determinant, in one elimination
+        try:
+            self._gram_adj, self._gram_den, det = exact.inverse_and_det(self.gram)
+        except ValueError:  # singular
+            det = 0
+        certify(len(basis) == 16 and abs(det) == 48, "the Picard lattice must have rank 16 and det 48")
         # a curve's coordinates are G^-1 times its incidences with the basis,
         # certified integral and, summed over the basis curves, the curve in L
         basis_raw = [raw[b] for b in basis]
@@ -209,6 +193,20 @@ class Picard:
             certify(got == want, f"hyperplane classes meet {c} in {got}, not {want}")
 
         self.omega_prime = tuple(a + b for a, b in zip(self.NN, self.TT))
+
+    @cached_property
+    def roots(self) -> dict[str, LorentzVector]:
+        """The ten base roots spanning R (`base_roots`)."""
+        return base_roots()
+
+    @cached_property
+    def theta(self) -> LorentzVector:
+        """The glue vector (x + y + x0 + ... + x5) / 2, certified in L."""
+        glue = ("x", "y", "x0", "x1", "x2", "x3", "x4", "x5")
+        total = [sum(c) for c in zip(*(self.roots[k].raw() for k in glue))]
+        lam = tuple(c // 2 for c in total[:24])
+        certify(not any(c % 2 for c in total) and leech.contains(lam), "the glue vector must lie in L")
+        return LorentzVector(lam, total[24] // 2, total[25] // 2)
 
     @cached_property
     def lattice_R(self) -> lattices.EmbeddedLattice:

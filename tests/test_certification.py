@@ -44,17 +44,18 @@ def test_src_has_no_assert_statements_or_assertion_errors():
 
 
 def test_constructor_certification_runs_under_python_O():
+    # p16's push on omega is certified by `AutContext`, which a reduce builds
     code = (
         "import sys\n"
         "from hessaut import autgroup, cli\n"
-        "autgroup.CASE_ROOT_TYPES['2'] = 'A1'\n"
+        "autgroup.PUSH_MULTIPLES['2'] = 5\n"
         "sys.exit(cli.main(['reduce', '--word', 'p16']))\n"
     )
     proc = _python_O(code)
     assert proc.returncode == 1, proc.stderr
-    assert any(
-        line.startswith("certification failed:") for line in proc.stderr.splitlines()
-    ), proc.stderr
+    assert proc.stderr.splitlines() == [
+        "certification failed: p16 must push omega by 5 times its wall's r1"
+    ]
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
 

@@ -102,6 +102,22 @@ def test_inverse_matches_fraction_reference(m):
     assert got == want and all(type(x) is Fraction for row in got for x in row)
 
 
+@settings(max_examples=300, deadline=None)
+@given(square_matrices())
+def test_inverse_and_det_match_fraction_reference(m):
+    """`Picard` reads its inverse Gram matrix and determinant off this one
+    elimination."""
+    want = ref.det(m)
+    if not want:
+        with pytest.raises(ValueError):
+            exact.inverse_and_det(m)
+        return
+    n, d, det = exact.inverse_and_det(m)
+    assert type(det) is int and det == want
+    assert (n, d) == tuple(exact.invert_integer(m))
+    assert [[Fraction(x, d) for x in row] for row in n] == ref.invert(m)
+
+
 @settings(max_examples=400, deadline=None)
 @given(systems())
 def test_solve_matches_fraction_reference(system):
