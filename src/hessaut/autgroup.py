@@ -104,14 +104,15 @@ def compose(*isos: Isometry) -> Isometry:
 def isometry_from_images(images: dict[str, ClassVec], name: str) -> Isometry:
     """Linear extension of curve images, certified by its `CurveAction.of`;
     rejects ill-defined or non-isometric tables (the redundant rows beyond a
-    basis are checked, never assumed)."""
+    basis are checked, never assumed: a basis curve is a unit vector, so
+    its image is its own row, and the curves off the basis are applied)."""
     ctx = picard()
     for c, target in images.items():
         if any(x % 1 for x in target):
             raise ValueError(f"{name}: non-integral image of {c}")
     iso = Isometry(tuple(images[b] for b in ctx.basis_names), name)
     for c, target in images.items():
-        if iso.apply(ctx.curve_coord[c]) != target:
+        if c not in ctx.basis_names and iso.apply(ctx.curve_coord[c]) != target:
             raise ValueError(f"{name}: images violate the curve relations at {c}")
     try:
         action = CurveAction.of(iso.matrix, name)
@@ -461,11 +462,10 @@ class AutContext:
         ctx = picard()
         self.ctx = ctx
         self.omega = ctx.omega_prime
-        self.gram_omega = exact.mat_vec(ctx._gram_rows, self.omega)
         # where every descent starts: the pairings of omega with the twenty
-        # curves, and its height
-        u = curve_pairings(self.omega)
-        self.descent_start = (u, exact.dot(u, self.omega))
+        # curves, and its height, their sum (`CurveFrame.omega_pairings`)
+        u = curve_frame().omega_pairings
+        self.descent_start = (u, sum(u))
 
         # tau, the S5 elements and their products permute the curves; tau
         # swaps each node with the line whose faces it does not meet
@@ -634,7 +634,9 @@ class AutContext:
         return "other"
 
     def height(self, vec) -> int:
-        return exact.dot(vec, self.gram_omega)
+        """<vec, omega>: `exact.dot` stops at the 16 basis pairings of
+        omega, which are G omega."""
+        return exact.dot(vec, curve_frame().omega_pairings)
 
     def descend(self, gamma):
         """Greedy descent to the chamber of the Weyl projection.
@@ -661,10 +663,11 @@ class AutContext:
         pairings u[:16] against r, sixteen walls to a big-int sum. Every
         letter is a certified isometry, so the product's entries are capped
         by its height (`CurveFrame.entry_cap`), and that cap alone sizes its
-        slots. A letter whose action has no combinations permutes the
-        curves, so b^-1 fixes omega, the sum of the twenty curves (certified
-        in `CurveFrame`): <b(v), omega> = <v, b^-1(omega)> = h, and the
-        height and its cap carry over.
+        slots. omega is the sum of the twenty curves (certified in
+        `CurveFrame`), so the height of v is sum(u), read after each letter
+        whose action has combinations. A letter with none permutes the
+        curves, so b^-1 fixes omega: <b(v), omega> = <v, b^-1(omega)> = h,
+        and the height and its cap carry over.
 
         The residual is a symmetry read off K and the final height
         (`residual`), or else the word replayed through `compose`. gamma
@@ -680,8 +683,7 @@ class AutContext:
             action = b.curve_action
             u = action(u)
             if action.combos:
-                # dot stops at the shorter vector: the 16 basis pairings of u
-                h = exact.dot(u, self.omega)
+                h = sum(u)
                 cap = entry_cap(h)
             product.act(action, cap)
         heights = [h]

@@ -264,32 +264,6 @@ def invert_integer(a) -> tuple[list[list[int]], int]:
     return inverse_and_det(a)[:2]
 
 
-def invert_upper_triangular(a) -> tuple[list[list[int]], int]:
-    """`invert_integer` of an upper triangular integer matrix, by back
-    substitution: with D the product of the diagonal, X = D a^-1 is the
-    adjugate, an integer matrix, and row i of a X = D I gives
-    X[i] = (D e_i - sum over k > i of a[i][k] X[k]) / a[i][i], exactly.
-
-    Raises ValueError unless the matrix is upper triangular and nonsingular.
-    """
-    size = len(a)
-    if any(a[i][j] for i in range(size) for j in range(i)) or not all(
-            a[i][i] for i in range(size)):
-        raise ValueError("not a nonsingular upper triangular matrix")
-    d = math.prod(a[i][i] for i in range(size))
-    x: list = [None] * size
-    for i in reversed(range(size)):
-        row = [d * (j == i) for j in range(size)]
-        for k in range(i + 1, size):
-            if a[i][k]:
-                row = [r - a[i][k] * y for r, y in zip(row, x[k])]
-        x[i] = [r // a[i][i] for r in row]
-    g = math.gcd(*(v for row in x for v in row), d)
-    if d < 0:
-        g = -g
-    return [[v // g for v in row] for row in x], d // g
-
-
 def invert_rational(a) -> list[list[Fraction]]:
     """Exact inverse of a square integer matrix over the rationals."""
     n, d = invert_integer(a)

@@ -81,13 +81,11 @@ class Ambient:
         vectors += [LorentzVector(leech.ZERO, 1, 0), LorentzVector(leech.ZERO, 0, 1)]
         self.rows = [v.raw() for v in vectors]
         self.gram = [[bilinear(a, b) for b in vectors] for a in vectors]
-        # the 24 Hermite rows and the two unit rows are upper triangular: their
-        # inverse as adj / den, with adj an integer matrix
-        self._adj, self._den = exact.invert_upper_triangular(self.rows)
+        # the inverse of the rows as adj / den, with adj an integer matrix
+        self._adj, self._den, det = exact.inverse_and_det(self.rows)
         # the raw form is (-1/8) I_24 + [[0, 1], [1, 0]], so det(gram) is
-        # -(product of the pivots)^2 / 8^24
-        certify(math.prod(r[i] for i, r in enumerate(lam_rows)) == 8 ** 12,
-                "L must be unimodular with det -1")
+        # -det(rows)^2 / 8^24
+        certify(abs(det) == 8 ** 12, "L must be unimodular with det -1")
 
     def coords(self, v: LorentzVector) -> tuple[int, ...]:
         """Integer coordinates over the L basis; fails off the lattice."""

@@ -51,19 +51,20 @@ A descent step costs a few big-int operations more:
   H = <g omega, omega> moves omega hyperbolic distance t, cosh t = |H| / n,
   and its operator norm for this majorant is e^t <= 2 cosh t = 2 |H| / n
   (Cartan decomposition: the stabilizer of omega is orthogonal for the
-  majorant, and a boost by t stretches by at most e^t). So every entry
-  K_ic = <g e_i, q_c> is at most (2 |H| / n) max ||e_i|| max ||q_c||,
-  that is c |H| with c = 21/100 here. Along a descent the heights fall, so
-  the product never re-packs. This holds for isometries only, and every
-  letter's `CurveAction` is certified one.
+  majorant, and a boost by t stretches by at most e^t); this holds for
+  isometries only, and every letter's `CurveAction` is certified one.
+  Along a descent the heights fall, so the product never re-packs. Every
+  entry K_ic = <g e_i, q_c> is at most (2 |H| / n) ||e_i|| ||q_c||, the
+  e_i are the basis curves, and `CurveFrame` certifies ||q||^2 <= n / 2
+  for every curve q, as 4 <q, omega>^2 - 2 n <q, q> <= n^2 (each curve
+  has <q, omega> = 1 and <q, q> = -2, and n = 20: 2.1 <= 10). So every
+  entry is at most |H|.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from itertools import chain
-from math import isqrt
 from operator import itemgetter, mul
 
 from . import exact
@@ -127,17 +128,6 @@ class PackedProduct:
         return tuple(out)
 
 
-def ceil_sqrt(x: Fraction) -> Fraction:
-    """The least multiple r of 1 / (2^16 den x) with r >= sqrt(x); so
-    r = sqrt(x) when x is the square of such a rational."""
-    x, scale = Fraction(x), 1 << 16
-    square = x.numerator * x.denominator * scale * scale
-    num = isqrt(square)
-    if num * num < square:
-        num += 1
-    return Fraction(num, x.denominator * scale)
-
-
 def _support(vec) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The positions and the values of the nonzero entries of vec."""
     pos = tuple(i for i, x in enumerate(vec) if x)
@@ -162,21 +152,18 @@ class CurveFrame:
         # the intersection numbers of the twenty curves
         self.curve_gram = tuple(tuple(exact.dot(q, g) for g in self.pairings) for q in self.coords)
         self.adj, self.den = ctx._gram_adj, ctx._gram_den
-        # the height constant c: |K_ic| <= c |<g omega, omega>| for every isometry g
-        omega = ctx.omega_prime
-        certify(tuple(map(sum, zip(*self.coords))) == omega,
+        certify(tuple(map(sum, zip(*self.coords))) == ctx.omega_prime,
                 "the Weyl projection must be the sum of the twenty curves")
-        heights = exact.mat_vec(ctx.gram, omega)
-        n = exact.dot(heights, omega)
+        # so omega pairs with curve c as the sum of row c of the curve table,
+        # and n = <omega, omega> is the sum of those pairings
+        self.omega_pairings = tuple(map(sum, self.curve_gram))
+        n = sum(self.omega_pairings)
         certify(n > 0, "the Weyl projection must have positive square")
-        basis = max(Fraction(2 * x * x, n) - ctx.gram[i][i] for i, x in enumerate(heights))
-        curves = max(
-            Fraction(2 * exact.dot(q, heights) ** 2, n) - exact.dot(q, g)
-            for q, g in zip(self.coords, self.pairings)
-        )
-        self.height_constant = c = ceil_sqrt(4 * basis * curves) / n
-        certify(c * c * n * n >= 4 * basis * curves, "the height constant must bound the pairings")
-        self._cap_num, self._cap_den = c.numerator, c.denominator
+        # the height cap |K_ic| <= |<g omega, omega>| for every isometry g:
+        # each curve's majorant norm is at most n / 2 (see the module docstring)
+        certify(all(4 * u * u - 2 * n * self.curve_gram[c][c] <= n * n
+                    for c, u in enumerate(self.omega_pairings)),
+                "the curves' majorant norms must be at most half the Weyl square")
         # K of the identity, at the cap of its height n; every reduce word `copy`s it
         self.identity_pairings = PackedProduct(self.pairings, self.entry_cap(n))
         # each curve's packed pairing column, fixed before anyone can touch the start
@@ -184,9 +171,10 @@ class CurveFrame:
         self.curve_keys = {col: d for d, col in enumerate(self.identity_pairings.cols)}
 
     def entry_cap(self, height: int) -> int:
-        """ceil(c |height|), a bound on every curve pairing K_ic of an
-        isometry with this height (see the module docstring)."""
-        return -(-abs(height) * self._cap_num // self._cap_den)
+        """|height|, a bound on every curve pairing K_ic of an isometry with
+        this height, by the certificate on the curves' majorant norms (see
+        the module docstring)."""
+        return abs(height)
 
 
 @cache

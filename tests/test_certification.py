@@ -43,6 +43,25 @@ def test_src_has_no_assert_statements_or_assertion_errors():
     assert found == []
 
 
+def test_only_the_boundary_views_import_fractions():
+    """Integers inside: `Fraction` is imported by the modules whose API and
+    report views give rationals (exact inverses and solutions, the Picard
+    inner product, the wall projections r1, the report) and by no other,
+    so `lattices` and `products` compute on integers only."""
+    found = set()
+    for path in sorted((SRC / "hessaut").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "fractions" for name in names):
+                found.add(path.stem)
+    assert found == {"exact", "hessian", "autgroup", "cli"}
+
+
 def test_constructor_certification_runs_under_python_O():
     # p16's push on omega is certified by `AutContext`, which a reduce builds
     code = (

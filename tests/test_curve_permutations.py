@@ -408,8 +408,9 @@ def test_letters_phase_skip_matches_a_dot_per_letter(block, monkeypatch):
         word, residual, heights = a.descend(letters)
         monkeypatch.setattr(exact, "dot", real_dot)
         assert (word, residual.matrix, heights) == want, w
-        # the start's height is `AutContext.descent_start`: a dot per wall letter only
-        assert len(calls) == sum(1 for b in letters if b.curve_action.combos), w
+        # the start's height is `AutContext.descent_start`, a letter's the sum of its
+        # curve pairings: no dot product
+        assert len(calls) == 0, w
 
 
 # --- rejections --------------------------------------------------------------------
@@ -441,6 +442,22 @@ def test_curve_permutation_rejects(message):
 
 def test_curve_permutation_accepts_the_identity():
     assert curve_permutation(_identity_map(), "id").matrix == identity_isometry().matrix
+
+
+OFF_BASIS = ("T15", "T23", "T25", "T34")
+
+
+@pytest.mark.parametrize("curve", OFF_BASIS)
+def test_images_are_checked_at_each_curve_off_the_basis(curve):
+    """A basis curve's image is its own row of the matrix, so only the four
+    curves off the basis are applied; a wrong image of any one is refused."""
+    ctx = picard()
+    assert sorted(set(curve_frame().names) - set(ctx.basis_names)) == list(OFF_BASIS)
+    images = {c: ctx.curve_coord[c] for c in curve_frame().names}
+    assert isometry_from_images(images, "id").matrix == identity_isometry().matrix
+    other = next(c for c in OFF_BASIS if c != curve)
+    with pytest.raises(ValueError, match=f"violate the curve relations at {curve}$"):
+        isometry_from_images({**images, curve: ctx.curve_coord[other]}, "bad")
 
 
 def test_curve_permutation_rejects_under_python_O():
@@ -520,10 +537,10 @@ def test_construction_takes_no_inverse_and_few_products(monkeypatch):
     # the tables p16, f and g, and the worked reflection phi; every descent
     # letter has its action
     assert calls["of"] == 4
-    # 20 curve images for each table, p16's eta image and the twelve case 1b
-    # wall vectors: each wall's carrier is found on pairings, and phi's
-    # negated root is certified on its action
-    assert calls["apply"] == 3 * 20 + 1 + 12
+    # the 4 images of the curves off the basis for each table, p16's eta image
+    # and the twelve case 1b wall vectors: each wall's carrier is found on
+    # pairings, and phi's negated root is certified on its action
+    assert calls["apply"] == 3 * 4 + 1 + 12
     # f and the three worked generators, each once; their 64 conjugates
     # inherit the certificate
     assert calls["involution"] == 4
@@ -549,8 +566,8 @@ def test_dense_apply_budgets_of_construction_and_the_suites(monkeypatch):
         applied.clear()
         run()
         budgets[name] = len(applied)
-    # construction: 20 curve images for each of three tables, p16's eta image
-    # and the twelve case 1b wall vectors; generators: the discriminant
-    # actions, the skew table's curve images and the dense relations;
-    # reduce: the 240 symmetries and 64 generators at the height floor
-    assert budgets == {"construction": 3 * 20 + 1 + 12, "generators": 296, "reduce": 240 + 64}
+    # construction: the 4 images of the curves off the basis for each of three
+    # tables, p16's eta image and the twelve case 1b wall vectors; generators:
+    # the discriminant actions, the skew table's 4 such images and the dense
+    # relations; reduce: the 240 symmetries and 64 generators at the height floor
+    assert budgets == {"construction": 3 * 4 + 1 + 12, "generators": 280, "reduce": 240 + 64}

@@ -42,7 +42,6 @@ from hessaut.products import (
     CurveAction,
     DescentScan,
     PackedProduct,
-    ceil_sqrt,
     curve_frame,
     preimage,
 )
@@ -265,7 +264,35 @@ def test_no_dot_product_in_the_descent_steps(monkeypatch):
     monkeypatch.setattr(exact, "dot", lambda u, v: calls.append(1) or real(u, v))
     assert a.descend(gamma) == want
     assert gamma.curve_action.combos
-    assert len(calls) == 1  # the height of gamma; the identity's is `descent_start`
+    # the height of gamma is the sum of its curve pairings; the identity's is `descent_start`
+    assert len(calls) == 0
+
+
+def test_height_pairs_with_omega_through_its_curve_pairings():
+    """`height` dots with `CurveFrame.omega_pairings`, whose first sixteen
+    are G omega, so it is <v, omega> for every class v."""
+    a, ctx = autctx(), picard()
+    omega = [int(x) for x in ctx.omega_prime]
+    g_omega = exact.mat_vec(ctx.gram, omega)
+    assert list(curve_frame().omega_pairings[:16]) == g_omega
+    rng = random.Random(35)
+    for _ in range(200):
+        v = [rng.randint(-BIG, BIG) for _ in range(16)]
+        assert a.height(v) == exact.dot(v, g_omega)
+    assert a.height(omega) == a.descent_start[1] == 20
+
+
+def test_a_letters_height_is_the_sum_of_its_curve_pairings():
+    """omega is the sum of the twenty curves, so the height of a letter b,
+    <b omega, omega>, is the sum of its action on omega's curve pairings,
+    and that is the first height of b's descent."""
+    a = autctx()
+    u_omega, n = a.descent_start
+    assert u_omega == curve_frame().omega_pairings and n == sum(u_omega)
+    for name, b, _ in a.descent:
+        want = a.height(b.apply(a.omega))
+        assert sum(b.curve_action(u_omega)) == want, name
+        assert a.descend(b)[2][0] == want, name
 
 
 # --- the height cap -----------------------------------------------------------
@@ -276,34 +303,50 @@ def _majorant(x, gram, omega, n):
     return Fraction(2 * exact.dot(gx, omega) ** 2, n) - exact.dot(gx, x)
 
 
-def test_height_constant_bounds_the_majorant_norms():
+def _majorant_norms():
+    """(n, the majorant norms of the 16 unit vectors, those of the twenty
+    curves), from the Gram matrix and omega alone."""
     ctx, frame = picard(), curve_frame()
     omega = [int(x) for x in ctx.omega_prime]
     n = exact.dot(exact.mat_vec(ctx.gram, omega), omega)
-    assert n == 20
     units = [[int(i == j) for j in range(16)] for i in range(16)]
-    basis = max(_majorant(e, ctx.gram, omega, n) for e in units)
-    curves = max(_majorant(q, ctx.gram, omega, n) for q in frame.coords)
-    c = frame.height_constant
-    assert c == Fraction(21, 100)
-    assert c * c * n * n >= 4 * basis * curves
+    return (n, [_majorant(e, ctx.gram, omega, n) for e in units],
+            [_majorant(q, ctx.gram, omega, n) for q in frame.coords])
 
 
-@pytest.mark.parametrize("x", [Fraction(441, 25), 2, 3, Fraction(1, 3), Fraction(10**40 + 1, 7), 0])
-def test_ceil_sqrt_rounds_up(x):
-    x = Fraction(x)
-    step = Fraction(1, x.denominator << 16)
-    r = ceil_sqrt(x)
-    assert r % step == 0 and r * r >= x
-    assert r == 0 or (r - step) ** 2 < x
-    if isqrt(x.numerator * x.denominator) ** 2 == x.numerator * x.denominator:
-        assert r * r == x
+def _tight_height_constant():
+    """The least c with (2 |H| / n) max ||e_i|| max ||q_c|| = c |H|: the
+    bound on the curve pairings before it was rounded up to |H|."""
+    n, basis, curves = _majorant_norms()
+    square = 4 * max(basis) * max(curves) / (n * n)
+    num, den = isqrt(square.numerator), isqrt(square.denominator)
+    assert Fraction(num, den) ** 2 == square
+    return Fraction(num, den)
+
+
+def test_the_curve_majorant_norms_certify_the_height_cap():
+    """`CurveFrame`'s certificate, 4 <q, omega>^2 - 2 n <q, q> <= n^2 for
+    every curve q, says ||q||^2 <= n / 2; the unit vectors are the basis
+    curves, so every |K_ic| <= (2 |H| / n) (n / 2) = |H|."""
+    ctx, frame = picard(), curve_frame()
+    n, basis, curves = _majorant_norms()
+    assert n == 20 and sum(frame.omega_pairings) == n
+    assert frame.coords[:16] == tuple(tuple(e) for e in exact.identity_matrix(16))
+    assert basis == curves[:16]
+    omega = [int(x) for x in ctx.omega_prime]
+    for q, norm, u in zip(frame.coords, curves, frame.omega_pairings):
+        gq = exact.mat_vec(ctx.gram, list(q))
+        assert u == exact.dot(gq, omega) == 1
+        assert exact.dot(gq, q) == -2
+        assert norm == Fraction(21, 10)
+        # the certificate's left side is 2 n ||q||^2, so it holds exactly when ||q||^2 <= n / 2
+        assert 4 * u * u - 2 * n * exact.dot(gq, q) == 2 * n * norm <= n * n
+    assert _tight_height_constant() == Fraction(21, 100)
 
 
 @pytest.mark.parametrize("height", [0, 1, -1, 4, 20, 99, 100, -101, 10**50 + 3])
 def test_entry_cap_is_the_ceiling(height):
-    cap = curve_frame().entry_cap(height)
-    assert 100 * cap >= 21 * abs(height) > 100 * (cap - 1)
+    assert curve_frame().entry_cap(height) == abs(height)
 
 
 def _replay_bounds(a, names):
@@ -325,10 +368,11 @@ def _replay_bounds(a, names):
 
 @pytest.mark.parametrize("block", [0, 1])
 def test_curve_pairings_stay_under_the_height_cap(block):
-    a, frame = autctx(), curve_frame()
+    """The tight bound c |H|, c = 21/100 from the majorants, not `entry_cap`'s |H|."""
+    a, c = autctx(), _tight_height_constant()
     for w in words.pool()[block]:
         for largest, height in _replay_bounds(a, w.split(",")):
-            assert largest <= frame.entry_cap(height), (w, height)
+            assert largest <= c * abs(height), (w, height)
 
 
 def test_letters_phase_repacks_under_the_cap(monkeypatch):

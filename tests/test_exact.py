@@ -234,28 +234,35 @@ def test_row_span_matches_full_rows_random():
         assert _full_rows(span) == full._rows
 
 
-def test_back_substitution_matches_the_general_inverse_random():
+def test_inverse_and_det_of_upper_triangular_matrices_random():
+    """`Ambient`'s frame is upper triangular, and its certificate reads the
+    determinant of one elimination: for such a matrix that is the product
+    of the diagonal, and a adj = den I with den least."""
     rng = random.Random(20)
     for n in range(1, 8):
         for _ in range(60):
             a = [[rng.randint(-6, 6) if j > i else 0 for j in range(n)] for i in range(n)]
             for i in range(n):
                 a[i][i] = rng.choice([-4, -3, -2, -1, 1, 2, 3, 8])
-            assert exact.invert_upper_triangular(a) == exact.invert_integer(a)
+            adj, den, det = exact.inverse_and_det(a)
+            assert det == math.prod(a[i][i] for i in range(n))
+            assert den > 0 and math.gcd(den, *(x for row in adj for x in row)) == 1
+            assert exact.mat_mul(a, adj) == [[den * (i == j) for j in range(n)] for i in range(n)]
+            assert (adj, den) == exact.invert_integer(a)
 
 
-def test_back_substitution_refuses_other_matrices():
-    for a in ([[1, 0], [1, 1]], [[1, 2], [0, 0]], [[0]]):
-        with pytest.raises(ValueError, match="upper triangular"):
-            exact.invert_upper_triangular(a)
+def test_inverse_and_det_refuses_a_zero_pivot():
+    for a in ([[1, 2], [0, 0]], [[0]], [[0, 1], [0, 1]], [[2, 1, 1], [0, 0, 3], [0, 0, 5]]):
+        with pytest.raises(ValueError, match="singular"):
+            exact.inverse_and_det(a)
 
 
-def test_the_ambient_frame_is_inverted_by_back_substitution():
+def test_the_ambient_frame_is_inverted_by_elimination():
     from hessaut.lattices import ambient
 
     amb = ambient()
     assert (amb._adj, amb._den) == exact.invert_integer(amb.rows)
     assert exact.det_rational(amb.gram) == -1
-    # the pivots that the det certificate reads
+    # the frame: the triangular Hermite rows of the Leech part and the two unit rows
     assert all(not any(row[:i]) for i, row in enumerate(amb.rows))
     assert math.prod(amb.rows[i][i] for i in range(24)) == 8 ** 12

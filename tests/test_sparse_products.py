@@ -141,12 +141,13 @@ def _dense_compose(isos):
 def _dense_reduce_height(a, gamma, cap=10000):
     """The descent loop as it ran on dense products."""
     v = gamma.apply(a.omega)
+    gram_omega = exact.mat_vec(a.ctx.gram, a.omega)
     word = []
     matrices = [list(r) for r in gamma.matrix]
     while True:
-        h = a.height(v)
+        h = exact.dot(v, gram_omega)
         for name, iso, _ in a.descent:
-            wvec = exact.mat_vec([list(r) for r in iso.matrix], a.gram_omega)
+            wvec = exact.mat_vec([list(r) for r in iso.matrix], gram_omega)
             if exact.dot(list(v), wvec) < h:
                 v = iso.apply(v)
                 word.append(name)
