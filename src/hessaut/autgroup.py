@@ -253,13 +253,6 @@ SYMMETRIZED_INVERSION_TABLE = {
     "T26": G2_EXPR, "T56": G5_EXPR,
 }
 
-# the (-6)-root of the worked reflection, as displayed
-REFLECTION_ROOT_EXPR = {
-    "etaH": 2, "etaS": -2,
-    "T46": 2, "T25": 2, "T34": 2, "T36": 2, "T15": 2,
-    "N36": 1, "N46": 1, "N56": 1, "N13": 1, "N24": 1,
-}
-
 # projections of the three worked wall roots, as displayed
 WALL_1A_EXPR = {
     "TT": Fraction(-2, 15), "NN": Fraction(2, 15),

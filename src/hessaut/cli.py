@@ -1,20 +1,28 @@
 """Batch verification driver.
 
 The constructors certify the facts they rely on; each suite certifies
-the rest, reporting one line per check, and `verify all` chains the
+the rest, reporting one line per check, and `verify all` reports the
 suites in a fixed order. Exit status is 0 when everything passes, 1 on a
 failed check or a failed constructor certification (reported on stderr
 as `certification failed: <message>`), 2 on usage errors. With --json a
 single machine-readable document is printed; equal seeds give
 byte-identical documents.
+
+`verify all` builds the construction once, then forks one child for the
+group suites (generators, reduce) while it runs the lattice suites
+itself; the child hands its checks back over a pipe, so the report and
+the exit status are those of the ten suites run one after another. A
+single suite, or a process with live threads, runs in-process.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
+import threading
 import time
 from collections import Counter
 from fractions import Fraction
@@ -42,6 +50,8 @@ from .hessian import (
 )
 from .lorentz import bilinear, weyl_vector
 from .autgroup import (
+    D1_EXPR,
+    D3_EXPR,
     PUSH_MULTIPLES,
     WALL_1A_EXAMPLE_OCTAD,
     WALL_1A_EXPR,
@@ -470,7 +480,6 @@ def generators_suite(seed: int) -> list:
     _check(checks, "generators.inversion-asymmetry", (True, False),
            (a.g.apply(t_sum) == pushed, a.f.apply(t_sum) == pushed),
            "only the symmetrized inversion pushes the line pair")
-    from .autgroup import D1_EXPR, D3_EXPR
     n_sum = tuple(x + y for x, y in zip(ctx.curve("N16"), ctx.curve("N36")))
     d1d3 = tuple(x + y for x, y in zip(ctx.resolve(D1_EXPR), ctx.resolve(D3_EXPR)))
     _check(checks, "generators.section-sum", True,
@@ -537,15 +546,66 @@ SUITES = {
 }
 
 
+# the group half: these read the built `autctx()` and nothing another suite
+# computes, and they close SUITE_NAMES, so their checks come last
+GROUP_SUITES = ("generators", "reduce")
+
+
+def _group_child(r: int, w: int, seed: int) -> None:
+    """The forked child of `verify all`: writes the GROUP_SUITES checks, or
+    the message of a CertificationError, to the pipe `w` as JSON, then
+    exits without flushing the stdio it inherited."""
+    status = 1
+    try:
+        os.close(r)
+        try:
+            doc = {"checks": [c.as_dict() for name in GROUP_SUITES for c in SUITES[name](seed)]}
+        except CertificationError as e:
+            doc = {"error": str(e)}
+        with open(w, "wb") as pipe:
+            pipe.write(json.dumps(doc).encode())
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _run_all(seed: int) -> list:
+    """The checks of all ten suites, in SUITE_NAMES order.
+
+    Once `autctx()` is built the group suites read nothing the others
+    compute, so one forked child runs them while this process runs the
+    rest. Fork with live threads is unsafe: then all ten run here.
+    """
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return [c for name in SUITE_NAMES for c in SUITES[name](seed)]
+    autctx()  # the construction both halves read, built once
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        _group_child(r, w, seed)
+    os.close(w)
+    try:
+        with open(r, "rb") as pipe:
+            checks = [c for name in SUITE_NAMES if name not in GROUP_SUITES
+                      for c in SUITES[name](seed)]
+            data = pipe.read()
+    finally:  # the pipe is closed first, so a child still writing cannot block
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status or not data:
+        raise RuntimeError(f"the suites {', '.join(GROUP_SUITES)} crashed in their "
+                           f"forked child (exit status {status}, {len(data)} bytes)")
+    doc = json.loads(data)
+    if "error" in doc:
+        raise CertificationError(doc["error"])
+    return checks + [Check(**c) for c in doc["checks"]]
+
+
 def run(suite: str, seed: int = 0) -> Report:
     """Execute one suite (or all of them) and assemble a report."""
     if suite != "all" and suite not in SUITES:
         raise KeyError(suite)
     t0 = time.monotonic()
-    checks: list = []
-    names = SUITE_NAMES if suite == "all" else (suite,)
-    for name in names:
-        checks.extend(SUITES[name](seed))
+    checks = _run_all(seed) if suite == "all" else SUITES[suite](seed)
     duration = int((time.monotonic() - t0) * 1000)
     return Report(suite, checks, duration)
 

@@ -16,7 +16,6 @@ from hessaut.autgroup import (
     WALL_3A_EXPR,
     WALL_3A_KS_FIRST,
     WALL_3B_OCTADS_FIRST,
-    REFLECTION_ROOT_EXPR,
     AutContext,
     Isometry,
     autctx,
@@ -32,6 +31,13 @@ from hessaut.hessian import CURVE_NAMES, NODE_NAMES, picard
 from hessaut.lorentz import bilinear
 from product_reference import conjugate, involution_by_rows, preserves_form
 from test_certification import _python_O
+
+# the (-6)-root of the worked reflection, as displayed
+REFLECTION_ROOT_EXPR = {
+    "etaH": 2, "etaS": -2,
+    "T46": 2, "T25": 2, "T34": 2, "T36": 2, "T15": 2,
+    "N36": 1, "N46": 1, "N56": 1, "N13": 1, "N24": 1,
+}
 
 
 def lam_octad(w, values=(-1, 3)):
