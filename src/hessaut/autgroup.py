@@ -512,10 +512,10 @@ class AutContext:
         # symmetry carrying b's wall to it. s is found on pairings with the
         # curves, which fix a class as the curves span: s moves them by its
         # action, a reindex. vec = 3 r1 is the (-6)-root of a case 1a wall.
-        # Each b is certified, on its action, an involution that negates its
-        # wall's vector r and pushes omega by k = PUSH_MULTIPLES[case] / den
-        # times it. s b s^-1 inherits all three: s fixes omega and sends r to
-        # the wall's vector r', so s b s^-1 (omega) = omega + k r'.
+        # Each b is certified, on its action, an involution that pushes omega
+        # by k = PUSH_MULTIPLES[case] / den > 0 times its wall's vector r. The
+        # two certify b(r) = -r too: b^2 = 1 gives k (r + b(r)) = 0. s b s^-1
+        # inherits all three, as s fixes omega and sends r to the wall's vector r'.
         u_omega = self.descent_start[0]
         w1a = next(w for w in walls["1a"] if frozenset(w.key[1:]) == WALL_1A_EXAMPLE_OCTAD)
         w2 = next(w for w in walls["2"] if bilinear(w.root, ctx.curve_roots["N16"]) == 1)
@@ -524,9 +524,8 @@ class AutContext:
         for w, b in ((w1a, self.reflection_phi(w1a.vec)), (w2, self.p16), (w3a, self.g)):
             u = w.pairings
             certify(b.is_involution(), f"{b.name} must be an involution")
-            certify(b.curve_action(u) == [-x for x in u], f"{b.name} must negate its wall's vector")
             push, rest = divmod(PUSH_MULTIPLES[w.case], w.den)
-            certify(rest == 0 and b.curve_action(u_omega) == [x + push * y for x, y in zip(u_omega, u)],
+            certify(rest == 0 < push and b.curve_action(u_omega) == [x + push * y for x, y in zip(u_omega, u)],
                     f"{b.name} must push omega by {PUSH_MULTIPLES[w.case]} times its wall's r1")
             carried.update((tuple(s.curve_action(u)), (b, s, push)) for s in chamber)
 
@@ -583,7 +582,8 @@ class AutContext:
         Row i is e_i + (G alpha)_i alpha / 3; alpha is primitive, so the
         row is integral exactly when 3 divides (G alpha)_i. As alpha^2 = -6,
         it negates alpha: alpha + (alpha^2 / 3) alpha = -alpha; construction
-        certifies this once, on the worked phi's curve action.
+        certifies this once, for the worked phi, by its involution and push
+        certificates, which together imply it.
         """
         if gcd(*alpha) != 1:
             raise ValueError("reflection vector must be primitive")

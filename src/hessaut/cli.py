@@ -475,15 +475,15 @@ def generators_suite(seed: int) -> list:
     _check(checks, "generators.gram-preserved", True, gram_ok,
            "every descent generator preserves the intersection form")
     w3a = next(w for w in a.walls["3a"] if w.key[1:] == (1, 5))
+    six_vec = [6 * x for x in w3a.vec]  # image = base + 6 r1, as den (image - base) = 6 vec
     t_sum = tuple(x + y for x, y in zip(ctx.curve("T26"), ctx.curve("T56")))
-    pushed = tuple(x + 6 * r for x, r in zip(t_sum, w3a.r1))
     _check(checks, "generators.inversion-asymmetry", (True, False),
-           (a.g.apply(t_sum) == pushed, a.f.apply(t_sum) == pushed),
+           tuple([w3a.den * (y - x) for y, x in zip(b.apply(t_sum), t_sum)] == six_vec for b in (a.g, a.f)),
            "only the symmetrized inversion pushes the line pair")
     n_sum = tuple(x + y for x, y in zip(ctx.curve("N16"), ctx.curve("N36")))
     d1d3 = tuple(x + y for x, y in zip(ctx.resolve(D1_EXPR), ctx.resolve(D3_EXPR)))
     _check(checks, "generators.section-sum", True,
-           d1d3 == tuple(x + 6 * r for x, r in zip(n_sum, w3a.r1)),
+           [w3a.den * (y - x) for y, x in zip(d1d3, n_sum)] == six_vec,
            "the two moved sections sum to the pushed node pair")
     return checks
 

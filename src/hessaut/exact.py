@@ -3,10 +3,10 @@
 Everything runs over arbitrary-precision ints; no floating point is used
 anywhere. Hermite and Smith forms use unimodular row and column
 operations. Determinants, inverses and linear solves all go through one
-fraction-free elimination, `eliminate`; ``fractions.Fraction``
-appears only at the boundary, in the results of `det_rational`,
-`invert_rational` and `solve_rational`. Matrices are lists of row lists
-and public functions never mutate their arguments.
+fraction-free elimination, `eliminate`; ``fractions.Fraction`` appears
+only in the two rational views `invert_rational` and `solve_rational`,
+and in `clear_denominators`, which feeds the second. Matrices are lists
+of row lists and public functions never mutate their arguments.
 """
 
 from __future__ import annotations
@@ -270,10 +270,10 @@ def invert_rational(a) -> list[list[Fraction]]:
     return [[Fraction(x, d) for x in row] for row in n]
 
 
-def det_rational(a) -> Fraction:
-    """Exact determinant of a square integer matrix."""
+def det(a) -> int:
+    """Determinant of a square integer matrix: the signed last minor."""
     _, cols, minors, swaps = eliminate(a)
-    return Fraction((-1) ** swaps * minors[-1] if len(cols) == len(a) else 0)
+    return (-1) ** swaps * minors[-1] if len(cols) == len(a) else 0
 
 
 class RowSpan:

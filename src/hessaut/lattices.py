@@ -126,7 +126,7 @@ class EmbeddedLattice:
         return len(self.rows)
 
     def disc_order(self) -> int:
-        return abs(int(exact.det_rational(self.gram)))
+        return abs(exact.det(self.gram))
 
 
 def _from_rows(rows: list[list[int]]) -> EmbeddedLattice:

@@ -50,10 +50,10 @@ def bilinear(a: LorentzVector, b: LorentzVector) -> int:
 
 
 def leech_root(lam: LeechVector) -> LorentzVector:
-    """The Leech root attached to a lattice vector."""
+    """The Leech root attached to a lattice vector, tested for membership once."""
     if not leech.contains(lam):
         raise ValueError("Leech roots require a Leech lattice member")
-    r = LorentzVector(tuple(lam), 1, -1 + leech.norm(lam) // 2)
+    r = LorentzVector(tuple(lam), 1, -1 + leech.raw_dot(lam, lam) // 8 // 2)
     certify(bilinear(r, r) == -2, "a Leech root must have norm -2")
     return r
 

@@ -1,10 +1,11 @@
 """Rational routines on `Fraction`: the references for the integer paths.
 
 Gauss-Jordan elimination is what `exact.solve_rational`,
-`exact.invert_rational` and `exact.det_rational` ran before they moved
-onto the fraction-free integer kernel (`exact.eliminate`). `resolve` is
-the summation `hessian.Picard.resolve` ran while classes were Fraction
-tuples. Tests compare the integer paths with them.
+`exact.invert_rational` and `exact.det` (formerly `det_rational`, a
+Fraction) ran before they moved onto the fraction-free integer kernel
+(`exact.eliminate`). `resolve` is the summation `hessian.Picard.resolve`
+ran while classes were Fraction tuples. Tests compare the integer paths
+with them.
 """
 
 import math

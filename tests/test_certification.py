@@ -4,6 +4,7 @@ rather than a traceback."""
 
 import ast
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -47,7 +48,10 @@ def test_only_the_boundary_views_import_fractions():
     """Integers inside: `Fraction` is imported by the modules whose API and
     report views give rationals (exact inverses and solutions, the Picard
     inner product, the wall projections r1, the report) and by no other,
-    so `lattices` and `products` compute on integers only."""
+    so `lattices` and `products` compute on integers only. An import says
+    nothing about what runs: `EmbeddedLattice.disc_order` once read its
+    determinant as a `Fraction` through `exact`, which this check allowed.
+    `test_only_verify_walls_computes_with_fractions` pins the run-time side."""
     found = set()
     for path in sorted((SRC / "hessaut").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -60,6 +64,61 @@ def test_only_the_boundary_views_import_fractions():
             if any(name.split(".")[0] == "fractions" for name in names):
                 found.add(path.stem)
     assert found == {"exact", "hessian", "autgroup", "cli"}
+
+
+# every command a user runs: the ten suites alone, and the pinned word
+CENSUS_COMMANDS = [["verify", suite, "--json"] for suite in cli.SUITE_NAMES] + [
+    ["reduce", "--word", "tau,p16,g1,phi2,s21345", "--json"]
+]
+
+# run after `import hessaut.cli`, so the module constants built at import
+# (the `WALL_*_EXPR` coefficients) are not counted: for each command of
+# argv[1] in turn, its exit status and the names of the functions of
+# `fractions.py` whose frames it entered, under a `sys.setprofile` hook
+CENSUS = """\
+import contextlib, fractions, io, json, sys
+import hessaut.cli
+
+entered = set()
+
+def hook(frame, event, arg):
+    if event == "call" and frame.f_code.co_filename == fractions.__file__:
+        entered.add(frame.f_code.co_name)
+
+out = {}
+for argv in json.loads(sys.argv[1]):
+    entered.clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        sys.setprofile(hook)
+        try:
+            status = hessaut.cli.main(argv)
+        finally:
+            sys.setprofile(None)
+    out[" ".join(argv)] = [status, sorted(entered)]
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_only_verify_walls_computes_with_fractions(flags):
+    """Integers inside, at run time: of every command, only `verify walls`
+    enters `fractions.py`, for the projection norms it prints and the
+    `WALL_*_EXPR` expansions it displays. That it does shows the hook is
+    live. Frames, not `Fraction.__new__` calls, are counted: from Python
+    3.12 `Fraction` arithmetic builds its results through
+    `_from_coprime_ints`. One fresh interpreter runs every command, so a
+    command is charged with what it builds first."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", CENSUS, json.dumps(CENSUS_COMMANDS)],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    census = json.loads(proc.stdout)
+    assert [status for status, _ in census.values()] == [0] * len(CENSUS_COMMANDS)
+    assert census.pop("verify walls --json")[1] != []
+    assert {k: entered for k, (_, entered) in census.items()} == dict.fromkeys(census, [])
 
 
 def test_constructor_certification_runs_under_python_O():

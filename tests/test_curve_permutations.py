@@ -207,9 +207,17 @@ def test_every_carrying_symmetry_gives_the_same_generator():
 
 # construction mutants, as code run before `reduce`, by the failure they raise
 MUTANTS = {
-    # the 1a family given g, which does not negate the 1a wall's vector
-    "g must negate its wall's vector":
+    # the 1a family given g, an involution that pushes omega along a case 3a
+    # wall's vector, not along the 1a wall's (nor negates the 1a wall's)
+    "g must push omega by 15 times its wall's r1":
         "autgroup.AutContext.reflection_phi = lambda self, alpha: self.g\n",
+    # the 1a family given tau with a push of 0: tau is an involution and
+    # fixes omega, so only the push certificate's k > 0 refuses it. That
+    # clause, with b^2 = 1, is what certifies that b negates its wall's vector
+    "tau must push omega by 0 times its wall's r1": (
+        "autgroup.AutContext.reflection_phi = lambda self, alpha: self.tau\n"
+        "autgroup.PUSH_MULTIPLES['1a'] = 0\n"
+    ),
     # each tau*s built as s: S5 alone does not carry the worked 1a wall to
     # every case 1a wall
     "no chamber symmetry carries a worked wall to": (

@@ -79,8 +79,8 @@ def test_eliminate_gives_integer_reduced_echelon_form(m):
 @settings(max_examples=300, deadline=None)
 @given(square_matrices())
 def test_det_matches_fraction_reference(m):
-    got = exact.det_rational(m)
-    assert got == ref.det(m) and type(got) is Fraction
+    got = exact.det(m)
+    assert got == ref.det(m) and type(got) is int
 
 
 @settings(max_examples=300, deadline=None)

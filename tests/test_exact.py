@@ -9,7 +9,7 @@ from hessaut.golay import steiner_system
 
 
 def _unimodular(u) -> bool:
-    return len(u) > 0 and abs(exact.det_rational(u)) == 1
+    return len(u) > 0 and abs(exact.det(u)) == 1
 
 
 def test_hnf_identity():
@@ -262,7 +262,7 @@ def test_the_ambient_frame_is_inverted_by_elimination():
 
     amb = ambient()
     assert (amb._adj, amb._den) == exact.invert_integer(amb.rows)
-    assert exact.det_rational(amb.gram) == -1
+    assert exact.det(amb.gram) == -1
     # the frame: the triangular Hermite rows of the Leech part and the two unit rows
     assert all(not any(row[:i]) for i, row in enumerate(amb.rows))
     assert math.prod(amb.rows[i][i] for i in range(24)) == 8 ** 12
