@@ -350,9 +350,18 @@ def wall_root_gram(root: LorentzVector) -> list[list[int]]:
     return [list(row) + [c] for row, c in zip(base_root_gram(), col)] + [col]
 
 
-def classify_wall_root(root: LorentzVector) -> WallRoot:
+@cache
+def wall_lattice_type(gram: tuple[tuple[int, ...], ...]) -> str:
+    """`lattices.root_type` of R + Zr by its `wall_root_gram` as tuples, R's Gram
+    bordered by r's pairings: the 52 walls span 21 lattices, each typed once."""
+    return lattices.root_type(gram)
+
+
+def classify_wall_root(root: LorentzVector, projection: tuple[ClassVec, int] | None = None) -> WallRoot:
     """Case tag, root-lattice type and checked projection of a wall root,
-    certified on R + Zr; only `verify walls` (and the tests) call it."""
+    certified on R + Zr; only `verify walls` (and the tests) call it. The
+    projection (vec, den), by default `Picard.project`, is checked, not made:
+    vec / den is the case's closed form, and den its least denominator."""
     ctx = picard()
     gram = wall_root_gram(root)
     pat = dict(zip(BASE_ROOT_ORDER, gram[-1]))
@@ -377,23 +386,22 @@ def classify_wall_root(root: LorentzVector) -> WallRoot:
 
     # root_type rejects a singular Gram matrix (with pairings 0 or 1, one has a
     # component that is not a Dynkin diagram), so the eleven roots have rank 11
-    rtype = lattices.root_type(gram)
+    rtype = wall_lattice_type(tuple(map(tuple, gram)))
     certify(rtype == CASE_ROOT_TYPES[case], f"case {case} wall lattice has type {rtype}")
 
-    vec, den = ctx.project(root)
-    if case != "0":
-        # the closed form times denom: denom*r plus a dual-basis correction
-        # inside R tensor Q, where each x_i met by r has coefficient 1/2
-        coeffs, denom = CASE_CORRECTIONS.get(case, ({}, 2))
-        coeffs = {**coeffs, **dict.fromkeys(xs, denom // 2)}
-        raw = [denom * x for x in root.raw()]
-        for k, c in coeffs.items():
-            raw = [a + c * b for a, b in zip(raw, ctx.roots[k].raw())]
-        r1_raw = exact.vec_mat(vec, [ctx.curve_roots[b].raw() for b in ctx.basis_names])
-        certify([denom * x for x in r1_raw] == [den * x for x in raw],
-                f"closed-form projection mismatch in case {case}")
-    else:
+    if case == "0":
         certify(root in ctx.curve_roots.values(), "a case 0 wall root must be a curve root")
+    vec, den = projection or ctx.project(root)
+    # the closed form times denom: denom*r plus a dual-basis correction inside
+    # R tensor Q (none in case 0), where each x_i met by r has coefficient 1/2
+    coeffs, denom = CASE_CORRECTIONS.get(case, ({}, 2))
+    coeffs = {**coeffs, **dict.fromkeys(xs, denom // 2)}
+    raw = [denom * x for x in root.raw()]
+    for k, c in coeffs.items():
+        raw = [a + c * b for a, b in zip(raw, ctx.roots[k].raw())]
+    r1_raw = exact.vec_mat(vec, [ctx.curve_roots[b].raw() for b in ctx.basis_names])
+    certify(den > 0 and gcd(den, *vec) == 1 and [denom * x for x in r1_raw] == [den * x for x in raw],
+            f"closed-form projection mismatch in case {case}")
     return WallRoot(case, root, vec, den, (case, tuple(sorted(root.lam)), root.lam, root.m, root.n))
 
 

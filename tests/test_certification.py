@@ -19,16 +19,23 @@ from hessaut.hessian import Picard
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _python_O(code):
-    """Run code in a fresh `python -O` with `src` on the path."""
-    env = dict(os.environ)
+def _python(*args, path=(), **env):
+    """`python *args` in a fresh interpreter, output captured as text, with
+    `path` and then `src` put before any inherited PYTHONPATH; each keyword
+    sets an environment variable, or unsets it when None."""
+    env = {**os.environ, **env}
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+        p for p in (*map(str, path), str(SRC), os.environ.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        env=env, capture_output=True, text=True, timeout=600,
+        [sys.executable, *args], capture_output=True, text=True, timeout=600,
+        env={k: v for k, v in env.items() if v is not None},
     )
+
+
+def _python_O(code):
+    """Run code in a fresh `python -O` with `src` on the path."""
+    return _python("-O", "-c", code)
 
 
 def test_src_has_no_assert_statements_or_assertion_errors():
@@ -108,12 +115,7 @@ def test_only_verify_walls_computes_with_fractions(flags):
     3.12 `Fraction` arithmetic builds its results through
     `_from_coprime_ints`. One fresh interpreter runs every command, so a
     command is charged with what it builds first."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, *flags, "-c", CENSUS, json.dumps(CENSUS_COMMANDS)],
-        env=env, capture_output=True, text=True, timeout=600,
-    )
+    proc = _python(*flags, "-c", CENSUS, json.dumps(CENSUS_COMMANDS))
     assert proc.returncode == 0, proc.stderr
     census = json.loads(proc.stdout)
     assert [status for status, _ in census.values()] == [0] * len(CENSUS_COMMANDS)
@@ -200,9 +202,7 @@ def test_a_broken_built_in_table_is_a_failed_certification(flags, command):
         "autgroup.NODE_PROJECTION_TABLE.update({'N56': {'N56': 1}, 'N24': {'N24': 1}})\n"
         f"sys.exit(cli.main({command!r}))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, *flags, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=600)
+    proc = _python(*flags, "-c", code)
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.splitlines() == [
         "certification failed: p16: images violate the curve relations at T34"

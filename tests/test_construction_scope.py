@@ -65,10 +65,11 @@ def test_a_fresh_picard_eliminates_its_gram_matrix_once(monkeypatch):
 def test_verify_walls_classifies_every_wall(monkeypatch):
     seen = []
     monkeypatch.setattr(cli, "classify_wall_root",
-                        lambda root: seen.append(root) or classify_wall_root(root))
+                        lambda *args: seen.append(args) or classify_wall_root(*args))
     assert cli.run("walls").passed
-    assert seen == [w.root for ws in autctx().walls.values() for w in ws]
-    assert len(set(seen)) == 52
+    # on the projection its search made, not projected a second time
+    assert seen == [(w.root, (w.vec, w.den)) for ws in autctx().walls.values() for w in ws]
+    assert len({root for root, _ in seen}) == 52
 
 
 def test_the_glue_vector_is_certified_when_read(monkeypatch):
@@ -82,11 +83,39 @@ def test_the_glue_vector_is_certified_when_read(monkeypatch):
         fresh.theta
 
 
+def _rescale_a_wall(monkeypatch):
+    w = autctx().walls["3a"][0]
+    monkeypatch.setattr(w, "vec", tuple(2 * x for x in w.vec))
+    monkeypatch.setattr(w, "den", 2 * w.den)
+
+
+WALL_MUTANTS = {
+    "root type": (lambda monkeypatch: monkeypatch.setitem(autgroup.CASE_ROOT_TYPES, "2", "A1"),
+                  "case 2 wall lattice has type A5+A3+3A1"),
+    # the same class, but den is not its least denominator
+    "rescaled wall": (_rescale_a_wall, "closed-form projection mismatch in case 3a"),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(WALL_MUTANTS))
+def test_verify_walls_certifies_each_wall_again_after_a_passing_run(monkeypatch, capsys, mutant):
+    """The wall lattices' types are cached, never the verdicts on them."""
+    patch, message = WALL_MUTANTS[mutant]
+    assert cli.main(["verify", "walls"]) == 0
+    patch(monkeypatch)
+    capsys.readouterr()
+    assert cli.main(["verify", "walls"]) == 1
+    assert capsys.readouterr().err == f"certification failed: {message}\n"
+
+
 # (patch, suite, message): the suite that reads the broken fact fails its
 # certification, and a reduce, which reads neither fact, still succeeds
 MUTATIONS = {
     "root type": ("autgroup.CASE_ROOT_TYPES['2'] = 'A1'\n", "walls",
                   "case 2 wall lattice has type A5+A3+3A1"),
+    "rescaled wall": ("_w = autgroup.autctx().walls['3a'][0]\n"
+                      "_w.vec, _w.den = tuple(2 * x for x in _w.vec), 2 * _w.den\n",
+                      "walls", "closed-form projection mismatch in case 3a"),
     "glue vector": ("_roots = hessian.base_roots()\n"
                     "_roots['x1'] = hessian.picard().curve_roots['N16']\n"
                     "hessian.base_roots = lambda: dict(_roots)\n",

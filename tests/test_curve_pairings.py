@@ -11,9 +11,6 @@ recovery of M from K with its relation and divisibility checks
 cannot be stripped by `python -O`.
 """
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -29,8 +26,7 @@ from hessaut.autgroup import (
 from hessaut.hessian import picard
 from hessaut.products import PackedProduct, curve_frame
 from product_reference import conjugate, inversion_f, matrix_from_pairings
-
-SRC = Path(__file__).resolve().parents[1] / "src"
+from test_certification import _python
 
 
 def _pairings(x):
@@ -227,10 +223,7 @@ WORD_JSON = (
 
 
 def _run(args, code=None):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    cmd = [sys.executable, *args] + (["-c", code] if code else [])
-    return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=600)
+    return _python(*args, *(["-c", code] if code else []))
 
 
 def test_reduce_is_byte_identical_under_python_O():

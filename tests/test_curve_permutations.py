@@ -14,9 +14,7 @@ rejections (plain and `python -O`), and the construction budget of
 `AutContext`.
 """
 
-import os
 import random
-import subprocess
 import sys
 from functools import cache
 from itertools import permutations
@@ -41,10 +39,10 @@ from hessaut.hessian import NODE_NAMES, picard
 from hessaut.products import CurveAction, curve_frame
 
 from product_reference import conjugate, matrix_from_pairings, s5_conjugate
+from test_certification import _python, _python_O
 from test_curve_pairings import _check_action, _non_registry_isometries, _pairings
 from test_hessian import TAU_PAIRS
 
-SRC = Path(__file__).resolve().parent.parent / "src"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
@@ -241,10 +239,7 @@ def test_construction_certifies_that_worked_generators_reach_every_wall(message,
         + MUTANTS[message]
         + "sys.exit(cli.main(['reduce', '--word', 'p16']))\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, *flags, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=600)
+    proc = _python(*flags, "-c", code)
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith(f"certification failed: {message}"), proc.stderr
 
@@ -480,10 +475,7 @@ def test_curve_permutation_rejects_under_python_O():
         "    except ValueError as e:\n"
         "        print('rejected:', e)\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=600)
+    proc = _python_O(code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "rejected: bad: not a bijection of the twenty curves",

@@ -18,9 +18,7 @@ symmetries must act on the curves as a group of permutations.
 """
 
 import inspect
-import os
 import random
-import subprocess
 import sys
 from fractions import Fraction
 from itertools import product as cartesian
@@ -46,8 +44,8 @@ from hessaut.products import (
     preimage,
 )
 from product_reference import HeightScan, conjugate, descent_vectors, inversion_f
+from test_certification import _python
 
-SRC = Path(__file__).resolve().parent.parent / "src"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
@@ -510,10 +508,7 @@ def test_curve_action_rejects_multiples_of_isometries():
 
 
 def _run(args, code):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    cmd = [sys.executable, *args, "-c", code]
-    return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=600)
+    return _python(*args, "-c", code)
 
 
 def test_curve_action_rejects_multiples_under_python_O():

@@ -2,10 +2,6 @@
 (`golay_reference`), and what a cold `verify all` keeps of it."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,8 +10,8 @@ from hypothesis import strategies as st
 import golay_reference as ref
 from hessaut import golay, leech
 from hessaut.golay import golay_basis, golay_code, is_codeword, mask_points, set_mask, steiner_system
+from test_certification import _python
 
-SRC = Path(__file__).resolve().parent.parent / "src"
 CODE = sorted(ref.code())
 
 
@@ -95,10 +91,7 @@ print(json.dumps({
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_a_cold_verify_all_keeps_the_octads_as_ints_and_no_code(flags):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, *flags, "-c", PIN], env=env,
-                          capture_output=True, text=True, timeout=600)
+    proc = _python(*flags, "-c", PIN)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
         "optimize": len(flags),

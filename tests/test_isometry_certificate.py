@@ -10,9 +10,6 @@ a fresh `python -O`, and both must give the expected value.
 """
 
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -21,9 +18,9 @@ from hessaut.autgroup import SKEW_LINE_TABLE, Isometry, autctx, compose, relabel
 from hessaut.checks import CertificationError
 from hessaut.products import CurveAction
 from product_reference import s5_conjugate
+from test_certification import _python_O
 
 TESTS = Path(__file__).resolve().parent
-SRC = TESTS.parent / "src"
 
 
 def relabel_of_a_three_cycle():
@@ -89,16 +86,13 @@ PROBES = {
 
 
 def _under_python_O(probe):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     code = (
         "import json, sys\n"
         f"sys.path.insert(0, {str(TESTS)!r})\n"
         "import test_isometry_certificate as t\n"
         f"print(json.dumps(t.{probe.__name__}()))\n"
     )
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=600)
+    proc = _python_O(code)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 

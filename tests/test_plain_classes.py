@@ -7,9 +7,6 @@ with any other type.
 """
 
 import json
-import os
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
@@ -20,7 +17,7 @@ from hessaut.lattices import EmbeddedLattice, FiniteQuadraticForm, discriminant_
 from hessaut.hessian import picard
 from hessaut.lorentz import LorentzVector
 
-from test_certification import SRC
+from test_certification import _python
 
 
 def _pair_and_variants():
@@ -118,10 +115,7 @@ def test_cli_imports_no_dataclasses_and_verify_all_builds_no_group_or_cover_tabl
         "golay.SteinerSystem.covering_counts = refuse\n"
         "sys.exit(cli.main(['verify', 'all']))\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
-        capture_output=True, text=True, timeout=600,
-    )
+    proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "[]"

@@ -8,16 +8,11 @@ too, since certification cannot be stripped.
 """
 
 import hashlib
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 from hessaut import cli
-
-SRC = Path(__file__).resolve().parents[1] / "src"
+from test_certification import _python
 
 VERIFY_ALL_JSON_SHA256 = "33bdbe42166c9cea52ecc6534155c440204e834fcae97489b86cc94aee9a6129"
 
@@ -34,13 +29,6 @@ def test_verify_all_json_is_pinned(capsys, seed):
 
 @pytest.mark.parametrize("seed", ["1", "7"])
 def test_verify_all_json_is_pinned_under_python_O(seed):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, "-O", "-B", "-m", "hessaut.cli", "verify", "all", "--json", "--seed", seed],
-        env=env, capture_output=True, text=True, timeout=600,
-    )
+    proc = _python("-O", "-B", "-m", "hessaut.cli", "verify", "all", "--json", "--seed", seed)
     assert proc.returncode == 0, proc.stderr
     assert _sha256(proc.stdout) == VERIFY_ALL_JSON_SHA256

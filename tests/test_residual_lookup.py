@@ -14,9 +14,6 @@ the symmetries and is replayed, plain and under `python -O`.
 """
 
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -26,10 +23,10 @@ from hessaut import autgroup, cli
 from hessaut.autgroup import Isometry, autctx
 from hessaut.products import DescentScan, curve_frame
 from product_reference import matrix_from_pairings
+from test_certification import _python_O
 from test_curve_permutations import _descend_dot_per_letter, words
 
 TESTS = Path(__file__).resolve().parent
-SRC = TESTS.parent / "src"
 # the descent letters a stalled descent may take: phi1-phi12 and the ten p
 STALLED_LETTERS = 22
 
@@ -207,9 +204,8 @@ a = autctx()
 a.scan = DescentScan(a.scan.rs[:t.STALLED_LETTERS])
 print(json.dumps([[w, r.matrix, h] for w, r, h in map(a.descend, t._stalled_words())]))
 """
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
-                          text=True, env=env, check=True)
+    proc = _python_O(script)
+    assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == want
 
 

@@ -2,23 +2,17 @@
 path; a renamed or removed target must fail here, not only inside a
 `perfbench/run.py --trace` run."""
 
-import os
 import subprocess
-import sys
 from pathlib import Path
+
+from test_certification import _python
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def _run_traced(code: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "perfbench"), str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
-    env["PYTHONDONTWRITEBYTECODE"] = "1"  # leave perfbench/ as it is
-    return subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300,
-    )
+    # no bytecode, to leave perfbench/ as it is
+    return _python("-c", code, path=[ROOT / "perfbench"], PYTHONDONTWRITEBYTECODE="1")
 
 
 def test_tracer_installs_on_every_target():

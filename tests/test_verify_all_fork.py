@@ -10,14 +10,10 @@ can hide a leftover one.
 """
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from test_certification import _python
 
 SCRIPT = r"""
 import contextlib, io, json, os, sys, threading
@@ -116,11 +112,8 @@ CRASHED = ("RuntimeError: the suites generators, reduce crashed in their forked 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_verify_all_forks_once_and_matches_the_serial_suites(flags):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
-    env.pop("PYTHONUNBUFFERED", None)  # keep "unflushed" in the inherited buffer
-    proc = subprocess.run([sys.executable, *flags, "-c", SCRIPT], env=env,
-                          capture_output=True, text=True, timeout=300)
+    # PYTHONUNBUFFERED unset, to keep "unflushed" in the inherited buffer
+    proc = _python(*flags, "-c", SCRIPT, PYTHONUNBUFFERED=None)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("unflushed") == 1
     result = json.loads(proc.stdout.removeprefix("unflushed"))
