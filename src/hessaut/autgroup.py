@@ -19,7 +19,6 @@ Reduce words run on the kernels of `products`.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache, cached_property, reduce
 from itertools import permutations
 from math import gcd
@@ -253,22 +252,13 @@ SYMMETRIZED_INVERSION_TABLE = {
     "T26": G2_EXPR, "T56": G5_EXPR,
 }
 
-# projections of the three worked wall roots, as displayed
-WALL_1A_EXPR = {
-    "TT": Fraction(-2, 15), "NN": Fraction(2, 15),
-    "T36": Fraction(2, 3), "T46": Fraction(2, 3), "T15": Fraction(2, 3),
-    "T25": Fraction(2, 3), "T34": Fraction(2, 3),
-    "N36": Fraction(1, 3), "N46": Fraction(1, 3), "N56": Fraction(1, 3),
-    "N13": Fraction(1, 3), "N24": Fraction(1, 3),
-}
-WALL_2_EXPR = {"C16": Fraction(1, 2), "N45": Fraction(-1, 2)}
-WALL_3A_EXPR = {
-    "N26": Fraction(1, 2), "N45": Fraction(1, 2), "N56": Fraction(1, 2), "N24": Fraction(1, 2),
-    "N16": Fraction(-1, 3), "N36": Fraction(-1, 3),
-    "N13": Fraction(1, 3), "N46": Fraction(1, 3),
-    "T46": Fraction(2, 3), "T25": Fraction(2, 3),
-    "T15": Fraction(1, 3), "T23": Fraction(1, 3),
-}
+# projections of the three worked wall roots, as displayed: integer
+# coefficients over the displayed denominator
+WALL_1A_EXPR = ({"TT": -2, "NN": 2, "T36": 10, "T46": 10, "T15": 10, "T25": 10, "T34": 10,
+                 "N36": 5, "N46": 5, "N56": 5, "N13": 5, "N24": 5}, 15)
+WALL_2_EXPR = ({"C16": 1, "N45": -1}, 2)
+WALL_3A_EXPR = ({"N26": 3, "N45": 3, "N56": 3, "N24": 3, "N16": -2, "N36": -2,
+                 "N13": 2, "N46": 2, "T46": 4, "T25": 4, "T15": 2, "T23": 2}, 6)
 
 WALL_1A_EXAMPLE_OCTAD = frozenset({oo, 0, 1, 5, 9, 11, 13, 21})
 WALL_2_EXAMPLE_OCTAD = frozenset({0, oo, 6, 7, 10, 12, 15, 18})
@@ -336,6 +326,7 @@ class WallRoot:
 
     @cached_property
     def r1(self) -> tuple[Fraction, ...]:
+        from fractions import Fraction
         return tuple(Fraction(x, self.den) for x in self.vec)
 
     @cached_property
@@ -582,6 +573,7 @@ class AutContext:
     @staticmethod
     def _apply_q(iso: Isometry, vec) -> tuple:
         """Image of a rational class vector, as a tuple of Fractions."""
+        from fractions import Fraction
         return tuple(map(Fraction, iso.apply(vec)))
 
     def reflection_phi(self, alpha) -> Isometry:

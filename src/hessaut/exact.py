@@ -3,16 +3,16 @@
 Everything runs over arbitrary-precision ints; no floating point is used
 anywhere. Hermite and Smith forms use unimodular row and column
 operations. Determinants, inverses and linear solves all go through one
-fraction-free elimination, `eliminate`; ``fractions.Fraction`` appears
-only in the two rational views `invert_rational` and `solve_rational`,
-and in `clear_denominators`, which feeds the second. Matrices are lists
-of row lists and public functions never mutate their arguments.
+fraction-free elimination, `eliminate`; ``fractions.Fraction`` is
+imported only inside the two rational views `invert_rational` and
+`solve_rational`, whose rational input `clear_denominators` scales to
+integers. Matrices are lists of row lists and public functions never
+mutate their arguments.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import mul
 
 
@@ -230,6 +230,7 @@ def solve_rational(a, b) -> list[Fraction] | None:
     integers. Free variables, if any, are set to zero, which makes the
     result deterministic.
     """
+    from fractions import Fraction
     nc = len(a[0]) if a else 0
     rows, cols, minors, _ = eliminate(
         [clear_denominators(list(row) + [y])[0] for row, y in zip(a, b)]
@@ -266,6 +267,7 @@ def invert_integer(a) -> tuple[list[list[int]], int]:
 
 def invert_rational(a) -> list[list[Fraction]]:
     """Exact inverse of a square integer matrix over the rationals."""
+    from fractions import Fraction
     n, d = invert_integer(a)
     return [[Fraction(x, d) for x in row] for row in n]
 

@@ -16,7 +16,6 @@ are built only when read, by the suites that certify the embedding.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations
 
@@ -267,8 +266,8 @@ class Picard:
     def resolve(self, expr: dict) -> ClassVec:
         """Evaluate a formal sum over curve names, etaH/etaS, NN/TT, omega,
         Cxx and Rxx as the sum of coeff * class. The classes are int tuples,
-        so int coefficients give an int tuple, and a Fraction coefficient
-        (as in the displayed wall projections) a Fraction tuple."""
+        so int coefficients give an int tuple, and a Fraction coefficient a
+        Fraction tuple."""
         out = (0,) * 16
         for key, coeff in expr.items():
             if key in self.curve_coord:
@@ -307,6 +306,7 @@ class Picard:
 
     def project_to_sh(self, v: LorentzVector) -> tuple[Fraction, ...]:
         """`project` as a tuple of Fractions."""
+        from fractions import Fraction
         nums, den = self.project(v)
         return tuple(Fraction(x, den) for x in nums)
 

@@ -204,16 +204,18 @@ def discriminant_form_from_gram(gram) -> tuple[FiniteQuadraticForm, tuple[list[l
     transform, as (rows, den): generator i has the rational coordinates
     rows[i] / den over the lattice basis.
     """
-    d, _, v = exact.smith_normal_form([list(r) for r in gram])
+    d, u, _ = exact.smith_normal_form([list(r) for r in gram])
     if not gram or not d[-1][-1]:  # zeros end the Smith diagonal
         raise ValueError("discriminant form requires a nondegenerate Gram matrix")
-    adj, den = exact.invert_integer(gram)
-    vinv, _ = exact.invert_integer(v)  # v is unimodular
+    # u G v = D, so G^-1 = v D^-1 u: generator i is u[i] / d_i, over the
+    # exponent den = d_n, the least denominator of G^-1; and u[i] G / d_i is
+    # row i of v^-1, an integer row whose dot with nums[j] is den times the
+    # pairing of generators i and j
+    den = d[-1][-1]
     keep = [i for i in range(len(gram)) if d[i][i] > 1]
-    # generator i is vinv[i] G^-1 = nums[i] / den, so its pairing with
-    # generator j is vinv[i] . nums[j] / den
-    nums = [exact.vec_mat(vinv[i], adj) for i in keep]
-    pair = [[exact.dot(vinv[i], n) for n in nums] for i in keep]
+    nums = [[den // d[i][i] * x for x in u[i]] for i in keep]
+    duals = [[x // d[i][i] for x in exact.vec_mat(u[i], gram)] for i in keep]
+    pair = [[exact.dot(w, n) for n in nums] for w in duals]
     form = FiniteQuadraticForm(
         tuple(d[i][i] for i in keep),
         den,

@@ -52,16 +52,24 @@ def test_src_has_no_assert_statements_or_assertion_errors():
 
 
 def test_only_the_boundary_views_import_fractions():
-    """Integers inside: `Fraction` is imported by the modules whose API and
-    report views give rationals (exact inverses and solutions, the Picard
-    inner product, the wall projections r1, the report) and by no other,
-    so `lattices` and `products` compute on integers only. An import says
-    nothing about what runs: `EmbeddedLattice.disc_order` once read its
-    determinant as a `Fraction` through `exact`, which this check allowed.
-    `test_only_verify_walls_computes_with_fractions` pins the run-time side."""
+    """Integers inside: `Fraction` is imported only inside the six API and
+    report views that return one (exact inverses and solutions, the
+    projection as Fractions, the wall projections r1, the image of a
+    rational class, the walls suite's printed norms), and no module
+    imports it when it loads, so `lattices` and `products` compute on
+    integers only. An import says nothing about what runs:
+    `EmbeddedLattice.disc_order` once read its determinant as a `Fraction`
+    through `exact`, which this check allowed.
+    `test_only_verify_walls_computes_with_fractions` pins the run-time side,
+    and `tests/test_trust_base.py` which commands load `fractions`."""
     found = set()
     for path in sorted((SRC / "hessaut").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {}  # node -> its innermost function; ast.walk goes outside in
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(ast.walk(fn), fn.name))
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
@@ -69,8 +77,9 @@ def test_only_the_boundary_views_import_fractions():
             else:
                 continue
             if any(name.split(".")[0] == "fractions" for name in names):
-                found.add(path.stem)
-    assert found == {"exact", "hessian", "autgroup", "cli"}
+                found.add(f"{path.stem}.{owner.get(node, '<module>')}")
+    assert found == {"exact.solve_rational", "exact.invert_rational", "hessian.project_to_sh",
+                     "autgroup.r1", "autgroup._apply_q", "cli.walls_suite"}
 
 
 # every command a user runs: the ten suites alone, and the pinned word
@@ -78,10 +87,9 @@ CENSUS_COMMANDS = [["verify", suite, "--json"] for suite in cli.SUITE_NAMES] + [
     ["reduce", "--word", "tau,p16,g1,phi2,s21345", "--json"]
 ]
 
-# run after `import hessaut.cli`, so the module constants built at import
-# (the `WALL_*_EXPR` coefficients) are not counted: for each command of
-# argv[1] in turn, its exit status and the names of the functions of
-# `fractions.py` whose frames it entered, under a `sys.setprofile` hook
+# run after `import hessaut.cli`: for each command of argv[1] in turn, its
+# exit status and the names of the functions of `fractions.py` whose frames
+# it entered, under a `sys.setprofile` hook
 CENSUS = """\
 import contextlib, fractions, io, json, sys
 import hessaut.cli
@@ -109,12 +117,11 @@ print(json.dumps(out))
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_only_verify_walls_computes_with_fractions(flags):
     """Integers inside, at run time: of every command, only `verify walls`
-    enters `fractions.py`, for the projection norms it prints and the
-    `WALL_*_EXPR` expansions it displays. That it does shows the hook is
-    live. Frames, not `Fraction.__new__` calls, are counted: from Python
-    3.12 `Fraction` arithmetic builds its results through
-    `_from_coprime_ints`. One fresh interpreter runs every command, so a
-    command is charged with what it builds first."""
+    enters `fractions.py`, for the projection norms it prints. That it
+    does shows the hook is live. Frames, not `Fraction.__new__` calls, are
+    counted: from Python 3.12 `Fraction` arithmetic builds its results
+    through `_from_coprime_ints`. One fresh interpreter runs every command,
+    so a command is charged with what it builds first."""
     proc = _python(*flags, "-c", CENSUS, json.dumps(CENSUS_COMMANDS))
     assert proc.returncode == 0, proc.stderr
     census = json.loads(proc.stdout)

@@ -133,8 +133,8 @@ def test_classes_hold_ints_and_fractions_only_where_documented():
     classes += [ctx.type2_class(n, l) for n in NODE_NAMES for l in ctx.lines_through(n)]
     classes += [p.fiber for p in pencil_catalog()]
     assert all(_all_of(v, int) for v in classes)
-    for expr in (WALL_1A_EXPR, WALL_2_EXPR, WALL_3A_EXPR):
-        assert _all_of(ctx.resolve(expr), Fraction)
+    for coeffs, den in (WALL_1A_EXPR, WALL_2_EXPR, WALL_3A_EXPR):
+        assert type(den) is int and _all_of(ctx.resolve(coeffs), int)
     rows, den = lattices.discriminant_form_from_gram(ctx.gram)[1]
     assert type(den) is int and all(type(x) is int for row in rows for x in row)
     assert _all_of(ctx.project_to_sh(weyl_vector()), Fraction)

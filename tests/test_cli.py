@@ -72,7 +72,8 @@ def test_reduce_rejects_unknown_generator(capsys):
 
 def test_failing_check_exits_one(monkeypatch, capsys):
     def broken(seed):
-        return [cli.Check("fake.broken", "fail", "1", "2", "forced failure")]
+        return [{"id": "fake.broken", "status": "fail", "expected": "1", "actual": "2",
+                 "ref": "forced failure"}]
 
     monkeypatch.setitem(cli.SUITES, "golay", broken)
     assert cli.main(["verify", "golay"]) == 1

@@ -180,8 +180,8 @@ def _golay_suite_on_an_octad_meeting_another_in_five_points():
     sizes = {(a & b).bit_count() for i, a in enumerate(masks) for b in masks[i + 1:]}
     cli.steiner_system = lambda: broken
     SteinerSystem.pair_intersection_sizes = lambda self: sizes
-    check = next(c for c in cli.golay_suite(0) if c.id == "golay.five-subset-cover")
-    return check.status, check.actual
+    check = next(c for c in cli.golay_suite(0) if c["id"] == "golay.five-subset-cover")
+    return check["status"], check["actual"]
 
 
 def test_golay_suite_fails_the_cover_on_octads_sharing_five_points(monkeypatch):

@@ -93,14 +93,24 @@ def test_built_values_compare_by_value():
     assert walls["3a"][0].r1 == tuple(Fraction(x, 6) for x in walls["3a"][0].vec)
 
 
-def test_report_dicts_keep_their_key_order():
-    check = cli.Check("x.y", "pass", "1", "1", "ref")
-    assert list(check.as_dict()) == ["id", "status", "expected", "actual", "ref"]
-    assert json.dumps(check.as_dict()) == (
-        '{"id": "x.y", "status": "pass", "expected": "1", "actual": "1", "ref": "ref"}'
+def test_checks_are_dicts_with_the_report_keys_in_order():
+    """A check is the report's own dict, from the suite to the document:
+    every suite's checks run in process, and those `verify all` gets back
+    from its forked child (a fresh process has no other thread, so it
+    forks), are plain dicts with exactly these keys, in this order."""
+    code = (
+        "import json\n"
+        "from hessaut import cli\n"
+        "serial = [c for name in cli.SUITE_NAMES for c in cli.SUITES[name](0)]\n"
+        "forked = cli.run('all')['checks']\n"
+        "print(json.dumps([len(serial), forked == serial,\n"
+        "                  sorted({type(c).__name__ for c in serial + forked}),\n"
+        "                  sorted({tuple(c) for c in serial + forked})]))\n"
     )
-    assert cli.Report("s", [check], 0).passed
-    assert not cli.Report("s", [check, cli.Check("x.z", "fail", "1", "2", "")], 0).passed
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        76, True, ["dict"], [["id", "status", "expected", "actual", "ref"]]]
 
 
 def test_cli_imports_no_dataclasses_and_verify_all_builds_no_group_or_cover_table():

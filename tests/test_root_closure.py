@@ -151,8 +151,8 @@ def test_root_bases_are_typed_without_fincke_pohst(monkeypatch):
 
     monkeypatch.setattr(lattices, "short_vectors", refuse)
     assert all(classify_wall_root(w.root).case == w.case for w in walls)
-    checks = {c.id: c for c in cli.embedding_suite(0)}
-    assert checks["embedding.R-type"].status == checks["embedding.R0-type"].status == "pass"
+    checks = {c["id"]: c["status"] for c in cli.embedding_suite(0)}
+    assert checks["embedding.R-type"] == checks["embedding.R0-type"] == "pass"
 
 
 _BLOCKS = ("A1(-1)", "A2(-1)", "A3(-1)", "A4(-1)", "D4(-1)", "A1(-2)", "A2(-2)", "A1(-3)")

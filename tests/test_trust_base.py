@@ -7,6 +7,8 @@ Keys are qualified function names, not lines, so an unrelated edit does
 not churn the pins. Each command runs alone, in a fork of one fresh
 interpreter taken after `import hessaut.cli`, as a process of its own
 would run it; `python -O` must certify exactly what a plain run does.
+The fork also reports whether the command loaded `fractions`, which no
+module imports when it loads.
 
 The same interpreter then runs every `verify <suite>` one after another,
 in process, and counts the calls and distinct inputs of the functions
@@ -76,7 +78,8 @@ COMPUTED_ONCE = {
 }
 
 # argv[1]: the commands as {name: argv}. Prints {"tables": {name: [status,
-# table]}, "computed": {function: [calls, distinct inputs]}}.
+# table, fractions loaded]}, "computed": {function: [calls, distinct inputs]}}.
+# Nothing it imports before the forks loads `fractions`.
 CHILD = """\
 import contextlib, inspect, io, json, os, sys, traceback
 import hessaut.cli
@@ -145,7 +148,7 @@ def run(argv):
     table.clear()
     with contextlib.redirect_stdout(io.StringIO()):
         status = cli.main(argv)
-    return [status, dict(sorted(table.items()))]
+    return [status, dict(sorted(table.items())), "fractions" in sys.modules]
 
 tables = {}
 for name, argv in json.loads(sys.argv[1]).items():
@@ -182,13 +185,20 @@ def census(request):
 
 
 def test_every_command_passes(census):
-    statuses = {name: status for name, (status, _) in census["tables"].items()}
+    statuses = {name: status for name, (status, _, _) in census["tables"].items()}
     assert statuses == dict.fromkeys(COMMANDS, 0)
 
 
 @pytest.mark.parametrize("command", list(COMMANDS))
 def test_each_command_certifies_its_pinned_trust_base(census, command):
     assert census["tables"][command][1] == TRUST_BASE[command]
+
+
+def test_only_verify_walls_loads_fractions(census):
+    """`Fraction` is imported only where one is made, and of every command
+    only `verify walls` makes one, for the projection norms it prints."""
+    loaded = {name: frac for name, (_, _, frac) in census["tables"].items()}
+    assert loaded == {name: name == "verify walls" for name in COMMANDS}
 
 
 def test_verify_computes_each_certified_fact_once(census):

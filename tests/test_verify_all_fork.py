@@ -76,9 +76,9 @@ def key_error(name):
 
 result = {}
 for seed in (1, 7):
-    serial = [c.as_dict() for name in cli.SUITE_NAMES for c in cli.run(name, seed).checks]
+    serial = [c for name in cli.SUITE_NAMES for c in cli.run(name, seed)["checks"]]
     before = len(forks)
-    forked = [c.as_dict() for c in cli.run("all", seed).checks]
+    forked = cli.run("all", seed)["checks"]
     result[f"seed {seed}"] = [forked == serial, len(serial), len(forks) - before, no_child()]
 
 document = main(["verify", "all", "--json", "--seed", "1"])
