@@ -262,7 +262,6 @@ WALL_3A_EXPR = ({"N26": 3, "N45": 3, "N56": 3, "N24": 3, "N16": -2, "N36": -2,
 
 WALL_1A_EXAMPLE_OCTAD = frozenset({oo, 0, 1, 5, 9, 11, 13, 21})
 WALL_2_EXAMPLE_OCTAD = frozenset({0, oo, 6, 7, 10, 12, 15, 18})
-WALL_3A_EXAMPLE_K = 5
 
 # the twelve octads carrying the (3,3,3,-1^5,1^16) walls
 WALL_1A_OCTADS = tuple(
@@ -276,6 +275,7 @@ WALL_1A_OCTADS = tuple(
         {oo, 0, 2, 10, 12, 13, 17, 21}, {oo, 0, 2, 11, 14, 20, 21, 22},
     )
 )
+# the positions of the first-index case 3a walls; the first is g's worked wall
 WALL_3A_KS_FIRST = (5, 14, 17)
 WALL_3B_OCTADS_FIRST = tuple(
     frozenset(s)
@@ -518,7 +518,7 @@ class AutContext:
         u_omega = self.descent_start[0]
         w1a = next(w for w in walls["1a"] if frozenset(w.key[1:]) == WALL_1A_EXAMPLE_OCTAD)
         w2 = next(w for w in walls["2"] if bilinear(w.root, ctx.curve_roots["N16"]) == 1)
-        w3a = next(w for w in walls["3a"] if w.key[1:] == (1, WALL_3A_EXAMPLE_K))
+        self.worked_3a = w3a = next(w for w in walls["3a"] if w.key[1:] == (1, WALL_3A_KS_FIRST[0]))
         carried: dict[tuple, tuple[Isometry, Isometry, int]] = {}
         for w, b in ((w1a, self.reflection_phi(w1a.vec)), (w2, self.p16), (w3a, self.g)):
             u = w.pairings

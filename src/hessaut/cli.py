@@ -366,7 +366,7 @@ def walls_suite(seed: int) -> list:
            "(-6)-roots, (-4)-roots, primitive (-24)-vectors")
     w1a = next(w for w in walls["1a"] if lam_octad(w) == WALL_1A_EXAMPLE_OCTAD)
     w2 = next(w for w in walls["2"] if lam_octad(w, (2,)) == WALL_2_EXAMPLE_OCTAD)
-    w3a = next(w for w in walls["3a"] if w.key[1:] == (1, WALL_3A_KS_FIRST[0]))
+    w3a = a.worked_3a
     # vec / den equals the expansion coeffs / den_e, entry by entry
     worked = ((w1a, WALL_1A_EXPR), (w2, WALL_2_EXPR), (w3a, WALL_3A_EXPR))
     _check(checks, "walls.worked-expansions", (True, True, True),
@@ -443,7 +443,7 @@ def generators_suite(seed: int) -> list:
     gram_ok = all(iso.curve_action.inverse_rows() == iso.matrix for _, iso, _ in a.descent)
     _check(checks, "generators.gram-preserved", True, gram_ok,
            "every descent generator preserves the intersection form")
-    w3a = next(w for w in a.walls["3a"] if w.key[1:] == (1, 5))
+    w3a = a.worked_3a
     six_vec = [6 * x for x in w3a.vec]  # image = base + 6 r1, as den (image - base) = 6 vec
     t_sum = tuple(x + y for x, y in zip(ctx.curve("T26"), ctx.curve("T56")))
     _check(checks, "generators.inversion-asymmetry", (True, False),

@@ -260,15 +260,10 @@ def inverse_and_det(a) -> tuple[list[list[int]], int, int]:
     return [[x // g for x in row] for row in n], minors[-1] // g, (-1) ** swaps * minors[-1]
 
 
-def invert_integer(a) -> tuple[list[list[int]], int]:
-    """(n, d) of `inverse_and_det`: a^-1 = n / d, d > 0 least."""
-    return inverse_and_det(a)[:2]
-
-
 def invert_rational(a) -> list[list[Fraction]]:
     """Exact inverse of a square integer matrix over the rationals."""
     from fractions import Fraction
-    n, d = invert_integer(a)
+    n, d = inverse_and_det(a)[:2]
     return [[Fraction(x, d) for x in row] for row in n]
 
 

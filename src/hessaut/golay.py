@@ -14,10 +14,10 @@ reduces to 0 against an echelon basis, and no list of codewords is kept.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from functools import cache
 from itertools import combinations
 from math import comb
-from typing import Iterable
 
 from .checks import certify
 

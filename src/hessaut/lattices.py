@@ -36,10 +36,10 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from functools import cache
 from itertools import product
 from operator import mul, sub
-from typing import Iterable, Sequence
 
 from . import exact, leech
 from .checks import certify

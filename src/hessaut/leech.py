@@ -10,8 +10,8 @@ generators themselves can be checked against it.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from operator import mul
-from typing import Iterable, Sequence
 
 from .golay import INFINITY, OMEGA, is_codeword, point_index
 

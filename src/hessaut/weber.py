@@ -11,14 +11,14 @@ all live here.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from functools import cache
 from itertools import combinations, product
 from operator import itemgetter
-from typing import FrozenSet, Iterable, Sequence
 
 from .checks import certify
 
-Label = FrozenSet[int]
+Label = frozenset[int]
 
 EMPTY: Label = frozenset()
 

@@ -61,7 +61,7 @@ def frame_coords():
     for name in CURVE_NAMES:
         if span.add(raw[name]) and span.rank > len(basis):
             basis.append(name)
-    inverse, den = exact.invert_integer([raw[n] for n in basis])
+    inverse, den = exact.inverse_and_det([raw[n] for n in basis])[:2]
     if len(basis) != 16 or den != 1:
         raise ValueError("the first sixteen independent curves must form a unimodular basis")
     sh_rows = [list(r) for r in picard().lattice_SH.rows]
@@ -77,7 +77,7 @@ def _frame_pairing():
     _, basis_coords, _ = frame_coords()
     pairing = exact.mat_mul(basis_coords, lattices.ambient().gram)
     gram = exact.mat_mul(pairing, exact.transpose(basis_coords))
-    return pairing, exact.invert_integer(gram)
+    return pairing, exact.inverse_and_det(gram)[:2]
 
 
 def frame_project(v) -> tuple[tuple[int, ...], int]:

@@ -30,7 +30,7 @@ from itertools import repeat
 from operator import add, mul, neg
 
 from hessaut import exact
-from hessaut.autgroup import WALL_3A_EXAMPLE_K, Isometry, autctx, compose
+from hessaut.autgroup import Isometry, autctx, compose
 from hessaut.hessian import picard
 from hessaut.products import CurveAction, _support, curve_frame, exact_quotient, preimage
 
@@ -91,7 +91,7 @@ def inversion_f(index: int) -> Isometry:
     (1-based): f conjugated by the first S5 element, in sorted order, that
     carries the worked wall to it, as that wall's generator conjugates g."""
     a = autctx()
-    worked = next(w for w in a.walls["3a"] if w.key[1:] == (1, WALL_3A_EXAMPLE_K))
+    worked = a.worked_3a
     wall = sorted(a.walls["3a"], key=lambda w: w.key)[index - 1]
     perm = next(p for p in sorted(a.s5) if a.s5[p].apply(worked.vec) == wall.vec)
     return s5_conjugate(a.f, perm, name=f"f{index}")

@@ -30,7 +30,7 @@ from hessaut.checks import CertificationError
 from hessaut.hessian import CURVE_NAMES, NODE_NAMES, picard
 from hessaut.lorentz import bilinear
 from product_reference import conjugate, involution_by_rows, preserves_form
-from test_certification import _python_O
+from forked_runs import python_O
 
 # the (-6)-root of the worked reflection, as displayed
 REFLECTION_ROOT_EXPR = {
@@ -103,7 +103,8 @@ def test_worked_wall_expansions():
     assert w2.key[1:] == (1, 2)
     assert [iso.name for pairs in a.wall_generators.values()
             for ww, iso in pairs if ww.r1 == w2.r1] == ["p45"]
-    w3a = next(w for w in a.walls["3a"] if w.key[1:] == (1, 5))
+    w3a = a.worked_3a
+    assert w3a.key == ("3a", 1, 5)
     assert w3a.r1 == displayed(ctx, WALL_3A_EXPR)
 
 
@@ -113,7 +114,7 @@ def test_curve_pairing_patterns_of_worked_walls():
     w1a = next(w for w in a.walls["1a"] if lam_octad(w) == WALL_1A_EXAMPLE_OCTAD)
     ones = {c for c in CURVE_NAMES if bilinear(w1a.root, ctx.curve_roots[c]) == 1}
     assert ones == {"T16", "T26", "T56", "T14", "T23"}
-    w3a = next(w for w in a.walls["3a"] if w.key[1:] == (1, 5))
+    w3a = a.worked_3a
     ones = {c for c in CURVE_NAMES if bilinear(w3a.root, ctx.curve_roots[c]) == 1}
     assert ones == {"N16", "N36", "T26", "T56"}
 
@@ -216,7 +217,7 @@ def test_two_pencil_involution_is_the_shared_node_projection():
 def test_inversion_asymmetry_and_section_sum():
     ctx = picard()
     a = autctx()
-    w3a = next(w for w in a.walls["3a"] if w.key[1:] == (1, 5))
+    w3a = a.worked_3a
     t_sum = tuple(x + y for x, y in zip(ctx.curve("T26"), ctx.curve("T56")))
     pushed = tuple(Fraction(x) + 6 * r for x, r in zip(t_sum, w3a.r1))
     assert a._apply_q(a.g, t_sum) == pushed
@@ -372,7 +373,7 @@ def test_wall_involutions_fails_on_an_action_that_is_no_involution_under_python_
         "checks = {c['id']: c['status'] for c in cli.generators_suite(0)}\n"
         "print(checks['generators.wall-involutions'])\n"
     )
-    proc = _python_O(code)
+    proc = python_O(code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["fail", "pass", "fail"]
 

@@ -1,41 +1,17 @@
 """Certification is one mechanism, `checks.certify`, that `python -O`
 cannot strip, and a failed certification is a reported failure (exit 1)
-rather than a traceback."""
+rather than a traceback. The fresh-interpreter probes run as forks of one
+child per flag set (`forked_runs`), which the last test checks."""
 
 import ast
 import inspect
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
+from forked_runs import SRC, forked_runs, main_after
 from hessaut import cli, hessian, weber
 from hessaut.checks import CertificationError
 from hessaut.hessian import Picard
-
-SRC = Path(__file__).resolve().parents[1] / "src"
-
-
-def _python(*args, path=(), **env):
-    """`python *args` in a fresh interpreter, output captured as text, with
-    `path` and then `src` put before any inherited PYTHONPATH; each keyword
-    sets an environment variable, or unsets it when None."""
-    env = {**os.environ, **env}
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (*map(str, path), str(SRC), os.environ.get("PYTHONPATH")) if p
-    )
-    return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, timeout=600,
-        env={k: v for k, v in env.items() if v is not None},
-    )
-
-
-def _python_O(code):
-    """Run code in a fresh `python -O` with `src` on the path."""
-    return _python("-O", "-c", code)
 
 
 def test_src_has_no_assert_statements_or_assertion_errors():
@@ -59,10 +35,11 @@ def test_only_the_boundary_views_import_fractions():
     imports it when it loads, so `lattices` and `products` compute on
     integers only. An import says nothing about what runs:
     `EmbeddedLattice.disc_order` once read its determinant as a `Fraction`
-    through `exact`, which this check allowed.
-    `test_only_verify_walls_computes_with_fractions` pins the run-time side,
-    and `tests/test_trust_base.py` which commands load `fractions`."""
-    found = set()
+    through `exact`, which this check allowed. `tests/test_trust_base.py`
+    pins the run-time side: which commands load `fractions` and enter it.
+    No module imports `typing` at all: annotations stay unevaluated, and
+    the abstract types come from `collections.abc`."""
+    found = {"fractions": set(), "typing": set()}
     for path in sorted((SRC / "hessaut").glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         owner = {}  # node -> its innermost function; ast.walk goes outside in
@@ -76,75 +53,20 @@ def test_only_the_boundary_views_import_fractions():
                 names = [node.module or ""]
             else:
                 continue
-            if any(name.split(".")[0] == "fractions" for name in names):
-                found.add(f"{path.stem}.{owner.get(node, '<module>')}")
-    assert found == {"exact.solve_rational", "exact.invert_rational", "hessian.project_to_sh",
+            for root in {name.split(".")[0] for name in names} & found.keys():
+                found[root].add(f"{path.stem}.{owner.get(node, '<module>')}")
+    assert found["typing"] == set()
+    assert found["fractions"] == {"exact.solve_rational", "exact.invert_rational", "hessian.project_to_sh",
                      "autgroup.r1", "autgroup._apply_q", "cli.walls_suite"}
 
 
-# every command a user runs: the ten suites alone, and the pinned word
-CENSUS_COMMANDS = [["verify", suite, "--json"] for suite in cli.SUITE_NAMES] + [
-    ["reduce", "--word", "tau,p16,g1,phi2,s21345", "--json"]
-]
-
-# run after `import hessaut.cli`: for each command of argv[1] in turn, its
-# exit status and the names of the functions of `fractions.py` whose frames
-# it entered, under a `sys.setprofile` hook
-CENSUS = """\
-import contextlib, fractions, io, json, sys
-import hessaut.cli
-
-entered = set()
-
-def hook(frame, event, arg):
-    if event == "call" and frame.f_code.co_filename == fractions.__file__:
-        entered.add(frame.f_code.co_name)
-
-out = {}
-for argv in json.loads(sys.argv[1]):
-    entered.clear()
-    with contextlib.redirect_stdout(io.StringIO()):
-        sys.setprofile(hook)
-        try:
-            status = hessaut.cli.main(argv)
-        finally:
-            sys.setprofile(None)
-    out[" ".join(argv)] = [status, sorted(entered)]
-print(json.dumps(out))
-"""
-
-
-@pytest.mark.parametrize("flags", [[], ["-O"]])
-def test_only_verify_walls_computes_with_fractions(flags):
-    """Integers inside, at run time: of every command, only `verify walls`
-    enters `fractions.py`, for the projection norms it prints. That it
-    does shows the hook is live. Frames, not `Fraction.__new__` calls, are
-    counted: from Python 3.12 `Fraction` arithmetic builds its results
-    through `_from_coprime_ints`. One fresh interpreter runs every command,
-    so a command is charged with what it builds first."""
-    proc = _python(*flags, "-c", CENSUS, json.dumps(CENSUS_COMMANDS))
-    assert proc.returncode == 0, proc.stderr
-    census = json.loads(proc.stdout)
-    assert [status for status, _ in census.values()] == [0] * len(CENSUS_COMMANDS)
-    assert census.pop("verify walls --json")[1] != []
-    assert {k: entered for k, (_, entered) in census.items()} == dict.fromkeys(census, [])
-
-
-def test_constructor_certification_runs_under_python_O():
+def test_constructor_certification_runs_under_python_O(runs):
     # p16's push on omega is certified by `AutContext`, which a reduce builds
-    code = (
-        "import sys\n"
-        "from hessaut import autgroup, cli\n"
-        "autgroup.PUSH_MULTIPLES['2'] = 5\n"
-        "sys.exit(cli.main(['reduce', '--word', 'p16']))\n"
-    )
-    proc = _python_O(code)
-    assert proc.returncode == 1, proc.stderr
-    assert proc.stderr.splitlines() == [
-        "certification failed: p16 must push omega by 5 times its wall's r1"
-    ]
-    assert "Traceback" not in proc.stderr
-    assert proc.stdout == ""
+    status, out, err = runs("-O")["constructor"]
+    assert status == 1, err
+    assert err.splitlines() == ["certification failed: p16 must push omega by 5 times its wall's r1"]
+    assert "Traceback" not in err
+    assert out == ""
 
 
 def test_pinned_packets_are_certified(monkeypatch, capsys):
@@ -184,34 +106,54 @@ def test_a_forged_curve_incidence_is_a_failed_certification(monkeypatch, other):
 
 
 @pytest.mark.parametrize("other", sorted(FORGED_INCIDENCES))
-def test_a_forged_curve_incidence_is_a_failed_certification_under_python_O(other):
-    message, value = FORGED_INCIDENCES[other]
-    code = (
-        "import sys\n"
-        "from hessaut import cli, hessian\n"
-        + inspect.getsource(_forged_incidence)
-        + f"hessian.incidence = _forged_incidence(hessian.incidence, {other!r}, {value})\n"
-        "sys.exit(cli.main(['reduce', '--word', 'tau']))\n"
-    )
-    proc = _python_O(code)
-    assert proc.returncode == 1, proc.stderr
-    assert proc.stderr.splitlines() == [f"certification failed: {message}"]
-    assert proc.stdout == ""
+def test_a_forged_curve_incidence_is_a_failed_certification_under_python_O(runs, other):
+    message, _ = FORGED_INCIDENCES[other]
+    status, out, err = runs("-O")[f"forged {other}"]
+    assert status == 1, err
+    assert err.splitlines() == [f"certification failed: {message}"]
+    assert out == ""
+
+
+BROKEN_TABLE_COMMANDS = [["reduce", "--word", "tau"], ["verify", "walls"]]
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
-@pytest.mark.parametrize("command", [["reduce", "--word", "tau"], ["verify", "walls"]])
-def test_a_broken_built_in_table_is_a_failed_certification(flags, command):
-    # N56 and N24 fixed instead of swapped: p16 violates the curve relations
-    code = (
-        "import sys\n"
-        "from hessaut import autgroup, cli\n"
-        "autgroup.NODE_PROJECTION_TABLE.update({'N56': {'N56': 1}, 'N24': {'N24': 1}})\n"
-        f"sys.exit(cli.main({command!r}))\n"
-    )
-    proc = _python(*flags, "-c", code)
-    assert proc.returncode == 1, proc.stderr
-    assert proc.stderr.splitlines() == [
-        "certification failed: p16: images violate the curve relations at T34"
-    ]
+@pytest.mark.parametrize("command", BROKEN_TABLE_COMMANDS)
+def test_a_broken_built_in_table_is_a_failed_certification(runs, flags, command):
+    status, _, err = runs(*flags)[f"broken table: {' '.join(command)}"]
+    assert status == 1, err
+    assert err.splitlines() == ["certification failed: p16: images violate the curve relations at T34"]
 
+
+# each test's fresh-interpreter probe, run plain or under -O
+runs = forked_runs({
+    # the harness itself
+    "print": "print('x')\n",
+    "flags": "import sys\nprint(sys.flags.optimize)\n",
+    "exit": "import sys\nsys.exit(3)\n",
+    "raise": "raise KeyError('probe')\n",
+    "patch": "from hessaut import autgroup\nautgroup.PUSH_MULTIPLES['2'] = 5\n",
+    "after patch": main_after("", ["reduce", "--word", "p16"]),
+    "constructor": main_after("autgroup.PUSH_MULTIPLES['2'] = 5\n", ["reduce", "--word", "p16"]),
+    **{f"forged {other}": main_after(
+        inspect.getsource(_forged_incidence)
+        + f"hessian.incidence = _forged_incidence(hessian.incidence, {other!r}, {value})\n",
+        ["reduce", "--word", "tau"],
+    ) for other, (_, value) in FORGED_INCIDENCES.items()},
+    # N56 and N24 fixed instead of swapped: p16 violates the curve relations
+    **{f"broken table: {' '.join(command)}": main_after(
+        "autgroup.NODE_PROJECTION_TABLE.update({'N56': {'N56': 1}, 'N24': {'N24': 1}})\n", command,
+    ) for command in BROKEN_TABLE_COMMANDS},
+})
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_a_forked_probe_runs_as_python_c_does_and_changes_nothing_for_the_next(runs, flags):
+    got = runs(*flags)
+    assert [got[k] for k in ("print", "flags", "exit", "patch")] == [
+        [0, "x\n", ""], [0, f"{len(flags)}\n", ""], [3, "", ""], [0, "", ""]]
+    status, out, err = got["raise"]
+    assert (status, out) == (1, "") and err.startswith("Traceback")
+    assert err.endswith("KeyError: 'probe'\n")
+    status, out, err = got["after patch"]
+    assert status == 0 and out.startswith("word: p16\n"), err

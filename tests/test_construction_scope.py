@@ -7,11 +7,11 @@ not."""
 
 import pytest
 
+from forked_runs import forked_runs, main_after
 from hessaut import autgroup, cli, exact, hessian, lattices
 from hessaut.autgroup import AutContext, autctx, classify_wall_root, enumerate_wall_roots
 from hessaut.checks import CertificationError
 from hessaut.hessian import Picard, picard
-from test_certification import _python_O
 
 WORD = "tau,p16,g1,phi2,s21345"
 
@@ -123,14 +123,19 @@ MUTATIONS = {
 }
 
 
+runs = forked_runs({
+    f"{mutation}: {command}": main_after(patch, argv)
+    for mutation, (patch, suite, _) in MUTATIONS.items()
+    for command, argv in (("verify", ["verify", suite]), ("reduce", ["reduce", "--word", "p16"]))
+})
+
+
 @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
-def test_verify_certifies_what_a_reduce_does_not_under_python_O(mutation):
-    patch, suite, message = MUTATIONS[mutation]
-    head = "import sys\nfrom hessaut import autgroup, cli, hessian\n" + patch
-    proc = _python_O(head + f"sys.exit(cli.main(['verify', {suite!r}]))\n")
-    assert proc.returncode == 1, proc.stderr
-    assert proc.stderr.splitlines() == [f"certification failed: {message}"]
-    assert "Traceback" not in proc.stderr
-    proc = _python_O(head + "sys.exit(cli.main(['reduce', '--word', 'p16']))\n")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == ""
+def test_verify_certifies_what_a_reduce_does_not_under_python_O(runs, mutation):
+    status, _, err = runs("-O")[f"{mutation}: verify"]
+    assert status == 1, err
+    assert err.splitlines() == [f"certification failed: {MUTATIONS[mutation][2]}"]
+    assert "Traceback" not in err
+    status, _, err = runs("-O")[f"{mutation}: reduce"]
+    assert status == 0, err
+    assert err == ""

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from forked_runs import forked_runs, main_after, python
 from hessaut import exact
 from hessaut.autgroup import (
     PUSH_MULTIPLES,
@@ -26,7 +27,6 @@ from hessaut.autgroup import (
 from hessaut.hessian import picard
 from hessaut.products import PackedProduct, curve_frame
 from product_reference import conjugate, inversion_f, matrix_from_pairings
-from test_certification import _python
 
 
 def _pairings(x):
@@ -143,12 +143,12 @@ READ_OFF_ALONE = (
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
-def test_the_read_off_check_alone_rejects_a_node_line_swap(flags):
-    proc = _run(flags, READ_OFF_ALONE)
-    assert proc.stdout == (
+def test_the_read_off_check_alone_rejects_a_node_line_swap(runs, flags):
+    _, out, err = runs(*flags)["read-off alone"]
+    assert out == (
         "raised: swap: not an isometry of the Picard lattice\n"
         "integral preimages: [True, True]\n"
-    ), proc.stderr
+    ), err
 
 
 def test_each_letter_pushes_omega_by_its_wall_vector():
@@ -222,22 +222,19 @@ WORD_JSON = (
 )
 
 
-def _run(args, code=None):
-    return _python(*args, *(["-c", code] if code else []))
-
-
 def test_reduce_is_byte_identical_under_python_O():
-    plain = _run(["-m", "hessaut.cli", "reduce", "--word", WORD, "--json"])
-    optimized = _run(["-O", "-m", "hessaut.cli", "reduce", "--word", WORD, "--json"])
+    plain = python("-m", "hessaut.cli", "reduce", "--word", WORD, "--json")
+    optimized = python("-O", "-m", "hessaut.cli", "reduce", "--word", WORD, "--json")
     assert plain.returncode == optimized.returncode == 0, plain.stderr + optimized.stderr
     assert plain.stdout == optimized.stdout == WORD_JSON
 
 
-def test_corrupted_conversion_raises_under_python_O():
+runs = forked_runs({
+    "read-off alone": READ_OFF_ALONE,
     # corrupted start pairings match no symmetry at the end of the descent,
-    # so the word is replayed and reduce still prints the uncorrupted
-    # report; the reference conversion of the corrupted K raises
-    code = (
+    # so the word is replayed and reduce still prints the uncorrupted report;
+    # the reference conversion of the corrupted K raises
+    "corrupted": (
         "import sys\n"
         f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
         "from hessaut import autgroup, cli\n"
@@ -254,10 +251,15 @@ def test_corrupted_conversion_raises_under_python_O():
         "except ValueError as e:\n"
         "    print('raised:', e)\n"
         "    sys.exit(3)\n"
-    )
-    proc = _run(["-O"], code)
-    plain = _run(["-O", "-m", "hessaut.cli", "reduce", "--word", "p16,tau", "--json"])
-    assert proc.returncode == 3, proc.stdout + proc.stderr
-    report, raised = proc.stdout.splitlines()
-    assert report + "\n" == plain.stdout
+    ),
+    "reduce": main_after("", ["reduce", "--word", "p16,tau", "--json"]),
+})
+
+
+def test_corrupted_conversion_raises_under_python_O(runs):
+    status, out, err = runs("-O")["corrupted"]
+    _, plain, _ = runs("-O")["reduce"]
+    assert status == 3, out + err
+    report, raised = out.splitlines()
+    assert report + "\n" == plain
     assert raised.startswith("raised: ")

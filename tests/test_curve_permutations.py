@@ -22,10 +22,10 @@ from pathlib import Path
 
 import pytest
 
+from forked_runs import forked_runs, main_after
 from hessaut import autgroup, cli, exact, products
 from hessaut.autgroup import (
     WALL_1A_EXAMPLE_OCTAD,
-    WALL_3A_EXAMPLE_K,
     AutContext,
     Isometry,
     autctx,
@@ -39,7 +39,6 @@ from hessaut.hessian import NODE_NAMES, picard
 from hessaut.products import CurveAction, curve_frame
 
 from product_reference import conjugate, matrix_from_pairings, s5_conjugate
-from test_certification import _python, _python_O
 from test_curve_pairings import _check_action, _non_registry_isometries, _pairings
 from test_hessian import TAU_PAIRS
 
@@ -138,7 +137,7 @@ def _conjugates_by_product():
         perm = next(p for p in sorted(a.s5)
                     if frozenset(p[i - 1] for i in base_faces) == ctx.node_faces[n])
         out.append((a.projections[n], s5_conjugate(a.p16, perm).matrix))
-    worked = next(w for w in a.walls["3a"] if w.key[1:] == (1, WALL_3A_EXAMPLE_K))
+    worked = a.worked_3a
     first = {}
     for perm in sorted(a.s5):
         first.setdefault(a.s5[perm].apply(worked.vec), perm)
@@ -175,7 +174,7 @@ def _worked_pairs(a):
     for the three families."""
     w1a = next(w for w in a.walls["1a"] if frozenset(w.key[1:]) == WALL_1A_EXAMPLE_OCTAD)
     w2 = next(w for w, iso in a.wall_generators["2"] if iso.name == "p16")
-    w3a = next(w for w in a.walls["3a"] if w.key[1:] == (1, WALL_3A_EXAMPLE_K))
+    w3a = a.worked_3a
     return ((w1a, a.reflection_phi(w1a.vec), ("1a", "1b"), 10),
             (w2, a.p16, ("2",), 24),
             (w3a, a.g, ("3a", "3b"), 8))
@@ -232,16 +231,10 @@ MUTANTS = {
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 @pytest.mark.parametrize("message", sorted(MUTANTS))
-def test_construction_certifies_that_worked_generators_reach_every_wall(message, flags):
-    code = (
-        "import sys\n"
-        "from hessaut import autgroup, cli\n"
-        + MUTANTS[message]
-        + "sys.exit(cli.main(['reduce', '--word', 'p16']))\n"
-    )
-    proc = _python(*flags, "-c", code)
-    assert proc.returncode == 1, proc.stderr
-    assert proc.stderr.startswith(f"certification failed: {message}"), proc.stderr
+def test_construction_certifies_that_worked_generators_reach_every_wall(runs, message, flags):
+    status, _, err = runs(*flags)[message]
+    assert status == 1, err
+    assert err.startswith(f"certification failed: {message}"), err
 
 
 def test_conjugating_any_isometry_renames_its_curves():
@@ -463,8 +456,9 @@ def test_images_are_checked_at_each_curve_off_the_basis(curve):
         isometry_from_images({**images, curve: ctx.curve_coord[other]}, "bad")
 
 
-def test_curve_permutation_rejects_under_python_O():
-    code = (
+runs = forked_runs({
+    **{m: main_after(patch, ["reduce", "--word", "p16"]) for m, patch in MUTANTS.items()},
+    "rejects": (
         "from hessaut.autgroup import curve_permutation\n"
         "from hessaut.products import curve_frame\n"
         "ident = {c: c for c in curve_frame().names}\n"
@@ -474,10 +468,14 @@ def test_curve_permutation_rejects_under_python_O():
         "        curve_permutation(bad, 'bad')\n"
         "    except ValueError as e:\n"
         "        print('rejected:', e)\n"
-    )
-    proc = _python_O(code)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
+    ),
+})
+
+
+def test_curve_permutation_rejects_under_python_O(runs):
+    status, out, err = runs("-O")["rejects"]
+    assert status == 0, err
+    assert out.splitlines() == [
         "rejected: bad: not a bijection of the twenty curves",
         "rejected: bad: images violate the curve relations at T15",
         "rejected: bad: not an isometry of the Picard lattice",

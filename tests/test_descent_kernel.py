@@ -30,6 +30,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fraction_reference as ref
+from forked_runs import forked_runs, main_after
 from hessaut import exact
 from hessaut.autgroup import AutContext, Isometry, autctx, compose, identity_isometry
 from hessaut.hessian import picard
@@ -44,7 +45,6 @@ from hessaut.products import (
     preimage,
 )
 from product_reference import HeightScan, conjugate, descent_vectors, inversion_f
-from test_certification import _python
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -240,16 +240,10 @@ PUSH_MUTANTS = {
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 @pytest.mark.parametrize("message", sorted(PUSH_MUTANTS))
-def test_construction_certifies_the_push_of_each_worked_generator(message, flags):
-    code = (
-        "import sys\n"
-        "from hessaut import autgroup, cli\n"
-        + PUSH_MUTANTS[message]
-        + "sys.exit(cli.main(['reduce', '--word', 'p16']))\n"
-    )
-    proc = _run(flags, code)
-    assert proc.returncode == 1, proc.stderr
-    assert proc.stderr.startswith(f"certification failed: {message}"), proc.stderr
+def test_construction_certifies_the_push_of_each_worked_generator(runs, message, flags):
+    status, _, err = runs(*flags)[message]
+    assert status == 1, err
+    assert err.startswith(f"certification failed: {message}"), err
 
 
 def test_no_dot_product_in_the_descent_steps(monkeypatch):
@@ -437,23 +431,10 @@ def test_a_non_isometric_start_is_rejected():
                 run(gamma)
 
 
-def test_a_non_isometric_start_is_rejected_under_python_O():
-    code = (
-        "import random\n"
-        "from hessaut import exact\n"
-        "from hessaut.autgroup import Isometry, autctx, compose\n"
-        + inspect.getsource(_non_isometric_starts)
-        + "a = autctx()\n"
-        "for gamma in _non_isometric_starts(a):\n"
-        "    for run in (a.descend, lambda g: a.descend([g]), a.reduce_height):\n"
-        "        try:\n"
-        "            run(gamma)\n"
-        "        except ValueError as e:\n"
-        "            print('rejected', gamma.name, 'not an isometry' in str(e))\n"
-    )
-    proc = _run(["-O"], code)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n") == ["rejected sheared True"] * 3 + ["rejected 2tau True"] * 3 + [""]
+def test_a_non_isometric_start_is_rejected_under_python_O(runs):
+    status, out, err = runs("-O")["non-isometric starts"]
+    assert status == 0, err
+    assert out.split("\n") == ["rejected sheared True"] * 3 + ["rejected 2tau True"] * 3 + [""]
 
 
 def _start_isometries(a):
@@ -507,12 +488,28 @@ def test_curve_action_rejects_multiples_of_isometries():
     assert len(minus.combos) == 20
 
 
-def _run(args, code):
-    return _python(*args, "-c", code)
+def test_curve_action_rejects_multiples_under_python_O(runs):
+    status, out, err = runs("-O")["multiples"]
+    assert status == 0, err
+    assert out.split("\n") == ["rejected tau", "rejected p16", "accepted -tau", ""]
 
 
-def test_curve_action_rejects_multiples_under_python_O():
-    code = (
+runs = forked_runs({
+    **{m: main_after(patch, ["reduce", "--word", "p16"]) for m, patch in PUSH_MUTANTS.items()},
+    "non-isometric starts": (
+        "import random\n"
+        "from hessaut import exact\n"
+        "from hessaut.autgroup import Isometry, autctx, compose\n"
+        + inspect.getsource(_non_isometric_starts)
+        + "a = autctx()\n"
+        "for gamma in _non_isometric_starts(a):\n"
+        "    for run in (a.descend, lambda g: a.descend([g]), a.reduce_height):\n"
+        "        try:\n"
+        "            run(gamma)\n"
+        "        except ValueError as e:\n"
+        "            print('rejected', gamma.name, 'not an isometry' in str(e))\n"
+    ),
+    "multiples": (
         "from hessaut.autgroup import autctx\n"
         "from hessaut.products import CurveAction\n"
         "a = autctx()\n"
@@ -524,10 +521,8 @@ def test_curve_action_rejects_multiples_under_python_O():
         "        print('rejected', name)\n"
         "CurveAction.of(tuple(tuple(-x for x in row) for row in a.tau.matrix), '-tau')\n"
         "print('accepted -tau')\n"
-    )
-    proc = _run(["-O"], code)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n") == ["rejected tau", "rejected p16", "accepted -tau", ""]
+    ),
+})
 
 
 def test_the_240_symmetries_permute_the_curves_as_a_group():

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from forked_runs import forked_runs
 from hessaut import cli
 from hessaut.checks import CertificationError
 from hessaut.golay import (
@@ -17,7 +18,6 @@ from hessaut.golay import (
     set_mask,
     steiner_system,
 )
-from test_certification import _python_O
 
 oo = INFINITY
 
@@ -121,23 +121,10 @@ def test_pair_intersections_certify_closure(change):
         _broken_octads(change).pair_intersection_sizes()
 
 
-def test_pair_intersections_certify_closure_under_python_O():
-    code = (
-        "from hessaut.checks import CertificationError\n"
-        "from hessaut.golay import BASE_OCTAD, SteinerSystem, set_mask, steiner_system\n"
-        "octads = steiner_system().octads\n"
-        f"swap = octads[:100] + ({set(NOT_AN_OCTAD)!r},) + octads[101:]\n"
-        "drop = octads[:100] + octads[101:]\n"
-        "drop_base = tuple(k for k in octads if k != BASE_OCTAD)\n"
-        "for change in (swap, drop, drop_base):\n"
-        "    try:\n"
-        "        SteinerSystem(tuple(map(set_mask, change))).pair_intersection_sizes()\n"
-        "    except CertificationError:\n"
-        "        print('raised')\n"
-    )
-    proc = _python_O(code)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["raised"] * 3
+def test_pair_intersections_certify_closure_under_python_O(runs):
+    status, out, err = runs("-O")["closure"]
+    assert status == 0, err
+    assert out.split() == ["raised"] * 3
 
 
 def test_five_subset_cover_by_counting_matches_the_cover_table():
@@ -192,12 +179,26 @@ def test_golay_suite_fails_the_cover_on_octads_sharing_five_points(monkeypatch):
     assert _golay_suite_on_an_octad_meeting_another_in_five_points() == ("fail", "None")
 
 
-def test_golay_suite_fails_the_cover_on_octads_sharing_five_points_under_python_O():
-    code = (inspect.getsource(_golay_suite_on_an_octad_meeting_another_in_five_points)
-            + "print(*_golay_suite_on_an_octad_meeting_another_in_five_points())\n")
-    proc = _python_O(code)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["fail", "None"]
+def test_golay_suite_fails_the_cover_on_octads_sharing_five_points_under_python_O(runs):
+    status, out, err = runs("-O")["cover"]
+    assert status == 0, err
+    assert out.split() == ["fail", "None"]
+
+
+runs = forked_runs({
+    "closure": (
+        "from hessaut.checks import CertificationError\n"
+        "from hessaut.golay import BASE_OCTAD, SteinerSystem, set_mask, steiner_system\n"
+        f"NOT_AN_OCTAD = {set(NOT_AN_OCTAD)!r}\n" + inspect.getsource(_broken_octads)
+        + "for change in ('swap', 'drop', 'drop-base'):\n"
+        "    try:\n"
+        "        _broken_octads(change).pair_intersection_sizes()\n"
+        "    except CertificationError:\n"
+        "        print('raised')\n"
+    ),
+    "cover": (inspect.getsource(_golay_suite_on_an_octad_meeting_another_in_five_points)
+              + "print(*_golay_suite_on_an_octad_meeting_another_in_five_points())\n"),
+})
 
 
 def test_eight_sets_off_the_projective_line_are_not_octads():

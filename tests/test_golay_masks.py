@@ -1,16 +1,13 @@
 """The Golay layer on 24-bit masks, against the point-set reference
-(`golay_reference`), and what a cold `verify all` keeps of it."""
+(`golay_reference`). What a cold `verify all` keeps of it is pinned in
+`tests/test_verify_all_fork.py`."""
 
-import json
-
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import golay_reference as ref
 from hessaut import golay, leech
 from hessaut.golay import golay_basis, golay_code, is_codeword, mask_points, set_mask, steiner_system
-from test_certification import _python
 
 CODE = sorted(ref.code())
 
@@ -66,37 +63,3 @@ def near_leech_vectors(draw):
 @example(leech.vadd(leech.NU_OMEGA, leech.vscale(4, leech.nu([golay.INFINITY]))))
 def test_leech_membership_matches_the_stored_code_test(v):
     assert leech.contains(v) == ref.contains(v)
-
-
-PIN = """
-import gc, json
-from hessaut import autgroup, cli, golay, hessian
-cli.run("all", 1)
-named = [*hessian.COMPLEMENT_OCTADS.values(), *hessian.CURVE_OCTADS.values(),
-         *autgroup.WALL_1A_OCTADS, *autgroup.WALL_3B_OCTADS_FIRST,
-         autgroup.WALL_1A_EXAMPLE_OCTAD, autgroup.WALL_2_EXAMPLE_OCTAD, golay.BASE_OCTAD]
-ids = set(map(id, named))
-stray = [s for s in gc.get_objects() if isinstance(s, frozenset) and len(s) == 8
-         and all(type(p) is int for p in s) and id(s) not in ids]
-system = golay.steiner_system()
-print(json.dumps({
-    "optimize": __import__("sys").flags.optimize,
-    "code_cached": hasattr(golay.golay_code, "cache_info"),
-    "fields": sorted(vars(system)),
-    "types": sorted({type(m).__name__ for m in (*system.masks, *system._members)}),
-    "stray_octads": len(stray),
-}))
-"""
-
-
-@pytest.mark.parametrize("flags", [[], ["-O"]])
-def test_a_cold_verify_all_keeps_the_octads_as_ints_and_no_code(flags):
-    proc = _python(*flags, "-c", PIN)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {
-        "optimize": len(flags),
-        "code_cached": False,
-        "fields": ["_members", "masks"],
-        "types": ["int"],
-        "stray_octads": 0,
-    }

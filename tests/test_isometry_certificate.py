@@ -14,11 +14,11 @@ from pathlib import Path
 
 import pytest
 
+from forked_runs import python_O
 from hessaut.autgroup import SKEW_LINE_TABLE, Isometry, autctx, compose, relabel, table_isometry
 from hessaut.checks import CertificationError
 from hessaut.products import CurveAction
 from product_reference import s5_conjugate
-from test_certification import _python_O
 
 TESTS = Path(__file__).resolve().parent
 
@@ -85,20 +85,21 @@ PROBES = {
 }
 
 
-def _under_python_O(probe):
-    code = (
+@pytest.fixture(scope="module")
+def under_python_O():
+    """Each probe's value, all four run by one fresh `python -O`."""
+    proc = python_O(
         "import json, sys\n"
         f"sys.path.insert(0, {str(TESTS)!r})\n"
         "import test_isometry_certificate as t\n"
-        f"print(json.dumps(t.{probe.__name__}()))\n"
+        "print(json.dumps({p.__name__: p() for p in t.PROBES}))\n"
     )
-    proc = _python_O(code)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
 
 @pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
 @pytest.mark.parametrize("probe", list(PROBES), ids=lambda p: p.__name__)
-def test_isometry_certificate(probe, optimize):
-    got = _under_python_O(probe) if optimize else probe()
+def test_isometry_certificate(under_python_O, probe, optimize):
+    got = under_python_O[probe.__name__] if optimize else probe()
     assert got == PROBES[probe]

@@ -30,7 +30,7 @@ from hessaut.lattices import (
 )
 
 import root_reference as ref
-from test_certification import _python_O
+from forked_runs import python_O
 from test_hessian import _lattice_r0
 
 
@@ -109,7 +109,7 @@ def test_a_leech_frame_one_generator_short_is_refused_under_python_O():
         "except CertificationError as e:\n"
         "    print('rejected:', e)\n"
     )
-    proc = _python_O(code)
+    proc = python_O(code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "rejected: L must be unimodular with det -1\n"
 

@@ -1,23 +1,19 @@
-"""The value classes compare and hash by their fields, and `hessaut.cli`
-starts without `dataclasses`.
+"""The value classes compare and hash by their fields.
 
 Code and tests key dicts and sets on these classes and compare them, so
 each has field-wise equality, a hash that agrees with it, and no equality
 with any other type.
 """
 
-import json
 from fractions import Fraction
 
 import pytest
 
-from hessaut import cli, leech
+from hessaut import leech
 from hessaut.autgroup import Isometry, WallRoot, autctx
 from hessaut.lattices import EmbeddedLattice, FiniteQuadraticForm, discriminant_form
 from hessaut.hessian import picard
 from hessaut.lorentz import LorentzVector
-
-from test_certification import _python
 
 
 def _pair_and_variants():
@@ -91,42 +87,3 @@ def test_built_values_compare_by_value():
     walls = autctx().walls
     assert len({w for ws in walls.values() for w in ws}) == 52
     assert walls["3a"][0].r1 == tuple(Fraction(x, 6) for x in walls["3a"][0].vec)
-
-
-def test_checks_are_dicts_with_the_report_keys_in_order():
-    """A check is the report's own dict, from the suite to the document:
-    every suite's checks run in process, and those `verify all` gets back
-    from its forked child (a fresh process has no other thread, so it
-    forks), are plain dicts with exactly these keys, in this order."""
-    code = (
-        "import json\n"
-        "from hessaut import cli\n"
-        "serial = [c for name in cli.SUITE_NAMES for c in cli.SUITES[name](0)]\n"
-        "forked = cli.run('all')['checks']\n"
-        "print(json.dumps([len(serial), forked == serial,\n"
-        "                  sorted({type(c).__name__ for c in serial + forked}),\n"
-        "                  sorted({tuple(c) for c in serial + forked})]))\n"
-    )
-    proc = _python("-c", code)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [
-        76, True, ["dict"], [["id", "status", "expected", "actual", "ref"]]]
-
-
-def test_cli_imports_no_dataclasses_and_verify_all_builds_no_group_or_cover_table():
-    code = (
-        "import sys\n"
-        "import hessaut.cli\n"
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
-        "from hessaut import cli, golay, weber\n"
-        "def refuse(*args):\n"
-        "    raise RuntimeError('verify all must not build this table')\n"
-        "weber.affine_symplectic_group = refuse\n"
-        "golay.SteinerSystem.covering_counts = refuse\n"
-        "sys.exit(cli.main(['verify', 'all']))\n"
-    )
-    proc = _python("-c", code)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0] == "[]"
-    assert lines[-1].startswith("suite all: 76/76 checks passed")

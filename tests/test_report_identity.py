@@ -12,7 +12,7 @@ import hashlib
 import pytest
 
 from hessaut import cli
-from test_certification import _python
+from forked_runs import python
 
 VERIFY_ALL_JSON_SHA256 = "33bdbe42166c9cea52ecc6534155c440204e834fcae97489b86cc94aee9a6129"
 
@@ -29,6 +29,6 @@ def test_verify_all_json_is_pinned(capsys, seed):
 
 @pytest.mark.parametrize("seed", ["1", "7"])
 def test_verify_all_json_is_pinned_under_python_O(seed):
-    proc = _python("-O", "-B", "-m", "hessaut.cli", "verify", "all", "--json", "--seed", seed)
+    proc = python("-O", "-B", "-m", "hessaut.cli", "verify", "all", "--json", "--seed", seed)
     assert proc.returncode == 0, proc.stderr
     assert _sha256(proc.stdout) == VERIFY_ALL_JSON_SHA256

@@ -23,7 +23,7 @@ from hessaut import autgroup, cli
 from hessaut.autgroup import Isometry, autctx
 from hessaut.products import DescentScan, curve_frame
 from product_reference import matrix_from_pairings
-from test_certification import _python_O
+from forked_runs import python_O
 from test_curve_permutations import _descend_dot_per_letter, words
 
 TESTS = Path(__file__).resolve().parent
@@ -204,7 +204,7 @@ a = autctx()
 a.scan = DescentScan(a.scan.rs[:t.STALLED_LETTERS])
 print(json.dumps([[w, r.matrix, h] for w, r, h in map(a.descend, t._stalled_words())]))
 """
-    proc = _python_O(script)
+    proc = python_O(script)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == want
 

@@ -5,14 +5,14 @@ path; a renamed or removed target must fail here, not only inside a
 import subprocess
 from pathlib import Path
 
-from test_certification import _python
+from forked_runs import python
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def _run_traced(code: str) -> subprocess.CompletedProcess:
     # no bytecode, to leave perfbench/ as it is
-    return _python("-c", code, path=[ROOT / "perfbench"], PYTHONDONTWRITEBYTECODE="1")
+    return python("-c", code, path=[ROOT / "perfbench"], PYTHONDONTWRITEBYTECODE="1")
 
 
 def test_tracer_installs_on_every_target():

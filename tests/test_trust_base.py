@@ -8,7 +8,7 @@ not churn the pins. Each command runs alone, in a fork of one fresh
 interpreter taken after `import hessaut.cli`, as a process of its own
 would run it; `python -O` must certify exactly what a plain run does.
 The fork also reports whether the command loaded `fractions`, which no
-module imports when it loads.
+module imports when it loads, and which of its functions it entered.
 
 The same interpreter then runs every `verify <suite>` one after another,
 in process, and counts the calls and distinct inputs of the functions
@@ -25,7 +25,7 @@ from collections import Counter
 import pytest
 
 from hessaut import cli
-from test_certification import _python
+from forked_runs import python
 
 WORD = "tau,p16,g1,phi2,s21345"
 
@@ -78,10 +78,10 @@ COMPUTED_ONCE = {
 }
 
 # argv[1]: the commands as {name: argv}. Prints {"tables": {name: [status,
-# table, fractions loaded]}, "computed": {function: [calls, distinct inputs]}}.
-# Nothing it imports before the forks loads `fractions`.
+# table, fractions loaded, fractions.py functions entered]}, "computed":
+# {function: [calls, distinct inputs]}}. Nothing before the forks loads `fractions`.
 CHILD = """\
-import contextlib, inspect, io, json, os, sys, traceback
+import contextlib, importlib.util, inspect, io, json, os, sys, traceback
 import hessaut.cli
 from collections import Counter
 from hessaut import autgroup, checks, cli, hessian, lattices
@@ -144,6 +144,13 @@ counted(hessian.Picard, "project", "Picard.project")
 counted(lattices, "root_type", "lattices.root_type")
 counted(hessian.Picard, "type2_class", "Picard.type2_class")
 
+# frames, not `Fraction.__new__` calls, which 3.12's `_from_coprime_ints`
+# bypasses; traced from the import of `fractions` on, as none run before it
+FRACTIONS, entered = importlib.util.find_spec("fractions").origin, set()
+
+def hook(frame, event, arg):  # called on each new frame, as it traces none
+    if frame.f_code.co_filename == FRACTIONS:
+        entered.add(frame.f_code.co_name)
 def run(argv):
     table.clear()
     with contextlib.redirect_stdout(io.StringIO()):
@@ -157,8 +164,10 @@ for name, argv in json.loads(sys.argv[1]).items():
     if pid == 0:  # the command alone, its table handed back over the pipe
         try:
             os.close(r)
+            sys.addaudithook(lambda event, args: event == "import" and args[0] == "fractions"
+                             and sys.settrace(hook))
             with open(w, "w") as pipe:
-                json.dump(run(argv), pipe)
+                json.dump(run(argv) + [sorted(entered)], pipe)
         except BaseException:
             traceback.print_exc()
             os._exit(1)
@@ -179,13 +188,13 @@ print(json.dumps({
 
 @pytest.fixture(scope="module", params=[[], ["-O"]], ids=["plain", "O"])
 def census(request):
-    proc = _python(*request.param, "-c", CHILD, json.dumps(COMMANDS))
+    proc = python(*request.param, "-c", CHILD, json.dumps(COMMANDS))
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
 
 def test_every_command_passes(census):
-    statuses = {name: status for name, (status, _, _) in census["tables"].items()}
+    statuses = {name: status for name, (status, *_) in census["tables"].items()}
     assert statuses == dict.fromkeys(COMMANDS, 0)
 
 
@@ -197,8 +206,16 @@ def test_each_command_certifies_its_pinned_trust_base(census, command):
 def test_only_verify_walls_loads_fractions(census):
     """`Fraction` is imported only where one is made, and of every command
     only `verify walls` makes one, for the projection norms it prints."""
-    loaded = {name: frac for name, (_, _, frac) in census["tables"].items()}
+    loaded = {name: frac for name, (_, _, frac, _) in census["tables"].items()}
     assert loaded == {name: name == "verify walls" for name in COMMANDS}
+
+
+def test_only_verify_walls_computes_with_fractions(census):
+    """Integers inside, at run time; that `verify walls` enters
+    `fractions.py`, for the norms it prints, shows the hook is live."""
+    entered = {name: fns for name, (_, _, _, fns) in census["tables"].items()}
+    assert entered.pop("verify walls") != []
+    assert entered == dict.fromkeys(entered, [])
 
 
 def test_verify_computes_each_certified_fact_once(census):
